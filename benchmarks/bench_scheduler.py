@@ -1,6 +1,6 @@
 """Scheduler bench — batched ``submit_many`` vs serial per-agent serving.
 
-Four sections, all recorded to machine-readable JSON
+Five sections, all recorded to machine-readable JSON
 (``BENCH_scheduler.json``, override via ``BENCH_SCHEDULER_JSON``) so the
 perf trajectory accumulates across PRs:
 
@@ -29,17 +29,25 @@ perf trajectory accumulates across PRs:
    subtree of every plan fingerprinted per round, mirroring the
    executor's cache keying) measured against the per-call baseline.
    Acceptance: >=3x fewer node canonicalisations, digests unchanged.
+5. **Plan cache, cold vs warm** — one 64-agent batch served over and over
+   by the same system: the first window compiles every distinct statement
+   (and executes it), steady-state windows hit the compiled-statement
+   cache (and history). The same steady state on a database injected with
+   ``StatementCache(max_entries=0)`` is what every window paid before the
+   cache existed. Acceptance: steady state compiles nothing.
 """
 
 from __future__ import annotations
 
 import os
+import statistics
 import sys
 import time
 from dataclasses import dataclass, field
 
 from repro.core import AgentFirstDataSystem, Brief, Probe, SystemConfig
 from repro.db import Database
+from repro.plan.compiled import StatementCache
 from repro.plan.fingerprint import (
     FINGERPRINT_STATS,
     fingerprint,
@@ -117,8 +125,8 @@ def measure_engines(
     return out
 
 
-def build_db() -> Database:
-    db = Database("sched-bench")
+def build_db(statement_cache: StatementCache | None = None) -> Database:
+    db = Database("sched-bench", statement_cache=statement_cache)
     db.execute("CREATE TABLE stores (id INT PRIMARY KEY, city TEXT, state TEXT)")
     db.execute(
         "CREATE TABLE sales (id INT, store_id INT, product TEXT, amount FLOAT)"
@@ -222,6 +230,9 @@ class SchedulerBenchResult:
     engine_rows: list[tuple] = field(default_factory=list)
     #: Aggregate row-engine / columnar-engine time over the whole corpus.
     engine_speedup: float = 0.0
+    #: The cold-vs-warm compiled-statement cache dimension (see
+    #: :func:`run_plan_cache_bench` for the keys).
+    plan_cache: dict = field(default_factory=dict)
 
     def render(self) -> str:
         sections = [
@@ -328,6 +339,32 @@ class SchedulerBenchResult:
                     f" ({ENGINE_TABLE_ROWS} rows, memos hot)"
                 ),
             ),
+            format_table(
+                ["window", "ms", "statements compiled"],
+                [
+                    (
+                        "first (cold cache, empty history)",
+                        f"{self.plan_cache['first_window_ms']:.1f}",
+                        self.plan_cache["first_window_compiled"],
+                    ),
+                    (
+                        "steady state",
+                        f"{self.plan_cache['steady_window_ms']:.1f}",
+                        self.plan_cache["steady_window_compiled"],
+                    ),
+                    (
+                        "steady state, cache disabled",
+                        f"{self.plan_cache['steady_window_uncached_ms']:.1f}",
+                        self.plan_cache["statements"],
+                    ),
+                ],
+                title=(
+                    f"plan cache at {self.plan_cache['agents']} agents"
+                    f" ({self.plan_cache['statements']} statements,"
+                    f" {self.plan_cache['distinct_statements']} distinct;"
+                    f" steady-state speedup {self.plan_cache['steady_speedup']:.2f}x)"
+                ),
+            ),
         ]
         return "\n\n".join(sections)
 
@@ -394,6 +431,10 @@ class SchedulerBenchResult:
                 "overall_speedup": round(self.engine_speedup, 3),
                 "floor": ENGINE_SPEEDUP_FLOOR,
                 "target": ENGINE_SPEEDUP_TARGET,
+            },
+            "plan_cache": {
+                key: round(value, 3) if isinstance(value, float) else value
+                for key, value in self.plan_cache.items()
             },
         }
 
@@ -561,6 +602,42 @@ def run_engine_bench(result: SchedulerBenchResult) -> None:
     result.engine_speedup = row_total / col_total if col_total else 0.0
 
 
+def run_plan_cache_bench(result: SchedulerBenchResult, windows: int = 9) -> None:
+    """Cold vs warm compiled-statement cache on a repeated 64-agent batch.
+
+    ``workers=1`` keeps speculation out of the timings; both systems see
+    the identical batch ``windows`` times (fresh probe objects each time,
+    as a swarm would send them).
+    """
+    agents = 64
+    statements = [sql for probe in parallel_probes(agents) for sql in probe.queries]
+
+    def serve(db: Database) -> tuple[float, float, int, int]:
+        with AgentFirstDataSystem(db, workers=1) as system:
+            timings, compiled = [], []
+            for _ in range(windows):
+                misses_before = db.statement_cache.counters()[1]
+                start = time.perf_counter()
+                system.submit_many(parallel_probes(agents))
+                timings.append((time.perf_counter() - start) * 1000.0)
+                compiled.append(db.statement_cache.counters()[1] - misses_before)
+        return timings[0], statistics.median(timings[1:]), compiled[0], max(compiled[1:])
+
+    first_ms, steady_ms, first_compiled, steady_compiled = serve(build_db())
+    _, uncached_ms, _, _ = serve(build_db(StatementCache(max_entries=0)))
+    result.plan_cache = {
+        "agents": agents,
+        "statements": len(statements),
+        "distinct_statements": len(set(statements)),
+        "first_window_ms": first_ms,
+        "first_window_compiled": first_compiled,
+        "steady_window_ms": steady_ms,
+        "steady_window_compiled": steady_compiled,
+        "steady_window_uncached_ms": uncached_ms,
+        "steady_speedup": uncached_ms / steady_ms if steady_ms else 0.0,
+    }
+
+
 def run_scheduler_bench() -> SchedulerBenchResult:
     result = SchedulerBenchResult()
     result.parallel_capable = effective_parallelism()
@@ -570,6 +647,7 @@ def run_scheduler_bench() -> SchedulerBenchResult:
     run_backend_bench(result)
     run_fingerprint_bench(result)
     run_engine_bench(result)
+    run_plan_cache_bench(result)
     return result
 
 
@@ -597,6 +675,13 @@ def test_scheduler_batching(benchmark):
     # The vectorized-executor acceptance bar: >=2x on engine time, with
     # the 5x target reported next to the measurement in the JSON.
     assert result.engine_speedup >= ENGINE_SPEEDUP_FLOOR
+    # Steady state compiles nothing; the first window compiled each
+    # distinct statement exactly once.
+    assert result.plan_cache["steady_window_compiled"] == 0
+    assert (
+        result.plan_cache["first_window_compiled"]
+        == result.plan_cache["distinct_statements"]
+    )
     if result.parallel_capable:
         # The real acceptance bar: independent work groups must overlap.
         assert result.speedup_at_64 >= 1.5

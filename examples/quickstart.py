@@ -111,6 +111,21 @@ def main() -> None:
         if "other agent" in hint:
             print("steering:", hint)
 
+    #    The second time a swarm asks: statements are compiled (parsed,
+    #    planned, fingerprinted, cost-estimated) once per SQL text and
+    #    catalog version, in db.statement_cache — a repeat window costs
+    #    no planning at all, and any write (SQL or not) moves
+    #    Catalog.version() and drops the cache on the next lookup.
+    _, misses_before, _, _ = db.statement_cache.counters()
+    system.submit_many(swarm)
+    hits, misses, _, invalidations = db.statement_cache.counters()
+    print("\n== the second time a swarm asks ==")
+    print(
+        f"repeat window: {misses - misses_before} statements compiled;"
+        f" lifetime {hits} hits / {misses} misses,"
+        f" {invalidations} flushes after writes"
+    )
+
     # 5. A *streaming* swarm: the batch as an emergent property. Each
     #    agent opens a session (sticky identity + brief defaults — no
     #    per-probe agent_id/principal plumbing) and submits independently;

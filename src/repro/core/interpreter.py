@@ -16,7 +16,7 @@ from repro.core.brief import Brief, Phase
 from repro.core.probe import Probe
 from repro.db import Database
 from repro.errors import ReproError
-from repro.plan.cost import estimate_cost
+from repro.plan.compiled import compiled_estimate
 from repro.plan.logical import PlanNode
 
 #: Default sampling rates by phase: exploration tolerates coarse answers,
@@ -75,6 +75,10 @@ class ProbeInterpreter:
     def _plan_query(
         self, index: int, sql: str, brief: Brief, phase: Phase
     ) -> PlannedQuery:
+        # The plan comes out of the database's statement cache (failures
+        # included) and carries its estimate memo, so a swarm repeating a
+        # statement shares both; only the brief-derived annotations are
+        # built per probe.
         try:
             plan = self._db.plan_select(sql)
         except ReproError as exc:
@@ -88,7 +92,7 @@ class ProbeInterpreter:
                 sample_rate=1.0,
                 parse_error=str(exc),
             )
-        estimate = estimate_cost(plan, self._db.catalog)
+        estimate = compiled_estimate(plan, self._db.catalog)
         return PlannedQuery(
             index=index,
             sql=sql,

@@ -307,7 +307,7 @@ class ProbeScheduler:
         """
         states: list[ScheduledProbe] = []
         for index, probe in enumerate(probes):
-            interpreted = self.interpreter.interpret(probe)
+            interpreted = self._interpret(probe)
             degradation = degradations[index] if degradations else None
             if degradation is not None and degradation.kind == "sample":
                 decisions = self.optimizer.satisficer.decide(
@@ -382,6 +382,21 @@ class ProbeScheduler:
 
         self.batches_served += 1
         return ScheduledBatch(probes=states, report=report)
+
+    def _interpret(self, probe: Probe) -> InterpretedProbe:
+        trace = obs_trace.probe_trace(probe)
+        if trace is None:
+            return self.interpreter.interpret(probe)
+        # Traced probe: interpretation becomes a span, and being ambient
+        # lets the plan layer hang one ``plan:compile`` child per
+        # statement under it (``plan_cache=hit|miss``).
+        span = trace.root.child("scheduler:interpret", queries=len(probe.queries))
+        token = obs_trace.set_current(span)
+        try:
+            return self.interpreter.interpret(probe)
+        finally:
+            obs_trace.reset_current(token)
+            span.finish()
 
     def _plan_run(self, states: list[ScheduledProbe]) -> _BatchRun:
         lenient_fingerprints: dict[tuple[int, int], str] = {}

@@ -201,8 +201,24 @@ class JoinDiscovery:
     def __init__(self, db: Database, sample_size: int = 200) -> None:
         self._db = db
         self._sample_size = sample_size
+        #: (catalog version, {(table, limit): suggestions}): exploration
+        #: probes of a swarm ask about the same few tables, and every
+        #: answer re-samples column values from storage. One attribute, so
+        #: a reader never pairs a stamp with another version's answers.
+        self._memo: tuple[tuple | None, dict] = (None, {})
 
     def related_tables(self, table: str, limit: int = 3) -> list[JoinSuggestion]:
+        version = self._db.catalog.version()
+        stamp, memo = self._memo
+        if stamp != version:
+            memo = {}
+            self._memo = (version, memo)
+        suggestions = memo.get((table, limit))
+        if suggestions is None:
+            suggestions = memo[(table, limit)] = self._discover(table, limit)
+        return list(suggestions)
+
+    def _discover(self, table: str, limit: int) -> list[JoinSuggestion]:
         if not self._db.catalog.has_table(table):
             return []
         suggestions: list[JoinSuggestion] = []

@@ -48,6 +48,13 @@ degenerate window of one.
                      ▼                          ▼
               steering feedback         agentic memory store
 
+    statement cache (repro.plan.compiled; one per Database / replica / shard)
+        SQL text ──> CompiledStatement: AST + optimized plan (fingerprint
+        and cost-estimate memos ride on it), or the error the text fails
+        with — valid for one Catalog.version(), so any write invalidates;
+        the interpreter, Database.execute and replicas all compile here,
+        and a swarm repeating a statement plans it once
+
     maintenance runtime (idle windows; REPRO_MAINTENANCE / SystemConfig)
         gateway idle ──> serve lock ──┬─> view materializer ──> ViewScan
         (no probes        (preempted  ├─> auto-indexer ──> aux IndexScan
@@ -363,6 +370,19 @@ class AgentFirstDataSystem:
                 ("kernel_memo_unvectorized", "Nodes executed on the row path"),
             )
         }
+        statements = self.db.statement_cache
+        plan_cache_counters = [
+            registry.counter(f"repro_plan_cache_{name}", help)
+            for name, help in (
+                ("hits", "Statements served from the compiled-statement cache"),
+                ("misses", "Statements parsed and planned from their text"),
+                ("evictions", "Compiled statements evicted by the LRU bound"),
+                ("invalidations", "Cache flushes after the catalog version moved"),
+            )
+        ]
+        plan_cache_entries = registry.gauge(
+            "repro_plan_cache_entries", "Compiled-statement cache occupancy"
+        )
 
         def collect() -> None:
             if cache is not None:
@@ -373,6 +393,9 @@ class AgentFirstDataSystem:
                 gauges["subplan_cache_evictions"].set(evictions)
                 total = hits + misses
                 gauges["subplan_cache_hit_ratio"].set(hits / total if total else 0.0)
+            for counter, value in zip(plan_cache_counters, statements.counters()):
+                counter.set(value)
+            plan_cache_entries.set(len(statements))
             gauges["expr_memo_entries"].set(expr_memo_occupancy())
             gauges["expr_memo_compilations"].set(EXPR_MEMO_STATS.compilations)
             gauges["expr_memo_hits"].set(EXPR_MEMO_STATS.hits)

@@ -9,7 +9,10 @@ full pipeline: parse → build → optimize → execute. It also
   store's staleness tracker subscribes to (paper Sec. 6.1),
 * accepts per-query sampling rates and a shared
   :class:`~repro.engine.executor.SubplanCache` — the hooks the probe
-  optimizer drives, and
+  optimizer drives,
+* compiles every statement through one catalog-versioned
+  :class:`~repro.plan.compiled.StatementCache`, so text a swarm repeats
+  is parsed and planned once per catalog version, and
 * optionally attaches a write-ahead log (:meth:`Database.attach_wal`,
   ``REPRO_WAL=1`` for an auto-provisioned temp directory) so committed
   state survives a crash; :meth:`Database.recover` rebuilds a facade from
@@ -30,13 +33,17 @@ from repro.engine.columnar import make_executor
 from repro.engine.executor import ExecContext, Executor, SubplanCache
 from repro.engine.expressions import compile_expr
 from repro.engine.result import QueryResult
-from repro.errors import CatalogError, ExecutionError, PlanError
-from repro.plan.builder import build_plan
-from repro.plan.cost import CostEstimate, estimate_cost
-from repro.plan.logical import OneRow, OutputCol, PlanNode
-from repro.plan.rules import optimize_plan
+from repro.errors import CatalogError, ExecutionError
+from repro.plan.compiled import (
+    CompiledStatement,
+    StatementCache,
+    compile_select,
+    compile_statement,
+    compiled_estimate,
+)
+from repro.plan.cost import CostEstimate
+from repro.plan.logical import OutputCol, PlanNode
 from repro.sql import nodes
-from repro.sql.parser import parse_statement
 from repro.storage.catalog import Catalog
 from repro.storage.schema import Column, TableSchema
 from repro.storage.types import DataType, Value
@@ -62,10 +69,20 @@ class Database:
     """A single-node SQL database with an agent-friendly surface."""
 
     def __init__(
-        self, name: str = "db", *, wal_dir: str | bool | None = None
+        self,
+        name: str = "db",
+        *,
+        wal_dir: str | bool | None = None,
+        statement_cache: StatementCache | None = None,
     ) -> None:
         self.name = name
         self.catalog = Catalog()
+        #: Compiled statements by SQL text, valid for one
+        #: ``Catalog.version()``. Derived state: not journaled, and a
+        #: recovered facade starts cold.
+        self.statement_cache = (
+            statement_cache if statement_cache is not None else StatementCache()
+        )
         self._observers: list[Callable[[ChangeEvent], None]] = []
         self._info_schema_version = -1
         #: Serve-state recovered alongside the catalog (set by
@@ -200,11 +217,13 @@ class Database:
         ``"columnar"`` | ``"auto"``; ``None`` defers to the
         ``REPRO_ENGINE`` env override, then the row engine).
         """
-        statement = parse_statement(sql)
-        if isinstance(statement, nodes.Select):
-            return self._execute_select(
-                statement, sample_rate, sample_seed, cache, engine
+        compiled = self._compile(sql)
+        if compiled.plan is not None:
+            context = ExecContext(
+                sample_rate=sample_rate, sample_seed=sample_seed, cache=cache
             )
+            return make_executor(self.catalog, context, engine).run(compiled.plan)
+        statement = compiled.statement
         if isinstance(statement, nodes.CreateTable):
             return self._execute_create(statement)
         if isinstance(statement, nodes.DropTable):
@@ -215,21 +234,29 @@ class Database:
             return self._execute_update(statement)
         if isinstance(statement, nodes.Delete):
             return self._execute_delete(statement)
-        raise ExecutionError(f"unsupported statement {type(statement).__name__}")
+        # Unparseable text, or a SELECT that does not plan.
+        compiled.raise_failure()
+
+    def _compile(self, sql: str) -> CompiledStatement:
+        return compile_select(
+            sql, self.catalog, self.statement_cache, self._refresh_information_schema
+        )
 
     def plan_select(self, sql: str) -> PlanNode:
-        """Parse and plan (but do not run) a SELECT; used by analyses."""
-        statement = parse_statement(sql)
-        if not isinstance(statement, nodes.Select):
-            raise PlanError("plan_select requires a SELECT statement")
-        self._refresh_information_schema_if_needed(statement)
-        plan = build_plan(statement, self.catalog)
-        return optimize_plan(plan, self.catalog)
+        """Parse and plan (but do not run) a SELECT; used by analyses.
+
+        The returned plan is shared with every other caller of the same
+        text at this catalog version — treat it as immutable.
+        """
+        compiled = self._compile(sql)
+        if compiled.plan is None:
+            compiled.raise_failure()
+        return compiled.plan
 
     def explain(self, sql: str) -> str:
         """EXPLAIN: the optimized plan plus its cost estimate."""
         plan = self.plan_select(sql)
-        estimate = self.estimate(sql)
+        estimate = compiled_estimate(plan, self.catalog)
         return (
             plan.describe()
             + f"\n-- estimated rows: {estimate.rows:.0f}, cost: {estimate.cost:.0f}"
@@ -237,31 +264,14 @@ class Database:
 
     def estimate(self, sql: str) -> CostEstimate:
         """Cost-estimate a SELECT without executing it."""
-        plan = self.plan_select(sql)
-        return estimate_cost(plan, self.catalog)
+        return compiled_estimate(self.plan_select(sql), self.catalog)
 
-    # -- SELECT ------------------------------------------------------------------
+    # -- information schema --------------------------------------------------------
 
-    def _execute_select(
-        self,
-        statement: nodes.Select,
-        sample_rate: float,
-        sample_seed: int,
-        cache: SubplanCache | None,
-        engine: str | None = None,
-    ) -> QueryResult:
-        self._refresh_information_schema_if_needed(statement)
-        plan = build_plan(statement, self.catalog)
-        plan = optimize_plan(plan, self.catalog)
-        context = ExecContext(
-            sample_rate=sample_rate, sample_seed=sample_seed, cache=cache
-        )
-        executor = make_executor(self.catalog, context, engine)
-        return executor.run(plan)
-
-    def _refresh_information_schema_if_needed(self, statement: nodes.Select) -> None:
-        if not _references_information_schema(statement):
-            return
+    def _refresh_information_schema(self) -> None:
+        """Rebuild the virtual tables if any user table changed since the
+        last rebuild (the compile pipeline calls this for statements that
+        reference them)."""
         current = (
             self.catalog.schema_version,
             tuple(
@@ -330,8 +340,13 @@ class Database:
         table = self.catalog.table(statement.table)
         schema = table.schema
         if statement.select is not None:
-            select_result = self._execute_select(statement.select, 1.0, 0, None)
-            raw_rows: list[tuple[Value, ...]] = list(select_result.rows)
+            select = compile_statement(
+                statement.select, self.catalog, self._refresh_information_schema
+            )
+            if select.plan is None:
+                select.raise_failure()
+            executor = make_executor(self.catalog, ExecContext(), None)
+            raw_rows: list[tuple[Value, ...]] = list(executor.run(select.plan).rows)
         else:
             raw_rows = []
             for row_exprs in statement.rows:
@@ -434,41 +449,3 @@ def _release_wal(wal, tmp_dir: str | None) -> None:
 
 def _status_result(message: str) -> QueryResult:
     return QueryResult(columns=["status"], rows=[(message,)])
-
-
-def _references_information_schema(statement: nodes.Select) -> bool:
-    def ref_tables(ref: nodes.TableRef | None) -> list[str]:
-        if ref is None:
-            return []
-        if isinstance(ref, nodes.TableName):
-            return [ref.name]
-        if isinstance(ref, nodes.SubqueryRef):
-            return collect(ref.select)
-        if isinstance(ref, nodes.Join):
-            return ref_tables(ref.left) + ref_tables(ref.right)
-        return []
-
-    def collect(select: nodes.Select) -> list[str]:
-        found = ref_tables(select.from_clause)
-        for expr_source in _subquery_expressions(select):
-            found.extend(collect(expr_source))
-        return found
-
-    return any(info_schema.is_information_schema(name) for name in collect(statement))
-
-
-def _subquery_expressions(select: nodes.Select) -> list[nodes.Select]:
-    """All subquery ASTs appearing in expressions of ``select``."""
-    sources: list[nodes.Expr] = [item.expr for item in select.items]
-    if select.where is not None:
-        sources.append(select.where)
-    if select.having is not None:
-        sources.append(select.having)
-    sources.extend(select.group_by)
-    sources.extend(order.expr for order in select.order_by)
-    out: list[nodes.Select] = []
-    for expr in sources:
-        for node in nodes.walk(expr):
-            if isinstance(node, (nodes.InSubquery, nodes.ScalarSubquery, nodes.Exists)):
-                out.append(node.subquery)
-    return out

@@ -10,7 +10,7 @@ probes.
 from __future__ import annotations
 
 from repro.storage.catalog import Catalog
-from repro.storage.schema import Column, TableSchema
+from repro.storage.schema import Column, TableSchema, is_information_schema
 from repro.storage.table import Table
 from repro.storage.types import DataType
 
@@ -40,10 +40,6 @@ _COLUMNS_SCHEMA = TableSchema(
     ),
     description="catalog of user table columns",
 )
-
-
-def is_information_schema(name: str) -> bool:
-    return name.lower().startswith("information_schema.")
 
 
 def build_tables(catalog: Catalog) -> tuple[Table, Table]:

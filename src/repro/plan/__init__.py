@@ -1,6 +1,12 @@
 """Logical query plans: builder, optimizer rules, costs, fingerprints."""
 
 from repro.plan.builder import build_plan
+from repro.plan.compiled import (
+    CompiledStatement,
+    StatementCache,
+    compile_select,
+    compiled_estimate,
+)
 from repro.plan.cost import CostEstimate, estimate_cost
 from repro.plan.fingerprint import (
     FINGERPRINT_STATS,
@@ -30,6 +36,7 @@ from repro.plan.rules import optimize_plan
 
 __all__ = [
     "Aggregate",
+    "CompiledStatement",
     "CostEstimate",
     "FINGERPRINT_STATS",
     "NodeFingerprints",
@@ -44,8 +51,11 @@ __all__ = [
     "Project",
     "Scan",
     "Sort",
+    "StatementCache",
     "SubqueryScan",
     "build_plan",
+    "compile_select",
+    "compiled_estimate",
     "estimate_cost",
     "fingerprint",
     "fingerprint_uncached",

@@ -52,7 +52,7 @@ _COMMUTATIVE_OPS = frozenset({"=", "<>", "+", "*"})
 #: Attribute name under which per-node digests are cached. Set with
 #: ``object.__setattr__`` (the nodes are frozen dataclasses); the cached
 #: value is content-derived, so sharing a subtree between plans is safe.
-_MEMO_ATTR = "_fingerprint_memo"
+_MEMO_ATTR = logical.FINGERPRINT_MEMO_ATTR
 
 
 @dataclass(frozen=True)

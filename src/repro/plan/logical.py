@@ -31,6 +31,15 @@ class OutputCol:
         return self.binding is not None and self.binding.lower() == table.lower()
 
 
+#: Attribute names under which derived values are memoized on a node:
+#: per-node digests (:func:`repro.plan.fingerprint.fingerprints`) and the
+#: root's cost estimate (:func:`repro.plan.compiled.compiled_estimate`).
+#: Both are set with ``object.__setattr__`` (the nodes are frozen
+#: dataclasses) and stripped from the pickled state.
+FINGERPRINT_MEMO_ATTR = "_fingerprint_memo"
+ESTIMATE_MEMO_ATTR = "_estimate_memo"
+
+
 class PlanNode:
     """Base class for logical operators."""
 
@@ -41,12 +50,16 @@ class PlanNode:
     # :func:`repro.plan.fingerprint.fingerprints` caches on each node is
     # content-derived and cheap to rebuild, so it is stripped from the
     # pickled state: payloads stay small and receivers re-memoize lazily.
+    # The cost-estimate memo of :func:`repro.plan.compiled.compiled_estimate`
+    # goes the same way (it describes the sender's catalog, not the
+    # receiver's).
     # Frozen dataclass subclasses unpickle fine through ``__setstate__``'s
     # direct ``__dict__`` update — it bypasses the frozen ``__setattr__``.
 
     def __getstate__(self) -> dict:
         state = dict(self.__dict__)
-        state.pop("_fingerprint_memo", None)
+        state.pop(FINGERPRINT_MEMO_ATTR, None)
+        state.pop(ESTIMATE_MEMO_ATTR, None)
         return state
 
     def __setstate__(self, state: dict) -> None:

@@ -3,8 +3,9 @@
 ``SemanticSearch`` indexes table names, column names, schema descriptions
 and TEXT cell values of a :class:`~repro.db.Database`, then answers
 "where does this phrase appear / what is semantically close to it?" probes
-with ranked, located hits. The index tracks database change events and
-rebuilds lazily.
+with ranked, located hits. The index is stamped with ``Catalog.version()``
+and rebuilds lazily when the stamp has moved — after any schema or data
+change, whether or not it published a change event.
 
 Ranking blends exact token overlap (from the inverted index) with hashed-
 embedding cosine similarity of the location's description string, so
@@ -15,9 +16,12 @@ shared exact token.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
-from repro.db.database import ChangeEvent, Database
-from repro.semantic.embedding import HashedEmbedder, cosine_similarity
+import numpy as np
+
+from repro.db.database import Database
+from repro.semantic.embedding import HashedEmbedder
 from repro.semantic.inverted import InvertedIndex, Location
 
 #: Cap on text cells indexed per column, keeping index builds bounded.
@@ -54,16 +58,20 @@ class SemanticSearch:
         self._embedder = embedder or HashedEmbedder()
         self._index = InvertedIndex()
         self._texts: dict[Location, str] = {}
-        self._dirty = True
-        db.on_change(self._on_change)
+        #: Every metadata (non-cell) location with its text embedding and
+        #: that vector's norm. Each search scores all of them, so they are
+        #: derived once per index build, not once per probe.
+        self._metadata: list[tuple[Location, np.ndarray, float]] = []
+        #: ``Catalog.version()`` the index was built at.
+        self._version: tuple | None = None
 
     # -- indexing ------------------------------------------------------------
 
-    def _on_change(self, event: ChangeEvent) -> None:
-        self._dirty = True
-
     def refresh(self) -> None:
-        if not self._dirty:
+        # Stamp read before the scan: a write racing the rebuild leaves the
+        # index behind the catalog, so the next search rebuilds again.
+        version = self._db.catalog.version()
+        if version == self._version:
             return
         self._index.clear()
         self._texts.clear()
@@ -81,7 +89,12 @@ class SemanticSearch:
                 if column.description:
                     self._add(column.description, col_loc)
             self._index_cells(table_name)
-        self._dirty = False
+        self._metadata = []
+        for location, text in self._texts.items():
+            if location.kind != "cell":
+                vector = self._embedder.embed(text)
+                self._metadata.append((location, vector, float(np.linalg.norm(vector))))
+        self._version = version
 
     def _index_cells(self, table_name: str) -> None:
         table = self._db.catalog.table(table_name)
@@ -121,16 +134,22 @@ class SemanticSearch:
         self.refresh()
         token_hits = self._index.lookup_phrase(phrase)
         query_vector = self._embedder.embed(phrase)
+        query_norm = float(np.linalg.norm(query_vector))
 
         candidates: dict[Location, float] = {}
         for location, count in token_hits.items():
             candidates[location] = 1.0 + 0.25 * (count - 1)
         # Embedding pass over all metadata locations (tables/columns are few)
         # plus any token-matched cells.
-        for location, text in self._texts.items():
-            if location.kind == "cell" and location not in candidates:
-                continue
-            similarity = cosine_similarity(query_vector, self._embedder.embed(text))
+        matched_cells = []
+        for location in token_hits:
+            if location.kind == "cell":
+                vector = self._embedder.embed(self._texts[location])
+                matched_cells.append((location, vector, float(np.linalg.norm(vector))))
+        for location, vector, norm in chain(self._metadata, matched_cells):
+            if query_norm == 0.0 or norm == 0.0:
+                continue  # cosine similarity 0: adds no evidence
+            similarity = float(np.dot(query_vector, vector) / (query_norm * norm))
             # Hashing collisions put the noise floor near 0.07 at 128 dims;
             # embedding-only evidence must clear it, token hits need not.
             if similarity <= 0.12 and location not in candidates:

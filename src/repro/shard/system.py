@@ -48,6 +48,7 @@ from repro.db import Database
 from repro.db.information_schema import is_information_schema
 from repro.obs import trace as obs_trace
 from repro.obs.metrics import MetricsRegistry, MetricsSnapshot, merge_snapshots
+from repro.plan.compiled import StatementCache
 from repro.shard import scatter
 from repro.shard.matchmaker import CapacityAdvert, Matchmaker, WorkUnit
 from repro.shard.router import ShardRouter
@@ -121,6 +122,10 @@ class ShardedSystem:
         #: label per series.
         self.metrics_registry = MetricsRegistry()
         self.matchmaker = Matchmaker(registry=self.metrics_registry)
+        #: ``scatter.analyze`` results by SQL text. The analysis is a pure
+        #: function of the text and the (fixed) partition map, so one
+        #: constant stamp serves for the tier's lifetime.
+        self._analyses = StatementCache()
         self._source = db
         self._closed = False
         self._close_lock = threading.Lock()
@@ -238,7 +243,7 @@ class ShardedSystem:
         home = self.router.home_shard(probe.agent_id, probe.principal)
         if not self.router.partition or not probe.queries:
             return _Route(shard_id=self._or_matchmade(home))
-        analyses = [scatter.analyze(sql, self.router.partition) for sql in probe.queries]
+        analyses = [self._analyze(sql) for sql in probe.queries]
         if not any(a.partitioned_table for a in analyses):
             return _Route(shard_id=self._or_matchmade(home))
         owners: set[int] | None = set()
@@ -266,6 +271,13 @@ class ShardedSystem:
         table = next(a.partitioned_table for a in analyses if a.partitioned_table)
         reason = next((a.reason for a in analyses if a.reason), "")
         return _Route(shard_id=self._or_matchmade(home), warn=(table, reason))
+
+    def _analyze(self, sql: str) -> scatter.ScatterAnalysis:
+        analysis = self._analyses.get(sql, ())
+        if analysis is None:
+            analysis = scatter.analyze(sql, self.router.partition)
+            self._analyses.put(sql, (), analysis)
+        return analysis
 
     def _or_matchmade(self, shard_id: int | None) -> int:
         if shard_id is not None:

@@ -9,6 +9,13 @@ from repro.storage.types import DataType
 from repro.util.text import normalize_identifier
 
 
+def is_information_schema(name: str) -> bool:
+    """Whether ``name`` is one of the virtual ``information_schema.*``
+    tables (built by :mod:`repro.db.information_schema`). The naming rule
+    lives here, below the planner and the facade that both apply it."""
+    return name.lower().startswith("information_schema.")
+
+
 @dataclass(frozen=True)
 class Column:
     """One column of a table schema.

@@ -214,7 +214,21 @@ class BranchManager:
         ensure_mergeable(detect_conflicts(source_keys, target_keys))
 
         result = MergeResult(source=branch.name, target=target.name)
-        replay(branch.log.since(0), target, result)
+        ops = branch.log.since(0)
+        replay(ops, target, result)
+        # Replayed inserts went through ``Database.insert_rows`` and were
+        # published there; updates and deletes went straight to the
+        # target's catalog. Publish them now, one event per table, or
+        # whatever serves the target (answered-before history, memory
+        # staleness, maintenance views) keeps pre-merge answers. No row
+        # details: the target's write log already holds these ops.
+        rewritten: dict[str, list[str]] = {}
+        for op in ops:
+            if op.kind != "insert":
+                rewritten.setdefault(op.table, []).append(op.kind)
+        for table, kinds in rewritten.items():
+            kind = "update" if "update" in kinds else "delete"
+            target.db._publish(ChangeEvent(kind, table, len(kinds)))
         branch.alive = False
         del self._branches[source.lower()]
         self.merges += 1

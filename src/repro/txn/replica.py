@@ -38,10 +38,7 @@ from repro.engine.executor import ExecContext
 from repro.errors import ReproError
 from repro.obs import trace as obs_trace
 from repro.obs.metrics import MetricAttr, MetricsRegistry
-from repro.plan.builder import build_plan
-from repro.plan.rules import optimize_plan
-from repro.sql import nodes
-from repro.sql.parser import parse_statement
+from repro.plan.compiled import StatementCache, compile_select
 from repro.storage.catalog import Catalog
 from repro.txn.wal import CATALOG_KINDS, WriteAheadLog, apply_record
 
@@ -71,6 +68,9 @@ class ReadReplica:
         self.wal = wal
         self.name = name
         self.engine = engine
+        #: This follower's own compiled statements, stamped with *its*
+        #: catalog's version: applying a record (or reseeding) invalidates.
+        self.statement_cache = StatementCache()
         self._lock = threading.Lock()
         self.records_applied = 0
         self.probes_served = 0
@@ -157,23 +157,22 @@ class ReadReplica:
         turn_source: Callable[[], int],
         lag: int,
     ) -> ProbeResponse | None:
+        catalog = self.catalog
+        plans = []
+        for sql in probe.queries:
+            compiled = compile_select(sql, catalog, self.statement_cache)
+            # Information-schema reads defer too: the virtual tables are
+            # facade-maintained; serving them here would require mutating
+            # this catalog.
+            if compiled.plan is None or compiled.uses_information_schema:
+                return None
+            plans.append(compiled.plan)
         try:
-            plans = []
-            for sql in probe.queries:
-                statement = parse_statement(sql)
-                if not isinstance(statement, nodes.Select):
-                    return None
-                if _references_information_schema(statement):
-                    # The virtual tables are facade-maintained; serving
-                    # them here would require mutating this catalog.
-                    return None
-                plan = build_plan(statement, self.catalog)
-                plans.append(optimize_plan(plan, self.catalog))
             outcomes = []
             rows_processed = 0
             for index, (sql, plan) in enumerate(zip(probe.queries, plans)):
                 context = ExecContext()
-                result = make_executor(self.catalog, context, self.engine).run(plan)
+                result = make_executor(catalog, context, self.engine).run(plan)
                 rows_processed += context.stats.rows_processed
                 outcomes.append(
                     QueryOutcome(
@@ -304,11 +303,3 @@ class ReplicaPool:
             "probes_declined": self.probes_declined,
             "staleness": [replica.staleness() for replica in self.replicas],
         }
-
-
-def _references_information_schema(statement: nodes.Select) -> bool:
-    from repro.db.database import (
-        _references_information_schema as facade_check,
-    )
-
-    return facade_check(statement)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import AgentFirstDataSystem, Brief, Probe
 from repro.db import Database
 from repro.errors import BranchNotFound, MergeConflict, TransactionError
 from repro.txn import BranchManager, WriteOp
@@ -167,6 +168,36 @@ class TestMerge:
         assert manager.main.execute(
             "SELECT COUNT(*) FROM accounts WHERE id = 4"
         ).first_value() == 0
+
+    def test_merge_invalidates_answered_before_history(self):
+        """Replayed updates/deletes bypass ``Database``'s DML surface; the
+        merge must still publish a change, or the serving system keeps
+        answering from pre-merge history (30 where the table says 120)."""
+        manager = make_manager(rows=3)
+        db = manager.main.db
+        events = []
+        db.on_change(events.append)
+        probe = Probe(
+            queries=("SELECT SUM(balance) FROM accounts",),
+            brief=Brief(goal="compute the final balance"),
+        )
+        with AgentFirstDataSystem(db, workers=1) as system:
+            assert system.submit(probe).outcomes[0].result.first_value() == 300.0
+            assert system.submit(probe).outcomes[0].status == "from_history"
+            fork = manager.fork("main", "b1")
+            fork.execute("UPDATE accounts SET balance = 40")
+            fork.execute("DELETE FROM accounts WHERE id = 2")
+            log_before = len(manager.main.log)
+            manager.merge("b1")
+            outcome = system.submit(probe).outcomes[0]
+            assert outcome.status == "ok"
+            assert outcome.result.first_value() == 80.0
+        # One event for the table the replay rewrote, carrying no row
+        # details: the target's write log already recorded each op once.
+        assert [(e.kind, e.table, e.row_count, e.details) for e in events] == [
+            ("update", "accounts", 4, ())
+        ]
+        assert len(manager.main.log) == log_before + 4
 
     def test_write_write_conflict_detected(self):
         manager = make_manager()
