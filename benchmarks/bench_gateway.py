@@ -30,27 +30,16 @@ table.
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 from dataclasses import dataclass, field
 
-from bench_scheduler import (
-    ENGINE_QUERIES,
-    ENGINE_SPEEDUP_FLOOR,
-    ENGINE_SPEEDUP_TARGET,
-    ENGINE_TABLE_ROWS,
-    build_db,
-    build_engine_db,
-    measure_engines,
-    swarm_probes,
-)
+from bench_scheduler import build_db, swarm_probes
 from repro.core import AgentFirstDataSystem, Probe, SystemConfig
 from repro.util.tabulate import format_table
 
 AGENT_COUNTS = (16, 64)
 STREAM_MAX_WAIT = 0.05  # generous: slow CI hosts must still coalesce
-STREAM_ENGINE_AGENTS = 8
 JSON_PATH_ENV = "BENCH_GATEWAY_JSON"
 DEFAULT_JSON_PATH = "BENCH_gateway.json"
 
@@ -64,14 +53,6 @@ class GatewayBenchResult:
     window_rows: list[tuple] = field(default_factory=list)
     #: Sharing-recovered fraction at 64 agents (the acceptance metric).
     recovered_at_64: float = 0.0
-    #: (sql, row_ms, columnar_ms, speedup) — engine time, memos hot.
-    engine_rows: list[tuple] = field(default_factory=list)
-    #: Aggregate row-engine / columnar-engine time over the corpus.
-    engine_speedup: float = 0.0
-    #: Streamed-admission wall-clock, row vs columnar engine, on the
-    #: scan-heavy workload: (agents, row_ms, columnar_ms, ratio).
-    #: Reported, not asserted — window formation adds timing noise.
-    stream_engine_row: tuple | None = None
 
     def render(self) -> str:
         sharing = format_table(
@@ -132,40 +113,7 @@ class GatewayBenchResult:
             ],
             title="admission window formation",
         )
-        engine_table_rows = [
-            (
-                sql if len(sql) <= 56 else sql[:53] + "...",
-                f"{row_ms:.1f}",
-                f"{col_ms:.1f}",
-                f"{speedup:.2f}x",
-            )
-            for sql, row_ms, col_ms, speedup in self.engine_rows
-        ] + [
-            (
-                "overall",
-                "",
-                "",
-                f"{self.engine_speedup:.2f}x"
-                f" (floor {ENGINE_SPEEDUP_FLOOR:.0f}x,"
-                f" target {ENGINE_SPEEDUP_TARGET:.0f}x)",
-            )
-        ]
-        if self.stream_engine_row is not None:
-            agents, row_ms, col_ms, ratio = self.stream_engine_row
-            engine_table_rows.append(
-                (
-                    f"streamed end-to-end ({agents} agents)",
-                    f"{row_ms:.1f}",
-                    f"{col_ms:.1f}",
-                    f"{ratio:.2f}x",
-                )
-            )
-        engine = format_table(
-            ["query", "row ms", "columnar ms", "speedup"],
-            engine_table_rows,
-            title=f"row vs columnar engine ({ENGINE_TABLE_ROWS} rows, memos hot)",
-        )
-        return sharing + "\n\n" + windows + "\n\n" + engine
+        return sharing + "\n\n" + windows
 
     def to_json(self) -> dict:
         return {
@@ -203,44 +151,16 @@ class GatewayBenchResult:
                 }
                 for agents, windows_formed, mean_size, mean_ms, max_ms in self.window_rows
             ],
-            "row_vs_columnar": {
-                "table_rows": ENGINE_TABLE_ROWS,
-                "queries": [
-                    {
-                        "sql": sql,
-                        "row_ms": round(row_ms, 2),
-                        "columnar_ms": round(col_ms, 2),
-                        "speedup": round(speedup, 3),
-                    }
-                    for sql, row_ms, col_ms, speedup in self.engine_rows
-                ],
-                "overall_speedup": round(self.engine_speedup, 3),
-                "floor": ENGINE_SPEEDUP_FLOOR,
-                "target": ENGINE_SPEEDUP_TARGET,
-                "streamed_end_to_end": (
-                    None
-                    if self.stream_engine_row is None
-                    else {
-                        "agents": self.stream_engine_row[0],
-                        "row_ms": round(self.stream_engine_row[1], 2),
-                        "columnar_ms": round(self.stream_engine_row[2], 2),
-                        "ratio": round(self.stream_engine_row[3], 3),
-                    }
-                ),
-            },
         }
 
 
-def run_streaming_path(
-    probes: list[Probe], db=None, engine: str | None = None
-) -> tuple[int, float, dict]:
+def run_streaming_path(probes: list[Probe]) -> tuple[int, float, dict]:
     """N uncoordinated agent threads, one shared system, no pre-batching."""
     system = AgentFirstDataSystem(
-        db if db is not None else build_db(),
+        build_db(),
         config=SystemConfig(
             gateway_max_wait=STREAM_MAX_WAIT,
             gateway_max_batch=len(probes),
-            engine=engine,
         ),
         workers=1,
     )
@@ -335,36 +255,6 @@ def run_gateway_bench() -> GatewayBenchResult:
             )
         )
 
-    # Engine dimension: row vs columnar on the scan-heavy corpus the
-    # streamed comparison below serves (asserted on engine time alone).
-    result.engine_rows = measure_engines(build_engine_db(), ENGINE_QUERIES)
-    row_total = sum(row_ms for _, row_ms, _, _ in result.engine_rows)
-    col_total = sum(col_ms for _, _, col_ms, _ in result.engine_rows)
-    result.engine_speedup = row_total / col_total if col_total else 0.0
-
-    # Streamed end-to-end on the same big table: distinct thresholds per
-    # agent keep history/MQO from short-circuiting the engine work.
-    engine_probes = [
-        Probe(
-            queries=(
-                "SELECT COUNT(*), SUM(amount) FROM big"
-                f" WHERE amount > {5 + 10 * agent}.0",
-            ),
-            agent_id=f"agent-{agent}",
-        )
-        for agent in range(STREAM_ENGINE_AGENTS)
-    ]
-    timings = {}
-    for engine in ("row", "columnar"):
-        _, timings[engine], _ = run_streaming_path(
-            engine_probes, db=build_engine_db(), engine=engine
-        )
-    result.stream_engine_row = (
-        STREAM_ENGINE_AGENTS,
-        timings["row"],
-        timings["columnar"],
-        timings["row"] / timings["columnar"] if timings["columnar"] else 0.0,
-    )
     return result
 
 
@@ -389,9 +279,6 @@ def test_gateway_streaming_admission(benchmark):
     # The acceptance bar: 64 uncoordinated agents must recover >=80% of
     # the rows-saved sharing a hand-assembled single batch achieves.
     assert result.recovered_at_64 >= 0.8
-    # The vectorized-executor acceptance bar (same floor as the
-    # scheduler bench): >=2x on engine time, 5x target reported.
-    assert result.engine_speedup >= ENGINE_SPEEDUP_FLOOR
 
 
 if __name__ == "__main__":

@@ -202,25 +202,24 @@ def main() -> None:
     print("auto resolved to:", tuned.prestart(), "on this host")
     tuned.close()
 
-    # 8. Choosing an execution engine. "row" (the default) interprets
-    #    plans tuple-at-a-time; "columnar" executes the same plans as
-    #    batch-at-a-time kernels over per-column arrays — ~5x faster on
-    #    scan-heavy analytics, with per-node fallback to the row engine
-    #    for anything unvectorized (subquery predicates, index scans).
-    #    The knob may change speed, never an answer: rows, stats,
-    #    steering, and errors are byte-identical, and both engines share
-    #    one subplan-cache keying, so they can even serve each other's
-    #    cached results. Env override: REPRO_ENGINE ("auto" = columnar).
-    vectorized = AgentFirstDataSystem(
-        db, config=SystemConfig(engine="columnar")
-    )
-    print("\n== columnar engine ==")
+    # 8. The execution engine. Every plan runs on the vectorized columnar
+    #    engine: batch-at-a-time kernels over per-column arrays, with a
+    #    per-node fallback to row-at-a-time execution for anything not yet
+    #    vectorized (subquery predicates, index scans, sampled
+    #    aggregates). There is no engine knob. The row `Executor` stays as
+    #    the reference the columnar engine is tested byte-identical
+    #    against (rows, stats, errors), so any answer can be re-checked.
+    from repro.engine import ExecContext, Executor
+
+    reference_sql = "SELECT SUM(amount) FROM sales"
+    print("\n== execution engine ==")
     print(
-        "columnar answer:",
-        vectorized.submit(
-            Probe.sql("SELECT SUM(amount) FROM sales")
-        ).first_result().first_value(),
-        "(identical to the row engine's, just vectorized)",
+        "served answer:",
+        system.submit(Probe.sql(reference_sql)).first_result().first_value(),
+        "| row-engine reference:",
+        Executor(db.catalog, ExecContext())
+        .run(db.plan_select(reference_sql))
+        .first_value(),
     )
 
     # 9. The sleeper-agent maintenance runtime: idle windows between
@@ -475,9 +474,8 @@ def main() -> None:
         "repro_engine_subplan_cache_hit_ratio",
     ):
         print(f"metric {name} = {snap.get(name)}")
-    node_latency = snap.get("repro_engine_node_latency_ms", node="Scan", engine="row")
-    if node_latency:
-        print(f"metric repro_engine_node_latency_ms{{node=Scan}} count={node_latency['count']}")
+    node_latency = snap.get("repro_engine_node_latency_ms", node="Scan")
+    print(f"metric repro_engine_node_latency_ms{{node=Scan}} count={node_latency['count']}")
     # print(snap.to_prometheus_text())  # the full scrape-ready payload
 
     # Slow-probe log: set SystemConfig.slow_probe_ms (or

@@ -54,7 +54,7 @@ from dataclasses import dataclass
 from multiprocessing import get_context
 
 from repro.core.optimizer import PrecomputedExecution
-from repro.engine.columnar import ColumnarExecutor, ColumnBatch, make_executor
+from repro.engine.columnar import ColumnarExecutor, ColumnBatch
 from repro.engine.executor import ExecContext, SubplanCache
 from repro.errors import ReproError
 from repro.obs import trace as obs_trace
@@ -116,10 +116,6 @@ class SpeculationPayload:
     plan: PlanNode
     sample_rate: float
     sample_seed: int
-    #: Resolved execution engine ("row" | "columnar"). Resolved by the
-    #: *parent* (env overrides must not depend on what a spawned worker
-    #: inherited), so workers never consult the environment.
-    engine: str = "row"
     #: Record engine-node spans in the worker and ship them back on
     #: ``PrecomputedExecution.span``. Resolved by the parent (a worker
     #: must not consult its own environment) and set only when some
@@ -157,7 +153,7 @@ def _worker_run(payload: SpeculationPayload) -> PrecomputedExecution:
         sample_seed=payload.sample_seed,
         cache=_WORKER_STATE["cache"],
     )
-    executor = make_executor(_WORKER_STATE["catalog"], context, payload.engine)
+    executor = ColumnarExecutor(_WORKER_STATE["catalog"], context)
     span = None
     token = None
     if payload.trace:
@@ -174,10 +170,9 @@ def _worker_run(payload: SpeculationPayload) -> PrecomputedExecution:
         if token is not None:
             obs_trace.reset_current(token)
             span.finish()
-    if isinstance(executor, ColumnarExecutor):
-        # Ride home column-major: one list per column pickles smaller
-        # than a tuple per row. The dispatcher unpacks before replay.
-        result.rows = ColumnBatch.from_rows(result.rows, len(result.columns))
+    # Ride home column-major: one list per column pickles smaller than a
+    # tuple per row. The dispatcher unpacks before replay.
+    result.rows = ColumnBatch.from_rows(result.rows, len(result.columns))
     return PrecomputedExecution(result=result, span=span)
 
 
@@ -282,7 +277,7 @@ class ProcessDispatcher:
         results = [future.result(timeout=WORKER_RESULT_TIMEOUT) for future in futures]
         for precomputed in results:
             result = precomputed.result
-            if result is not None and isinstance(result.rows, ColumnBatch):
+            if result is not None:
                 result.rows = result.rows.to_rows()
         self.units_dispatched += len(results)
         return results

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from repro.db import Database
-from repro.engine.columnar import make_executor
+from repro.engine.columnar import ColumnarExecutor
 from repro.engine.executor import ExecContext, SubplanCache
 from repro.engine.result import QueryResult
 from repro.plan.fingerprint import fingerprints, subexpressions
@@ -73,15 +73,9 @@ class BatchOutcome:
 class BatchExecutor:
     """Executes plan batches with cross-query subplan sharing."""
 
-    def __init__(
-        self,
-        db: Database,
-        cache: SubplanCache | None = None,
-        engine: str | None = None,
-    ) -> None:
+    def __init__(self, db: Database, cache: SubplanCache | None = None) -> None:
         self._db = db
         self.cache = cache or SubplanCache()
-        self.engine = engine
 
     def execute_plans(
         self,
@@ -102,8 +96,7 @@ class BatchExecutor:
 
         for plan in plans:
             context = ExecContext(cache=self.cache)
-            executor = make_executor(self._db.catalog, context, self.engine)
-            result = executor.run(plan)
+            result = ColumnarExecutor(self._db.catalog, context).run(plan)
             outcome.results.append(result)
             report.rows_processed_shared += context.stats.rows_processed
             report.cache_hits += context.stats.cache_hits
@@ -112,7 +105,7 @@ class BatchExecutor:
         if measure_unshared:
             for plan in plans:
                 context = ExecContext(cache=None)
-                make_executor(self._db.catalog, context, self.engine).run(plan)
+                ColumnarExecutor(self._db.catalog, context).run(plan)
                 report.rows_processed_unshared += context.stats.rows_processed
         return outcome
 

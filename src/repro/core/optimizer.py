@@ -42,7 +42,7 @@ from repro.core.mqo import MaterializationAdvisor
 from repro.core.probe import QueryOutcome
 from repro.core.satisfice import ExecutionDecision, Satisficer
 from repro.db import Database
-from repro.engine.columnar import make_executor, resolve_engine
+from repro.engine.columnar import ColumnarExecutor
 from repro.engine.executor import ExecContext, SubplanCache
 from repro.engine.result import QueryResult
 from repro.errors import ReproError
@@ -91,11 +91,6 @@ class ProbeOptimizer:
     #: lenient fingerprint -> most recent history entry (similarity pointer).
     lenient_history: dict[str, HistoryEntry] = field(default_factory=dict)
     enable_history: bool = True
-    #: Execution engine for every engine run this optimizer performs —
-    #: serial, thread-speculative, or (via :meth:`speculation_payload`)
-    #: in worker processes. ``None`` defers to the ``REPRO_ENGINE`` env
-    #: override, then the row engine.
-    engine: str | None = None
     #: Maintenance hook: rewrites a plan immediately before an *exact*
     #: engine run (materialized views, auxiliary indexes). All history,
     #: advisor, and fingerprint bookkeeping stays keyed on the original
@@ -191,7 +186,6 @@ class ProbeOptimizer:
             plan=self._plan_for_execution(query.plan, decision.sample_rate),
             sample_rate=decision.sample_rate,
             sample_seed=turn,
-            engine=resolve_engine(self.engine),
         )
 
     def _plan_for_execution(self, plan, sample_rate: float):
@@ -222,7 +216,7 @@ class ProbeOptimizer:
             sample_seed=turn,
             cache=self.cache,
         )
-        executor = make_executor(self.db.catalog, context, self.engine)
+        executor = ColumnarExecutor(self.db.catalog, context)
         plan = self._plan_for_execution(query.plan, decision.sample_rate)
         try:
             return PrecomputedExecution(result=executor.run(plan))

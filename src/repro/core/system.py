@@ -34,10 +34,10 @@ degenerate window of one.
                           │   snapshots)        │
                              │                  │
                              ▼                  │
-           execution engine (REPRO_ENGINE / SystemConfig.engine)
-             row: tuple-at-a-time │ columnar: ColumnBatch kernels
-             (seed behaviour)     │ (vectorized, per-node row fallback,
-                          │         byte-identical rows/stats/steering)
+           columnar engine: ColumnBatch kernels │
+             (vectorized, per-node row fallback;│
+             the row Executor is the oracle it  │
+             is tested byte-identical against)  │
                              │                  │
                              ▼                  │
     probe interpreter ──> satisficer ──> probe optimizer
@@ -217,15 +217,6 @@ class SystemConfig:
     #: brief declares a ``max_staleness`` tolerance; everything else goes
     #: through the primary.
     read_replicas: int | None = None
-    #: Execution engine for every engine run — serial, speculative
-    #: (thread or process pool), replica-served, and maintenance view
-    #: builds: ``"row"`` (tuple-at-a-time, the seed behaviour),
-    #: ``"columnar"`` (vectorized :class:`~repro.engine.ColumnBatch`
-    #: kernels with per-node row fallback), or ``"auto"`` (columnar).
-    #: ``None`` -> the ``REPRO_ENGINE`` env override, else ``"row"``.
-    #: Engines are proven byte-identical on rows, statuses, steering,
-    #: history attribution, and work accounting; only wall-clock changes.
-    engine: str | None = None
     #: Slow-probe threshold in milliseconds: served probes whose
     #: end-to-end trace exceeds it land in ``system.slow_probes`` (a ring
     #: buffer, WARNING-logged) with the full trace attached. ``None`` ->
@@ -269,7 +260,6 @@ class AgentFirstDataSystem:
             cache=SubplanCache() if self.config.enable_mqo else None,
             advisor=MaterializationAdvisor(),
             enable_history=self.config.enable_history,
-            engine=self.config.engine,
         )
         self.why_not = WhyNotDiagnoser(db)
         self.join_discovery = JoinDiscovery(db)
@@ -329,13 +319,12 @@ class AgentFirstDataSystem:
                     wal,
                     replica_count,
                     turn_source=self._next_replica_turn,
-                    engine=self.config.engine,
                     registry=self.metrics_registry,
                 )
         self._node_latency = self.metrics_registry.histogram(
             "repro_engine_node_latency_ms",
             "Per-plan-node execution latency (traced probes only)",
-            labelnames=("node", "engine"),
+            labelnames=("node",),
         )
         self._register_engine_collectors()
         db.on_change(self._on_change)
@@ -541,9 +530,7 @@ class AgentFirstDataSystem:
             for span in trace.spans():
                 if span.name.startswith("node:") and span.end is not None:
                     self._node_latency.observe(
-                        span.duration_ms,
-                        node=span.name[len("node:"):],
-                        engine=span.attrs.get("engine", "row"),
+                        span.duration_ms, node=span.name[len("node:"):]
                     )
             threshold = self._slow_probe_ms
             if threshold is not None and trace.duration_ms >= threshold:

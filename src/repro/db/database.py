@@ -29,8 +29,8 @@ from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from repro.db import information_schema as info_schema
-from repro.engine.columnar import make_executor
-from repro.engine.executor import ExecContext, Executor, SubplanCache
+from repro.engine.columnar import ColumnarExecutor
+from repro.engine.executor import ExecContext, SubplanCache
 from repro.engine.expressions import compile_expr
 from repro.engine.result import QueryResult
 from repro.errors import CatalogError, ExecutionError
@@ -207,22 +207,18 @@ class Database:
         sample_rate: float = 1.0,
         sample_seed: int = 0,
         cache: SubplanCache | None = None,
-        engine: str | None = None,
     ) -> QueryResult:
         """Parse and execute one statement, returning a result.
 
         ``sample_rate`` < 1 runs SELECTs approximately (Bernoulli-sampled
-        scans with scaled aggregates); DML always runs exactly. ``engine``
-        selects the execution engine for SELECTs (``"row"`` |
-        ``"columnar"`` | ``"auto"``; ``None`` defers to the
-        ``REPRO_ENGINE`` env override, then the row engine).
+        scans with scaled aggregates); DML always runs exactly.
         """
         compiled = self._compile(sql)
         if compiled.plan is not None:
             context = ExecContext(
                 sample_rate=sample_rate, sample_seed=sample_seed, cache=cache
             )
-            return make_executor(self.catalog, context, engine).run(compiled.plan)
+            return ColumnarExecutor(self.catalog, context).run(compiled.plan)
         statement = compiled.statement
         if isinstance(statement, nodes.CreateTable):
             return self._execute_create(statement)
@@ -345,7 +341,7 @@ class Database:
             )
             if select.plan is None:
                 select.raise_failure()
-            executor = make_executor(self.catalog, ExecContext(), None)
+            executor = ColumnarExecutor(self.catalog, ExecContext())
             raw_rows: list[tuple[Value, ...]] = list(executor.run(select.plan).rows)
         else:
             raw_rows = []
@@ -383,7 +379,7 @@ class Database:
         output = tuple(
             OutputCol(column.name, schema.name) for column in schema.columns
         )
-        executor = Executor(self.catalog)
+        executor = ColumnarExecutor(self.catalog)
         where = (
             compile_expr(statement.where, output, executor)
             if statement.where is not None
@@ -417,7 +413,7 @@ class Database:
         output = tuple(
             OutputCol(column.name, schema.name) for column in schema.columns
         )
-        executor = Executor(self.catalog)
+        executor = ColumnarExecutor(self.catalog)
         where = (
             compile_expr(statement.where, output, executor)
             if statement.where is not None

@@ -1,25 +1,18 @@
 """Execution engine: expression compiler, operators, results, AQP.
 
-Two engines share one semantics: the row-at-a-time :class:`Executor` and
-the vectorized :class:`ColumnarExecutor` (batch-at-a-time kernels, proven
-byte-identical node by node). :func:`make_executor` selects between them
-from ``SystemConfig.engine`` / the ``REPRO_ENGINE`` env override.
+Every serving path executes plans on the vectorized
+:class:`ColumnarExecutor` (batch-at-a-time kernels with a per-node row
+fallback). The row-at-a-time :class:`Executor` is its base class and the
+reference oracle the differential tests compare it against.
 """
 
 from repro.engine.executor import ExecContext, Executor, SubplanCache
 from repro.engine.result import ExecStats, QueryResult
 
 # columnar imports executor, so it must come after.
-from repro.engine.columnar import (  # noqa: E402
-    ENGINE_ENV_VAR,
-    ColumnBatch,
-    ColumnarExecutor,
-    make_executor,
-    resolve_engine,
-)
+from repro.engine.columnar import ColumnBatch, ColumnarExecutor  # noqa: E402
 
 __all__ = [
-    "ENGINE_ENV_VAR",
     "ColumnBatch",
     "ColumnarExecutor",
     "ExecContext",
@@ -27,6 +20,4 @@ __all__ = [
     "Executor",
     "QueryResult",
     "SubplanCache",
-    "make_executor",
-    "resolve_engine",
 ]

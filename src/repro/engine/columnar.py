@@ -8,7 +8,7 @@ columns), and expressions compile into **batch kernels** — functions from
 a batch to a full value column — memoized per plan-node strict
 fingerprint alongside the row engine's ``compile_expr`` LRU.
 
-Byte-identity is the contract, not a goal: ``REPRO_ENGINE=columnar`` must
+Byte-identity is the contract, not a goal: the columnar engine must
 produce exactly the row engine's rows, ordering, statuses, steering, and
 work accounting. Three mechanisms enforce it:
 
@@ -30,15 +30,14 @@ work accounting. Three mechanisms enforce it:
   columnar-produced materialisation serves row-engine consumers and vice
   versa.
 
-Engine selection: ``SystemConfig.engine`` / an explicit ``engine=``
-argument, overridden by the ``REPRO_ENGINE`` env var (``row`` |
-``columnar`` | ``auto``); :func:`make_executor` is the factory every
-serving path uses.
+:class:`ColumnarExecutor` is the only serving engine: every serving path
+constructs it directly. The row :class:`~repro.engine.executor.Executor`
+is its base class (whose compute halves are the per-node fallback) and
+the reference oracle the differential tests compare against.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -54,7 +53,6 @@ from repro.engine import executor as executor_module
 from repro.engine import expressions as expr_lib
 from repro.engine.executor import (
     EXPR_MEMO_STATS,
-    ExecContext,
     Executor,
     _SortKey,
     has_subquery,
@@ -73,11 +71,7 @@ from repro.obs import trace as obs_trace
 from repro.plan import logical
 from repro.plan.fingerprint import fingerprints
 from repro.sql import nodes
-from repro.storage.catalog import Catalog
 from repro.storage.types import Row, Value, compare_values
-
-#: Engine-selection env override, mirroring REPRO_SCHEDULER_BACKEND et al.
-ENGINE_ENV_VAR = "REPRO_ENGINE"
 
 #: Nested-loop pair expansions beyond this bail to the row engine, which
 #: streams pairs instead of materialising the cross product.
@@ -88,33 +82,6 @@ _MAX_NESTED_PAIRS = 1_000_000
 _NUMPY_INT_LIMIT = 2**62
 
 _MISSING = object()
-
-
-def resolve_engine(engine: str | None = None) -> str:
-    """Resolve the execution engine: explicit config wins, else the
-    ``REPRO_ENGINE`` env override, else ``"row"``. ``"auto"`` selects the
-    columnar engine (its per-node fallback already degrades to row
-    execution wherever vectorization does not apply); unrecognised values
-    fall back to ``"row"``, matching the library's forgiving env idiom.
-    """
-    value = engine if engine is not None else os.environ.get(ENGINE_ENV_VAR)
-    if not value:
-        return "row"
-    value = value.strip().lower()
-    if value == "auto":
-        return "columnar"
-    return value if value in ("row", "columnar") else "row"
-
-
-def make_executor(
-    catalog: Catalog,
-    context: ExecContext | None = None,
-    engine: str | None = None,
-) -> Executor:
-    """Build the configured executor; the single engine-selection seam."""
-    if resolve_engine(engine) == "columnar":
-        return ColumnarExecutor(catalog, context)
-    return Executor(catalog, context)
 
 
 # ---------------------------------------------------------------------------
@@ -1253,7 +1220,7 @@ class ColumnarExecutor(Executor):
         parent_span = obs_trace.current_span()
         if parent_span is None:
             return self._execute_batch_inner(node, None)
-        span = parent_span.child(f"node:{type(node).__name__}", engine="columnar")
+        span = parent_span.child(f"node:{type(node).__name__}")
         token = obs_trace.set_current(span)
         try:
             batch = self._execute_batch_inner(node, span)

@@ -310,7 +310,7 @@ class Executor(SubqueryRunner):
         parent_span = obs_trace.current_span()
         if parent_span is None:
             return self._execute_inner(node, None)
-        span = parent_span.child(f"node:{type(node).__name__}", engine="row")
+        span = parent_span.child(f"node:{type(node).__name__}")
         token = obs_trace.set_current(span)
         try:
             rows = self._execute_inner(node, span)

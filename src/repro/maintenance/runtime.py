@@ -53,7 +53,7 @@ import threading
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from repro.engine.columnar import make_executor, resolve_engine
+from repro.engine.columnar import ColumnarExecutor
 from repro.engine.executor import ExecContext, subplan_cache_key
 from repro.maintenance.indexer import KIND_EQ, PredicateMiner
 from repro.maintenance.views import MaterializedView, ViewStore, source_tables
@@ -610,12 +610,7 @@ class MaintenanceRuntime:
             try:
                 from repro.core.dispatch import SpeculationPayload
 
-                payload = SpeculationPayload(
-                    plan=plan,
-                    sample_rate=1.0,
-                    sample_seed=0,
-                    engine=resolve_engine(optimizer.engine),
-                )
+                payload = SpeculationPayload(plan=plan, sample_rate=1.0, sample_seed=0)
                 [outcome] = dispatcher.run(
                     self.system.db.catalog, [payload], optimizer.cache is not None
                 )
@@ -626,9 +621,7 @@ class MaintenanceRuntime:
                 pass  # pool trouble: build inline instead
         try:
             context = ExecContext(cache=optimizer.cache)
-            executor = make_executor(
-                self.system.db.catalog, context, optimizer.engine
-            )
+            executor = ColumnarExecutor(self.system.db.catalog, context)
             return list(executor.run(plan).rows)
         except Exception:
             return None  # racing write tore a scan, or the plan went stale

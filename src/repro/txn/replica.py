@@ -33,7 +33,7 @@ import threading
 from typing import Callable
 
 from repro.core.probe import Probe, ProbeResponse, QueryOutcome
-from repro.engine.columnar import make_executor
+from repro.engine.columnar import ColumnarExecutor
 from repro.engine.executor import ExecContext
 from repro.errors import ReproError
 from repro.obs import trace as obs_trace
@@ -59,15 +59,9 @@ def resolve_replica_count(count: int | None) -> int:
 class ReadReplica:
     """One follower catalog consuming the primary's log."""
 
-    def __init__(
-        self,
-        wal: WriteAheadLog,
-        name: str = "replica-0",
-        engine: str | None = None,
-    ) -> None:
+    def __init__(self, wal: WriteAheadLog, name: str = "replica-0") -> None:
         self.wal = wal
         self.name = name
-        self.engine = engine
         #: This follower's own compiled statements, stamped with *its*
         #: catalog's version: applying a record (or reseeding) invalidates.
         self.statement_cache = StatementCache()
@@ -172,7 +166,7 @@ class ReadReplica:
             rows_processed = 0
             for index, (sql, plan) in enumerate(zip(probe.queries, plans)):
                 context = ExecContext()
-                result = make_executor(catalog, context, self.engine).run(plan)
+                result = ColumnarExecutor(catalog, context).run(plan)
                 rows_processed += context.stats.rows_processed
                 outcomes.append(
                     QueryOutcome(
@@ -210,12 +204,10 @@ class ReplicaPool:
         wal: WriteAheadLog,
         count: int,
         turn_source: Callable[[], int],
-        engine: str | None = None,
         registry: MetricsRegistry | None = None,
     ) -> None:
         self.replicas = [
-            ReadReplica(wal, name=f"replica-{i}", engine=engine)
-            for i in range(max(1, count))
+            ReadReplica(wal, name=f"replica-{i}") for i in range(max(1, count))
         ]
         self._turn_source = turn_source
         self._next = 0

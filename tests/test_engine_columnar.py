@@ -6,8 +6,8 @@ match the row engine exactly, at every plan node. These tests run the
 same plans through both engines and diff everything, over a corpus that
 touches every ``PlanNode`` type, NULL-heavy columns, empty and
 single-row tables, and alias-shadowed plans. A system-level sweep
-(workers 1/8 × thread/process backends) checks the engine knob rides
-the full scheduler/dispatch stack unchanged.
+(workers 1/8 × thread/process backends) checks that what the serving
+stack returns matches the row engine, the reference oracle.
 """
 
 from __future__ import annotations
@@ -19,12 +19,9 @@ import pytest
 from repro.core import AgentFirstDataSystem, Brief, Probe, SystemConfig
 from repro.db import Database
 from repro.engine.columnar import (
-    ENGINE_ENV_VAR,
     KERNEL_MEMO_STATS,
     ColumnarExecutor,
     clear_kernel_memo,
-    make_executor,
-    resolve_engine,
 )
 from repro.engine.executor import (
     ExecContext,
@@ -223,39 +220,6 @@ class TestDifferentialCorpus:
             assert asdict(col_context.stats) == asdict(row_context.stats)
 
 
-class TestEngineResolution:
-    def test_explicit_wins(self, monkeypatch):
-        monkeypatch.setenv(ENGINE_ENV_VAR, "columnar")
-        assert resolve_engine("row") == "row"
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv(ENGINE_ENV_VAR, "columnar")
-        assert resolve_engine(None) == "columnar"
-
-    def test_default_is_row(self, monkeypatch):
-        monkeypatch.delenv(ENGINE_ENV_VAR, raising=False)
-        assert resolve_engine(None) == "row"
-
-    def test_auto_is_columnar(self):
-        assert resolve_engine("auto") == "columnar"
-
-    def test_unrecognized_is_row(self):
-        assert resolve_engine("vectorwise") == "row"
-
-    def test_factory(self, diff_db):
-        assert isinstance(
-            make_executor(diff_db.catalog, ExecContext(), "row"), Executor
-        )
-        assert isinstance(
-            make_executor(diff_db.catalog, ExecContext(), "columnar"),
-            ColumnarExecutor,
-        )
-        assert not isinstance(
-            make_executor(diff_db.catalog, ExecContext(), "row"),
-            ColumnarExecutor,
-        )
-
-
 class TestCrossEngineCache:
     """Both engines key the subplan cache identically, so a cache one
     engine populated serves the other — rows included."""
@@ -355,6 +319,9 @@ def system_db() -> Database:
     return db
 
 
+DIVIDE_BY_ZERO = "SELECT 1 / (id - id) FROM stores"
+
+
 def system_probes() -> list[Probe]:
     shared_join = (
         "SELECT s.city, SUM(x.amount) FROM stores s JOIN sales x"
@@ -371,7 +338,7 @@ def system_probes() -> list[Probe]:
         )
         for agent in range(6)
     ]
-    probes.append(Probe.sql("SELECT 1 / (id - id) FROM stores"))
+    probes.append(Probe.sql(DIVIDE_BY_ZERO))
     probes.append(
         Probe(
             queries=("SELECT AVG(amount) FROM sales",),
@@ -382,52 +349,26 @@ def system_probes() -> list[Probe]:
     return probes
 
 
-def assert_same_responses(row_responses, col_responses):
-    assert len(row_responses) == len(col_responses)
-    for row, col in zip(row_responses, col_responses):
-        assert [o.sql for o in row.outcomes] == [o.sql for o in col.outcomes]
-        assert [o.status for o in row.outcomes] == [
-            o.status for o in col.outcomes
-        ]
-        assert [o.reason for o in row.outcomes] == [
-            o.reason for o in col.outcomes
-        ]
-        for row_outcome, col_outcome in zip(row.outcomes, col.outcomes):
-            row_rows = row_outcome.result.rows if row_outcome.result else None
-            col_rows = col_outcome.result.rows if col_outcome.result else None
-            assert row_rows == col_rows
-        assert row.steering == col.steering
-
-
 class TestSystemDifferential:
-    """The engine knob through the whole stack: scheduler admission,
-    speculation, history, steering — byte-identical responses at any
-    worker count on either dispatch backend."""
+    """The whole serving stack — scheduler admission, speculation,
+    history, steering — against the row engine as oracle, at any worker
+    count on either dispatch backend."""
 
     @pytest.mark.parametrize("workers", [1, 8])
     @pytest.mark.parametrize("backend", ["thread", "process"])
     def test_batch_matches_row_engine(self, workers, backend):
-        """Identical systems except for the engine knob: same batch, same
-        workers, same backend — the responses must not differ at all."""
-        probes = system_probes()
-        row_config = SystemConfig(engine="row", dispatch_backend=backend)
-        with AgentFirstDataSystem(
-            system_db(), config=row_config, workers=workers
-        ) as row_system:
-            row_responses = row_system.submit_many(probes)
-        col_config = SystemConfig(engine="columnar", dispatch_backend=backend)
-        with AgentFirstDataSystem(
-            system_db(), config=col_config, workers=workers
-        ) as col_system:
-            col_responses = col_system.submit_many(probes)
-        assert_same_responses(row_responses, col_responses)
-
-    def test_env_override_reaches_scheduler(self, monkeypatch):
-        monkeypatch.setenv(ENGINE_ENV_VAR, "columnar")
-        system = AgentFirstDataSystem(system_db())
-        response = system.submit(Probe.sql("SELECT COUNT(*) FROM sales"))
-        assert response.outcomes[0].result.rows == [(600,)]
-        assert isinstance(
-            make_executor(system.db.catalog, ExecContext(), None),
-            ColumnarExecutor,
-        )
+        db = system_db()
+        config = SystemConfig(dispatch_backend=backend)
+        with AgentFirstDataSystem(db, config=config, workers=workers) as system:
+            responses = system.submit_many(system_probes())
+        outcomes = [o for response in responses for o in response.outcomes]
+        exact = [o for o in outcomes if o.status == "ok"]
+        assert exact
+        for outcome in exact:
+            oracle = Executor(db.catalog, ExecContext()).run(db.plan_select(outcome.sql))
+            assert outcome.result.rows == oracle.rows, outcome.sql
+        (error,) = [o for o in outcomes if o.sql == DIVIDE_BY_ZERO]
+        assert error.status == "error"
+        with pytest.raises(Exception) as oracle_error:
+            Executor(db.catalog, ExecContext()).run(db.plan_select(DIVIDE_BY_ZERO))
+        assert error.reason == str(oracle_error.value)

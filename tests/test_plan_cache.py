@@ -29,6 +29,8 @@ import pytest
 from repro.core import AgentFirstDataSystem, Brief, Phase, Probe, SystemConfig
 from repro.core.steering import JoinDiscovery
 from repro.db import Database
+from repro.engine.columnar import ColumnarExecutor
+from repro.engine.executor import ExecContext, Executor
 from repro.errors import ParseError, PlanError, ReproError, TokenizeError
 from repro.plan import logical
 from repro.plan.compiled import StatementCache, compile_select, compiled_estimate
@@ -191,11 +193,28 @@ def serve_both_ways(system) -> list[dict]:
     return signatures
 
 
+def assert_exact_answers_match(db, signatures, engine: str) -> None:
+    """Every exact ``ok`` answer equals the named executor run directly."""
+    reference = {"row": Executor, "columnar": ColumnarExecutor}[engine]
+    checked = 0
+    for signature in signatures:
+        for sql, status, *_, result in signature["outcomes"]:
+            if status != "ok":
+                continue
+            expected = reference(db.catalog, ExecContext()).run(db.plan_select(sql))
+            assert result == (expected.columns, expected.rows), sql
+            checked += 1
+    assert checked
+
+
 class TestDifferential:
     @pytest.mark.parametrize("engine", ["row", "columnar"])
     @pytest.mark.parametrize("backend", ["thread", "process"])
     @pytest.mark.parametrize("workers", [1, 8])
     def test_cached_matches_always_miss(self, workers, backend, engine):
+        """``engine`` names the reference executor the cached answers are
+        also checked against."""
+
         def config():
             # One window per flush: streamed steering then cannot depend
             # on where the admission timer happened to cut. Maintenance is
@@ -203,7 +222,6 @@ class TestDifferential:
             # timing); the test below covers it on answers alone.
             return SystemConfig(
                 dispatch_backend=backend,
-                engine=engine,
                 gateway_max_batch=64,
                 gateway_max_wait=30.0,
                 enable_maintenance=False,
@@ -214,8 +232,10 @@ class TestDifferential:
         ) as cached, AgentFirstDataSystem(
             uncached_db(), config=config(), workers=workers
         ) as uncached:
-            assert serve_both_ways(cached) == serve_both_ways(uncached)
+            served = serve_both_ways(cached)
+            assert served == serve_both_ways(uncached)
             assert system_signature(cached) == system_signature(uncached)
+            assert_exact_answers_match(cached.db, served, engine)
             hits, misses, _, _ = cached.db.statement_cache.counters()
             assert hits > misses > 0
             assert uncached.db.statement_cache.counters()[0] == 0

@@ -22,6 +22,8 @@ import pytest
 from repro.core.dispatch import SpeculationPayload, _worker_init, _worker_run
 from repro.core.optimizer import PrecomputedExecution
 from repro.db import Database
+from repro.engine.columnar import ColumnBatch
+from repro.engine.executor import ExecContext, Executor
 from repro.plan import logical
 from repro.plan.fingerprint import fingerprints
 from repro.storage.catalog import Catalog
@@ -250,7 +252,7 @@ class TestCatalogSnapshot:
         _worker_init(pickle.loads(pickle.dumps(db.catalog.snapshot())), True)
         outcome = _worker_run(SpeculationPayload(plan=plan, sample_rate=1.0, sample_seed=3))
         assert outcome.error is None
-        assert outcome.result.rows == db.execute(sql).rows
+        assert outcome.result.rows.to_rows() == db.execute(sql).rows
 
     def test_worker_surfaces_engine_errors_as_strings(self):
         db = build_db()
@@ -323,8 +325,6 @@ class TestColumnBatchPickling:
     lazy numpy mirrors — and rebuild them on demand after the trip."""
 
     def make_batch(self):
-        from repro.engine.columnar import ColumnBatch
-
         rows = [(1, "a", 1.5), (2, None, -0.5), (3, "c", None)]
         return ColumnBatch.from_rows(rows, 3), rows
 
@@ -349,8 +349,6 @@ class TestColumnBatchPickling:
         assert clone.numpy_column(0) is not None or batch.numpy_column(0) is None
 
     def test_empty_and_zero_width_batches(self):
-        from repro.engine.columnar import ColumnBatch
-
         empty = ColumnBatch.from_rows([], 4)
         clone = pickle.loads(pickle.dumps(empty))
         assert clone.length == 0
@@ -362,24 +360,21 @@ class TestColumnBatchPickling:
         assert back.to_rows() == [(), ()]
 
     def test_result_rows_cross_the_process_seam_column_major(self):
-        """End-to-end: a worker running the columnar engine packs result
-        rows as a ColumnBatch; the parent unpacks to the same row list
-        the row engine ships."""
+        """End-to-end: a worker packs result rows as a ColumnBatch; the
+        parent unpacks them to the row list the row engine returns."""
         from repro.core.dispatch import ProcessDispatcher
 
         db = build_db()
         plan = db.plan_select(PLAN_CORPUS["aggregate"])
-        row_payload = SpeculationPayload(
-            plan=plan, sample_rate=1.0, sample_seed=0, engine="row"
-        )
-        col_payload = SpeculationPayload(
-            plan=plan, sample_rate=1.0, sample_seed=0, engine="columnar"
-        )
+        payload = SpeculationPayload(plan=plan, sample_rate=1.0, sample_seed=0)
+        _worker_init(db.catalog.snapshot(), True)
+        shipped = pickle.loads(pickle.dumps(_worker_run(payload)))
+        assert isinstance(shipped.result.rows, ColumnBatch)
         dispatcher = ProcessDispatcher(workers=2)
         try:
-            row_results = dispatcher.run(db.catalog, [row_payload], use_cache=True)
-            col_results = dispatcher.run(db.catalog, [col_payload], use_cache=True)
+            (precomputed,) = dispatcher.run(db.catalog, [payload], use_cache=True)
         finally:
             dispatcher.retire()
-        assert col_results[0].result.rows == row_results[0].result.rows
-        assert isinstance(col_results[0].result.rows, list)
+        oracle = Executor(db.catalog, ExecContext()).run(plan)
+        assert precomputed.result.rows == oracle.rows
+        assert isinstance(precomputed.result.rows, list)
