@@ -356,6 +356,10 @@ class AgentFirstDataSystem:
                 ("kernel_memo_builds", "Kernel builds (process-wide)"),
                 ("kernel_memo_hits", "Kernel memo hits (process-wide)"),
                 ("kernel_memo_fallbacks", "Kernel runs resolved by row fallback"),
+                (
+                    "kernel_memo_list_path_runs",
+                    "Kernel runs on value lists: a column had no numpy mirror",
+                ),
                 ("kernel_memo_unvectorized", "Nodes executed on the row path"),
             )
         }
@@ -392,6 +396,7 @@ class AgentFirstDataSystem:
             gauges["kernel_memo_builds"].set(KERNEL_MEMO_STATS.builds)
             gauges["kernel_memo_hits"].set(KERNEL_MEMO_STATS.hits)
             gauges["kernel_memo_fallbacks"].set(KERNEL_MEMO_STATS.fallbacks)
+            gauges["kernel_memo_list_path_runs"].set(KERNEL_MEMO_STATS.list_path_runs)
             gauges["kernel_memo_unvectorized"].set(KERNEL_MEMO_STATS.unvectorized)
 
         registry.add_collector(collect)

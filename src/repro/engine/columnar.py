@@ -3,20 +3,43 @@
 The row executor is correct but touches every value through a per-row
 closure call. This module executes the same logical plans batch-at-a-time:
 each operator consumes and produces a :class:`ColumnBatch` (one Python
-list per column, mirrored into numpy arrays for dtype-uniform numeric
+value list per column plus a numpy mirror for dtype-uniform numeric
 columns), and expressions compile into **batch kernels** — functions from
 a batch to a full value column — memoized per plan-node strict
 fingerprint alongside the row engine's ``compile_expr`` LRU.
 
-Byte-identity is the contract, not a goal: the columnar engine must
-produce exactly the row engine's rows, ordering, statuses, steering, and
-work accounting. Three mechanisms enforce it:
+Mirrors come from storage: every immutable chunk memoizes its column
+tuples and their numpy mirrors (:mod:`repro.storage.table`), so a scan
+concatenates memos instead of transposing rows and sweeping types. The
+numeric kernels then stay in numpy:
 
-* **Shared semantics** — kernels apply the *same* helper functions
-  (``compare_values``, ``truthy``, ``to_text``, the LIKE regex cache) per
-  element that the row compiler's closures apply, and any expression shape
-  without a specialized kernel is *lifted*: its row closure (from the same
-  process-wide expression memo) is mapped over the batch's row view.
+* numeric ``column OP literal`` comparisons produce bool masks, combined
+  by ``&``/``|``/``~`` (a mirror holds no NULLs, so three-valued logic is
+  two-valued there), and a filter gathers mirrors by ``np.flatnonzero``;
+* COUNT, SUM and AVG (grouped or not) and ungrouped MIN/MAX of a bare
+  mirrored column reduce in numpy, as does a bare mirrored GROUP BY key;
+* ORDER BY over bare mirrored keys without NaN is a stable ``np.lexsort``.
+
+Everything else — NULL-bearing, mixed-type, boolean or beyond-int64 columns, computed
+expressions — runs the per-value list path.
+
+Byte-identity is the contract, not a goal: the columnar engine must
+produce exactly the row engine's rows, ordering, value types, statuses,
+steering, and work accounting. Four mechanisms enforce it:
+
+* **Shared semantics** — list-path kernels apply the *same* helper
+  functions (``compare_values``, ``truthy``, ``to_text``, the LIKE regex
+  cache) per element that the row compiler's closures apply, and any
+  expression shape without a specialized kernel is *lifted*: its row
+  closure (from the same process-wide expression memo) is mapped over the
+  batch's row view.
+* **Bit-identical reductions** — SUM and AVG accumulate sequentially from
+  +0.0 with ``np.bincount(ids, weights=...)``, the accumulators' exact
+  float sequence (``np.sum`` is pairwise and ``np.add.accumulate`` keeps a
+  leading ``-0.0``; neither matches); an int-only SUM still returns
+  ``int``. MIN/MAX use ``argmin``/``argmax``, whose first-occurrence ties
+  are the loop's keep-first on ``±0.0``; NaN-bearing columns take the
+  list path for MIN/MAX, GROUP BY and ORDER BY.
 * **Per-node fallback** — any error raised while building or running a
   kernel restores the stats counters and recomputes that node through the
   row engine's compute half on the already-materialised child rows, so
@@ -44,10 +67,7 @@ from dataclasses import dataclass
 from itertools import compress
 from typing import Callable
 
-try:  # numpy is optional: kernels degrade to pure-Python loops without it.
-    import numpy as _np
-except Exception:  # pragma: no cover - exercised only on numpy-free installs
-    _np = None
+import numpy as np
 
 from repro.engine import executor as executor_module
 from repro.engine import expressions as expr_lib
@@ -71,6 +91,7 @@ from repro.obs import trace as obs_trace
 from repro.plan import logical
 from repro.plan.fingerprint import fingerprints
 from repro.sql import nodes
+from repro.storage.table import numeric_mirror
 from repro.storage.types import Row, Value, compare_values
 
 #: Nested-loop pair expansions beyond this bail to the row engine, which
@@ -98,24 +119,33 @@ class ColumnBatch:
     batch's own column list zero-copy (a bare column reference projects
     for free), so nothing may mutate a column after construction.
 
-    Two lazy caches ride along and are stripped from the pickle state —
-    the same contract as ``PlanNode.__getstate__`` dropping its
-    fingerprint memo, keeping process-pool payloads lean:
+    Two caches ride along and are stripped from the pickle state — the
+    same contract as ``PlanNode.__getstate__`` dropping its fingerprint
+    memo, keeping process-pool payloads lean:
 
     * ``_rows`` — the row-major view (``to_rows`` result), built once and
       shared with the subplan cache and row-engine consumers;
     * ``_numpy`` — per-column numpy mirrors for dtype-uniform numeric
-      columns (``None`` marks ineligible columns so the type sweep runs
-      once).
+      columns (``None`` marks ineligible columns). A scan pre-fills it
+      from the storage chunks' memoized mirrors
+      (:func:`~repro.storage.table.numeric_mirror`), and filter, project,
+      sort and limit carry mirrors through by gathering or slicing them;
+      only batches built from rows (cache hits, views, joins, fallbacks)
+      pay the type sweep, once per column, on first use.
     """
 
     __slots__ = ("columns", "length", "_rows", "_numpy")
 
-    def __init__(self, columns: list[list[Value]], length: int) -> None:
+    def __init__(
+        self,
+        columns: list[list[Value]],
+        length: int,
+        mirrors: dict[int, object] | None = None,
+    ) -> None:
         self.columns = columns
         self.length = length
         self._rows: list[Row] | None = None
-        self._numpy: dict[int, object] = {}
+        self._numpy: dict[int, object] = {} if mirrors is None else mirrors
 
     @classmethod
     def from_rows(cls, rows: list[Row], width: int) -> "ColumnBatch":
@@ -135,36 +165,41 @@ class ColumnBatch:
                 self._rows = list(zip(*self.columns))
         return self._rows
 
-    def gather(self, indices: list[int]) -> "ColumnBatch":
-        return ColumnBatch(
-            [[column[i] for i in indices] for column in self.columns],
-            len(indices),
-        )
+    def gather(self, indices) -> "ColumnBatch":
+        """The rows at ``indices`` (a sequence of row positions), with
+        every known mirror gathered alongside its column.
+
+        A mirrored column is rebuilt from its gathered mirror (``tolist``
+        restores the exact ``int``/``float`` values) unless it holds NaN:
+        those gather from the value list, so NaN object identity — which
+        GROUP BY and DISTINCT key on — matches the row engine.
+        """
+        indices = np.asarray(indices, dtype=np.intp)
+        positions = None
+        columns: list[list[Value]] = []
+        mirrors: dict[int, object] = {}
+        for index, column in enumerate(self.columns):
+            mirror = self._numpy.get(index, _MISSING)
+            if mirror is not _MISSING:
+                if mirror is not None:
+                    mirror = mirror[indices]
+                mirrors[index] = mirror
+            if isinstance(mirror, np.ndarray) and not (
+                mirror.dtype.kind == "f" and np.isnan(mirror).any()
+            ):
+                columns.append(mirror.tolist())
+            else:
+                if positions is None:
+                    positions = indices.tolist()
+                columns.append([column[i] for i in positions])
+        return ColumnBatch(columns, len(indices), mirrors)
 
     def numpy_column(self, index: int):
-        """A numpy mirror of one column, or ``None`` when ineligible.
-
-        Eligibility is a strict type sweep — every value ``int`` (bools
-        excluded) fitting int64, or every value ``float`` — so mirror
-        comparisons can never diverge from ``compare_values``.
-        """
+        """A numpy mirror of one column, or ``None`` when ineligible."""
         cached = self._numpy.get(index, _MISSING)
-        if cached is not _MISSING:
-            return cached
-        mirror = None
-        if _np is not None and self.length:
-            column = self.columns[index]
-            if all(type(v) is int for v in column):
-                try:
-                    candidate = _np.asarray(column)
-                    if candidate.dtype.kind == "i":
-                        mirror = candidate
-                except Exception:
-                    mirror = None
-            elif all(type(v) is float for v in column):
-                mirror = _np.asarray(column, dtype=_np.float64)
-        self._numpy[index] = mirror
-        return mirror
+        if cached is _MISSING:
+            cached = self._numpy[index] = numeric_mirror(self.columns[index])
+        return cached
 
     def __len__(self) -> int:
         return self.length
@@ -182,7 +217,8 @@ class ColumnBatch:
 # batch expression kernels
 # ---------------------------------------------------------------------------
 
-#: A batch-compiled expression: ColumnBatch -> one value per row.
+#: A batch-compiled expression: ColumnBatch -> one value per row (a list,
+#: or for a truth kernel possibly a numpy bool mask; see ``compile``).
 BatchCompiled = Callable[[ColumnBatch], list]
 
 
@@ -203,12 +239,23 @@ _TRUE_CHECKS = {
 _FLIPPED_OP = {"=": "=", "<>": "<>", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
 
 
+def _yields_masks(expr: nodes.Expr) -> bool:
+    """Whether ``expr``'s specialized kernel may return a numpy bool mask:
+    comparisons, AND/OR and NOT. A mask is two-valued — it only ever comes
+    from mirrors, which hold no NULLs — so the connectives combine masks
+    with ``&``/``|``/``~`` exactly and fall back to three-valued logic on
+    lists when either side is one."""
+    if isinstance(expr, nodes.Binary):
+        return expr.op in _TRUE_CHECKS or expr.op in ("AND", "OR")
+    return isinstance(expr, nodes.Unary) and expr.op == "NOT"
+
+
 class _BatchCompiler:
     """Compiles one expression slot of one plan node into a batch kernel.
 
     Specialized kernels exist for the shapes that dominate probe traffic
-    (column/literal comparisons with a numpy mask path, boolean
-    connectives, arithmetic, LIKE, IN-list, BETWEEN, CASE, the hot scalar
+    (column/literal comparisons and boolean connectives with a numpy mask
+    path, arithmetic, LIKE, IN-list, BETWEEN, CASE, the hot scalar
     functions). Everything else **lifts**: the row compiler's closure for
     the same slot — pulled from the same process-wide memo the row engine
     uses — is mapped over the batch's row view, which makes coverage total
@@ -225,16 +272,29 @@ class _BatchCompiler:
         self._slot = slot
         self._output = output
 
-    def compile(self, expr: nodes.Expr) -> BatchCompiled:
+    def compile(self, expr: nodes.Expr, truth: bool = False) -> BatchCompiled:
+        """The batch kernel for ``expr``. With ``truth`` (a filter's
+        predicate) the kernel may return a numpy bool mask instead of a
+        value list: comparisons, AND/OR and NOT do whenever every column
+        they read has a mirror."""
         if has_subquery(expr):
             raise _NotVectorizable(type(expr).__name__)
-        return self._compile(expr, top=True)
+        return self._compile(expr, top=True, truth=truth)
 
-    def _compile(self, expr: nodes.Expr, top: bool = False) -> BatchCompiled:
+    def _compile(
+        self, expr: nodes.Expr, top: bool = False, truth: bool = False
+    ) -> BatchCompiled:
         specialized = self._specialize(expr)
-        if specialized is not None:
+        if specialized is None:
+            return self._lift(expr, top)
+        if truth or not _yields_masks(expr):
             return specialized
-        return self._lift(expr, top)
+
+        def listed(batch: ColumnBatch) -> list:
+            values = specialized(batch)
+            return values.tolist() if isinstance(values, np.ndarray) else values
+
+        return listed
 
     def _lift(self, expr: nodes.Expr, top: bool) -> BatchCompiled:
         """Map the row closure for ``expr`` over the batch's row view.
@@ -303,11 +363,15 @@ class _BatchCompiler:
 
             return negate
         if expr.op == "NOT":
+            operand = self._compile(expr.operand, truth=True)
 
             def negation(batch: ColumnBatch) -> list:
+                values = operand(batch)
+                if isinstance(values, np.ndarray):
+                    return ~values
                 return [
                     None if value is None else not truthy(value)
-                    for value in operand(batch)
+                    for value in values
                 ]
 
             return negation
@@ -343,13 +407,21 @@ class _BatchCompiler:
         the row engine would have skipped is absorbed by the per-node
         fallback. The combination logic per row is exact.
         """
-        left, right = self._compile(expr.left), self._compile(expr.right)
+        left = self._compile(expr.left, truth=True)
+        right = self._compile(expr.right, truth=True)
         conjunction = expr.op == "AND"
 
         def connective(batch: ColumnBatch) -> list:
+            lefts, rights = left(batch), right(batch)
+            if isinstance(lefts, np.ndarray) and isinstance(rights, np.ndarray):
+                return lefts & rights if conjunction else lefts | rights
+            if isinstance(lefts, np.ndarray):
+                lefts = lefts.tolist()
+            if isinstance(rights, np.ndarray):
+                rights = rights.tolist()
             out = []
             if conjunction:
-                for lv, rv in zip(left(batch), right(batch)):
+                for lv, rv in zip(lefts, rights):
                     if lv is not None and not truthy(lv):
                         out.append(False)
                     elif rv is not None and not truthy(rv):
@@ -359,7 +431,7 @@ class _BatchCompiler:
                     else:
                         out.append(True)
             else:
-                for lv, rv in zip(left(batch), right(batch)):
+                for lv, rv in zip(lefts, rights):
                     if lv is not None and truthy(lv):
                         out.append(True)
                     elif rv is not None and truthy(rv):
@@ -380,12 +452,10 @@ class _BatchCompiler:
 
         def comparison(batch: ColumnBatch) -> list:
             if fast is not None:
-                try:
-                    mask = fast(batch)
-                except Exception:
-                    mask = None
+                mask = fast(batch)
                 if mask is not None:
                     return mask
+                KERNEL_MEMO_STATS.list_path_runs += 1
             out = []
             for lv, rv in zip(left(batch), right(batch)):
                 ordering = compare_values(lv, rv)
@@ -394,8 +464,11 @@ class _BatchCompiler:
 
         return comparison
 
-    def _numpy_comparison(self, expr: nodes.Binary) -> Callable | None:
-        """Mask kernel for ``column OP numeric-literal``, or ``None``.
+    def _numpy_comparison(
+        self, expr: nodes.Binary
+    ) -> Callable[[ColumnBatch], "np.ndarray | None"] | None:
+        """Mask kernel for ``column OP numeric-literal``, or ``None``. At
+        run time it returns ``None`` when the column has no mirror.
 
         Derives every operator from a ``<``/``>`` mask pair so the result
         reproduces ``compare_values``'s three-way semantics exactly (NaN
@@ -404,8 +477,6 @@ class _BatchCompiler:
         vs int64 column, unrepresentable int vs float column) bail to the
         generic loop at call time.
         """
-        if _np is None:
-            return None
         left, right, op = expr.left, expr.right, expr.op
         if isinstance(left, nodes.Literal) and isinstance(right, nodes.ColumnRef):
             left, right, op = right, left, _FLIPPED_OP[op]
@@ -421,6 +492,8 @@ class _BatchCompiler:
         index = resolve_column(left, self._output)
 
         def fast(batch: ColumnBatch):
+            if not batch.length:
+                return np.zeros(0, dtype=bool)
             mirror = batch.numpy_column(index)
             if mirror is None:
                 return None
@@ -448,7 +521,7 @@ class _BatchCompiler:
                 mask = gt
             else:
                 mask = ~lt
-            return mask.tolist()
+            return mask
 
         return fast
 
@@ -684,12 +757,17 @@ class KernelMemoStats:
     fallbacks: int = 0
     #: nodes executed through the row engine because no kernel exists
     unvectorized: int = 0
+    #: kernel runs that took the per-value list path because a column they
+    #: could have read as a numpy mirror had none (NULLs, mixed types,
+    #: bools, ints beyond int64) or held NaN where order matters
+    list_path_runs: int = 0
 
     def reset(self) -> None:
         self.builds = 0
         self.hits = 0
         self.fallbacks = 0
         self.unvectorized = 0
+        self.list_path_runs = 0
 
 
 KERNEL_MEMO_STATS = KernelMemoStats()
@@ -733,6 +811,16 @@ def _compile_slot(
     return _BatchCompiler(node, slot, output).compile(expr)
 
 
+def _column_ref(
+    expr: nodes.Expr, output: tuple[logical.OutputCol, ...]
+) -> int | None:
+    """The input position a bare column reference reads, else ``None``:
+    the expressions whose mirror the kernels can read directly."""
+    if isinstance(expr, nodes.ColumnRef):
+        return resolve_column(expr, output)
+    return None
+
+
 def _build_kernel(node: logical.PlanNode) -> NodeKernel | None:
     """Build the vectorized kernel for one plan node, or ``None`` when the
     node must run through the row engine (subquery-bearing expressions,
@@ -744,14 +832,15 @@ def _build_kernel(node: logical.PlanNode) -> NodeKernel | None:
     if isinstance(node, logical.ViewScan):
         return _view_scan_kernel
     if isinstance(node, logical.Filter):
-        predicate = _compile_slot(node, ("filter",), node.predicate, node.child.output)
-        return _make_filter_kernel(predicate)
+        compiler = _BatchCompiler(node, ("filter",), node.child.output)
+        return _make_filter_kernel(compiler.compile(node.predicate, truth=True))
     if isinstance(node, logical.Project):
         fns = [
             _compile_slot(node, ("project", i), expr, node.child.output)
             for i, expr in enumerate(node.exprs)
         ]
-        return _make_project_kernel(fns)
+        refs = [_column_ref(expr, node.child.output) for expr in node.exprs]
+        return _make_project_kernel(fns, refs)
     if isinstance(node, logical.HashJoin):
         left_keys = [
             _compile_slot(node, ("hj-left", i), key, node.left.output)
@@ -781,7 +870,8 @@ def _build_kernel(node: logical.PlanNode) -> NodeKernel | None:
             (_compile_slot(node, ("sort", i), expr, node.child.output), ascending)
             for i, (expr, ascending) in enumerate(node.keys)
         ]
-        return _make_sort_kernel(fns)
+        refs = [_column_ref(expr, node.child.output) for expr, _ in node.keys]
+        return _make_sort_kernel(fns, None if None in refs else refs)
     if isinstance(node, logical.Limit):
         return _limit_kernel
     if isinstance(node, logical.Distinct):
@@ -800,7 +890,14 @@ def _scan_kernel(ex, node: logical.Scan, batches: tuple) -> ColumnBatch:
     stats.rows_scanned += table.num_rows
     stats.rows_processed += table.num_rows
     if sampler is None:
-        return ColumnBatch(table.extract_columns(positions), table.num_rows)
+        # One consistent chunk list for the mirrors now and the value
+        # lists later: both concatenate the chunks' memoized views.
+        state = table.snapshot_state()
+        return ColumnBatch(
+            state.extract_columns(positions),
+            state.num_rows,
+            dict(enumerate(state.column_mirrors(positions))),
+        )
     # Sampled: one bernoulli draw per row in scan order — the identical
     # draw sequence the row engine consumes from the identical stream.
     rate = ex.context.sample_rate
@@ -823,25 +920,38 @@ def _view_scan_kernel(ex, node: logical.ViewScan, batches: tuple) -> ColumnBatch
 
 
 def _make_filter_kernel(predicate: BatchCompiled) -> NodeKernel:
+    """Keeps the rows whose predicate value is truthy; the predicate is a
+    truth kernel, so its result is a numpy mask or a value list."""
+
     def kernel(ex, node, batches: tuple) -> ColumnBatch:
         (batch,) = batches
-        ex.context.stats.rows_processed += batch.length
-        flags = [_truthy_flag(v) for v in predicate(batch)]
-        kept = sum(flags)
-        if kept == batch.length:
+        n = batch.length
+        ex.context.stats.rows_processed += n
+        mask = predicate(batch)
+        if not isinstance(mask, np.ndarray):
+            mask = np.fromiter(map(_truthy_flag, mask), dtype=bool, count=n)
+        indices = np.flatnonzero(mask)
+        if len(indices) == n:
             return batch  # zero-copy: nothing rejected
-        return ColumnBatch(
-            [list(compress(column, flags)) for column in batch.columns], kept
-        )
+        return batch.gather(indices)
 
     return kernel
 
 
-def _make_project_kernel(fns: list[BatchCompiled]) -> NodeKernel:
+def _make_project_kernel(
+    fns: list[BatchCompiled], refs: list[int | None]
+) -> NodeKernel:
+    """Bare column references keep their mirror."""
+
     def kernel(ex, node, batches: tuple) -> ColumnBatch:
         (batch,) = batches
         ex.context.stats.rows_processed += batch.length
-        return ColumnBatch([fn(batch) for fn in fns], batch.length)
+        mirrors = {
+            position: batch._numpy[ref]
+            for position, ref in enumerate(refs)
+            if ref is not None and ref in batch._numpy
+        }
+        return ColumnBatch([fn(batch) for fn in fns], batch.length, mirrors)
 
     return kernel
 
@@ -968,13 +1078,17 @@ class _AggSpec:
     kind: str  # count_star | count | sum | avg | min | max
     fn: BatchCompiled | None = None
     distinct: bool = False
+    #: input position of a bare-column argument (mirror-readable), else None
+    ref: int | None = None
 
 
 def _build_aggregate_kernel(node: logical.Aggregate) -> NodeKernel:
+    output = node.child.output
     group_fns = [
-        _compile_slot(node, ("group", i), expr, node.child.output)
+        _compile_slot(node, ("group", i), expr, output)
         for i, expr in enumerate(node.group_exprs)
     ]
+    group_refs = [_column_ref(expr, output) for expr in node.group_exprs]
     specs: list[_AggSpec] = []
     for call_index, call in enumerate(node.agg_calls):
         name = call.name
@@ -984,79 +1098,187 @@ def _build_aggregate_kernel(node: logical.Aggregate) -> NodeKernel:
             if isinstance(call.args[0], nodes.Star):
                 specs.append(_AggSpec("count_star"))
                 continue
-            fn = _compile_slot(
-                node, ("agg-arg", call_index, 0), call.args[0], node.child.output
-            )
-            specs.append(_AggSpec("count", fn, call.distinct))
-            continue
-        if len(call.args) != 1 or isinstance(call.args[0], nodes.Star):
+        elif len(call.args) != 1 or isinstance(call.args[0], nodes.Star):
             raise ExecutionError(f"{name} expects exactly one column argument")
-        fn = _compile_slot(
-            node, ("agg-arg", call_index, 0), call.args[0], node.child.output
-        )
-        if name == "SUM":
-            specs.append(_AggSpec("sum", fn))
-        elif name == "AVG":
-            specs.append(_AggSpec("avg", fn))
-        elif name == "MIN":
-            specs.append(_AggSpec("min", fn))
-        elif name == "MAX":
-            specs.append(_AggSpec("max", fn))
-        else:
+        elif name not in ("SUM", "AVG", "MIN", "MAX"):
             raise ExecutionError(f"unknown aggregate function {name!r}")
-    return _make_aggregate_kernel(group_fns, specs)
+        arg = call.args[0]
+        fn = _compile_slot(node, ("agg-arg", call_index, 0), arg, output)
+        specs.append(
+            _AggSpec(name.lower(), fn, call.distinct, _column_ref(arg, output))
+        )
+    return _make_aggregate_kernel(group_fns, group_refs, specs)
+
+
+def _mirror_grouping(mirror):
+    """Group a mirrored key column in first-appearance order: returns
+    (each group's first row, group id per row), or ``None`` for a missing
+    or NaN-bearing mirror (NaN keys group by object identity in a dict).
+    Float keys group like dict keys do: ``-0.0`` joins ``0.0``'s group
+    and the key shown is the first one seen."""
+    if mirror is None or (mirror.dtype.kind == "f" and np.isnan(mirror).any()):
+        return None
+    _, first, codes = np.unique(mirror, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    group_of = np.empty(len(order), dtype=np.intp)
+    group_of[order] = np.arange(len(order), dtype=np.intp)
+    return first[order], group_of[codes]
+
+
+def _mirror_aggregate(kind: str, mirror, ids, sizes: list[int]) -> list | None:
+    """One aggregate over a mirrored column, bit-identical to the
+    accumulators; ``None`` when the column must take the list path.
+    ``ids`` is the group id per row, ``sizes`` the rows per group."""
+    if mirror is None:
+        return None
+    if kind == "count":
+        return sizes  # a mirror holds no NULLs
+    if kind in ("sum", "avg"):
+        # bincount adds each weight to its group's +0.0 start in row
+        # order: the accumulators' exact float sequence.
+        totals = np.bincount(ids, weights=mirror, minlength=len(sizes)).tolist()
+        if kind == "avg":
+            return [total / size for total, size in zip(totals, sizes)]
+        if mirror.dtype.kind == "i":
+            return [int(total) for total in totals]
+        return totals
+    # Ungrouped MIN/MAX: the first extreme wins ties, like the loop's
+    # keep-first; NaN compares "equal" to everything there, so it cannot.
+    if mirror.dtype.kind == "f" and np.isnan(mirror).any():
+        return None
+    position = mirror.argmin() if kind == "min" else mirror.argmax()
+    return [mirror[position].item()]
+
+
+def _list_aggregate(spec: _AggSpec, column: list, group_ids: list[int], count: int) -> list:
+    """One aggregate over a value list, loop-for-loop the accumulators."""
+    if spec.kind == "count":
+        if spec.distinct:
+            seen: list[set] = [set() for _ in range(count)]
+            for gid, value in zip(group_ids, column):
+                if value is not None:
+                    seen[gid].add(value)
+            return [len(s) for s in seen]
+        counts = [0] * count
+        for gid, value in zip(group_ids, column):
+            if value is not None:
+                counts[gid] += 1
+        return counts
+    if spec.kind == "sum":
+        totals = [0.0] * count
+        nonnull = [0] * count
+        any_float = [False] * count
+        for gid, value in zip(group_ids, column):
+            if value is None:
+                continue
+            if not isinstance(value, (int, float)) or isinstance(value, bool):
+                raise ExecutionError(f"SUM over non-numeric value {value!r}")
+            totals[gid] += value
+            nonnull[gid] += 1
+            if isinstance(value, float):
+                any_float[gid] = True
+        return [
+            None
+            if nonnull[g] == 0
+            else (totals[g] if any_float[g] else int(totals[g]))
+            for g in range(count)
+        ]
+    if spec.kind == "avg":
+        totals = [0.0] * count
+        nonnull = [0] * count
+        for gid, value in zip(group_ids, column):
+            if value is None:
+                continue
+            if not isinstance(value, (int, float)) or isinstance(value, bool):
+                raise ExecutionError(f"AVG over non-numeric value {value!r}")
+            totals[gid] += float(value)
+            nonnull[gid] += 1
+        return [
+            None if nonnull[g] == 0 else totals[g] / nonnull[g]
+            for g in range(count)
+        ]
+    is_min = spec.kind == "min"
+    bests: list[Value] = [None] * count
+    for gid, value in zip(group_ids, column):
+        if value is None:
+            continue
+        best = bests[gid]
+        if best is None:
+            bests[gid] = value
+            continue
+        ordering = compare_values(value, best)
+        if ordering is None:
+            continue
+        if (is_min and ordering < 0) or (not is_min and ordering > 0):
+            bests[gid] = value
+    return bests
 
 
 def _make_aggregate_kernel(
-    group_fns: list[BatchCompiled], specs: list[_AggSpec]
+    group_fns: list[BatchCompiled],
+    group_refs: list[int | None],
+    specs: list[_AggSpec],
 ) -> NodeKernel:
     """Exact (sample_rate 1.0) grouped aggregation over columns.
 
-    Replicates the accumulators' value semantics loop-for-loop: float
-    accumulation order (SUM starts at 0.0 and returns int when no float
-    was seen), NULL skipping, distinct sets, ``compare_values``-based
-    MIN/MAX with incomparable values skipped. Sampled aggregation keeps
-    its scaled estimates and error terms on the row path — the executor
-    routes it there before trying this kernel.
+    An aggregate whose argument is a bare column with a numpy mirror
+    reduces in numpy, bit-identically (:func:`_mirror_aggregate`): COUNT,
+    SUM and AVG grouped or not, MIN and MAX ungrouped. A single bare-column
+    GROUP BY key with a mirror gets its group ids from numpy too. Anything
+    else replicates the accumulators loop-for-loop on the value lists
+    (:func:`_list_aggregate`): SUM starts at 0.0 and returns int when no
+    float was seen, NULLs are skipped, distinct counts use sets, and
+    ``compare_values``-based MIN/MAX skip incomparable values. Sampled
+    aggregation keeps its scaled estimates and error terms on the row
+    path — the executor routes it there before trying this kernel.
     """
+    mirror_keyed = len(group_refs) == 1 and group_refs[0] is not None
 
     def kernel(ex, node, batches: tuple) -> ColumnBatch:
         (batch,) = batches
         n = batch.length
         ex.context.stats.rows_processed += n
+        list_path = False
+        id_list = None  # the list path's view of ``ids``, built once
 
         if group_fns:
-            group_columns = [fn(batch) for fn in group_fns]
-            index_of: dict[tuple, int] = {}
-            keys: list[tuple] = []
-            group_ids = []
-            if len(group_columns) == 1:
-                for value in group_columns[0]:
-                    key = (value,)
-                    gid = index_of.get(key)
-                    if gid is None:
-                        gid = len(keys)
-                        index_of[key] = gid
-                        keys.append(key)
-                    group_ids.append(gid)
+            grouping = None
+            if mirror_keyed and n:
+                key_mirror = batch.numpy_column(group_refs[0])
+                grouping = _mirror_grouping(key_mirror)
+                list_path = grouping is None
+            if grouping is not None:
+                firsts, ids = grouping
+                keys = [(value,) for value in key_mirror[firsts].tolist()]
             else:
-                for i in range(n):
-                    key = tuple(column[i] for column in group_columns)
+                group_columns = [fn(batch) for fn in group_fns]
+                index_of: dict[tuple, int] = {}
+                keys = []
+                group_ids = []
+                rows = (
+                    ((value,) for value in group_columns[0])
+                    if len(group_columns) == 1
+                    else zip(*group_columns)
+                )
+                for key in rows:
                     gid = index_of.get(key)
                     if gid is None:
                         gid = len(keys)
                         index_of[key] = gid
                         keys.append(key)
                     group_ids.append(gid)
+                id_list = group_ids
+                ids = np.fromiter(group_ids, dtype=np.intp, count=n)
         else:
             keys = [()] if n else []
-            group_ids = [0] * n
+            ids = np.zeros(n, dtype=np.intp)
 
         count = len(keys)
         identity_row = not keys and not node.group_exprs
         if identity_row:
             keys = [()]
             count = 1
+        sizes = np.bincount(ids, minlength=count).tolist()
 
         agg_columns: list[list[Value]] = []
         for spec in specs:
@@ -1064,78 +1286,25 @@ def _make_aggregate_kernel(
                 agg_columns.append([0 if spec.kind in ("count_star", "count") else None])
                 continue
             if spec.kind == "count_star":
-                counts = [0] * count
-                for gid in group_ids:
-                    counts[gid] += 1
-                agg_columns.append(counts)
+                agg_columns.append(sizes)
                 continue
-            column = spec.fn(batch)
-            if spec.kind == "count":
-                if spec.distinct:
-                    seen: list[set] = [set() for _ in range(count)]
-                    for gid, value in zip(group_ids, column):
-                        if value is not None:
-                            seen[gid].add(value)
-                    agg_columns.append([len(s) for s in seen])
-                else:
-                    counts = [0] * count
-                    for gid, value in zip(group_ids, column):
-                        if value is not None:
-                            counts[gid] += 1
-                    agg_columns.append(counts)
-            elif spec.kind == "sum":
-                totals = [0.0] * count
-                nonnull = [0] * count
-                any_float = [False] * count
-                for gid, value in zip(group_ids, column):
-                    if value is None:
-                        continue
-                    if not isinstance(value, (int, float)) or isinstance(value, bool):
-                        raise ExecutionError(f"SUM over non-numeric value {value!r}")
-                    totals[gid] += value
-                    nonnull[gid] += 1
-                    if isinstance(value, float):
-                        any_float[gid] = True
-                agg_columns.append(
-                    [
-                        None
-                        if nonnull[g] == 0
-                        else (totals[g] if any_float[g] else int(totals[g]))
-                        for g in range(count)
-                    ]
+            values = None
+            if (
+                spec.ref is not None
+                and not spec.distinct
+                and (spec.kind in ("count", "sum", "avg") or not group_fns)
+            ):
+                values = _mirror_aggregate(
+                    spec.kind, batch.numpy_column(spec.ref), ids, sizes
                 )
-            elif spec.kind == "avg":
-                totals = [0.0] * count
-                nonnull = [0] * count
-                for gid, value in zip(group_ids, column):
-                    if value is None:
-                        continue
-                    if not isinstance(value, (int, float)) or isinstance(value, bool):
-                        raise ExecutionError(f"AVG over non-numeric value {value!r}")
-                    totals[gid] += float(value)
-                    nonnull[gid] += 1
-                agg_columns.append(
-                    [
-                        None if nonnull[g] == 0 else totals[g] / nonnull[g]
-                        for g in range(count)
-                    ]
-                )
-            else:  # min / max
-                is_min = spec.kind == "min"
-                bests: list[Value] = [None] * count
-                for gid, value in zip(group_ids, column):
-                    if value is None:
-                        continue
-                    best = bests[gid]
-                    if best is None:
-                        bests[gid] = value
-                        continue
-                    ordering = compare_values(value, best)
-                    if ordering is None:
-                        continue
-                    if (is_min and ordering < 0) or (not is_min and ordering > 0):
-                        bests[gid] = value
-                agg_columns.append(bests)
+                list_path = list_path or values is None
+            if values is None:
+                if id_list is None:
+                    id_list = ids.tolist()
+                values = _list_aggregate(spec, spec.fn(batch), id_list, count)
+            agg_columns.append(values)
+        if list_path:
+            KERNEL_MEMO_STATS.list_path_runs += 1
 
         ex._estimate_errors = {}
         group_width = len(node.group_exprs)
@@ -1148,19 +1317,51 @@ def _make_aggregate_kernel(
     return kernel
 
 
-def _make_sort_kernel(fns: list[tuple[BatchCompiled, bool]]) -> NodeKernel:
+def _mirror_sort_order(mirrors: list, ascending: list[bool]):
+    """A stable ``np.lexsort`` order for mirrored keys, or ``None`` when a
+    key has no mirror or holds NaN (which ``_SortKey`` ties with every
+    value, an order no sort key reproduces). Descending keys are negated
+    (``~`` for ints: order-reversing without overflow); ``-0.0`` and
+    ``0.0`` stay tied either way, as they are for ``compare_values``."""
+    keys = []
+    for mirror, up in zip(mirrors, ascending):
+        if mirror is None:
+            return None
+        if mirror.dtype.kind == "f":
+            if np.isnan(mirror).any():
+                return None
+            keys.append(mirror if up else -mirror)
+        else:
+            keys.append(mirror if up else ~mirror)
+    return np.lexsort(keys[::-1])
+
+
+def _make_sort_kernel(
+    fns: list[tuple[BatchCompiled, bool]], refs: list[int] | None
+) -> NodeKernel:
+    """Stable sort; bare-column keys with mirrors sort in numpy."""
+    ascending = [up for _, up in fns]
+
     def kernel(ex, node, batches: tuple) -> ColumnBatch:
         (batch,) = batches
-        ex.context.stats.rows_processed += batch.length
-        key_columns = [(fn(batch), ascending) for fn, ascending in fns]
+        n = batch.length
+        ex.context.stats.rows_processed += n
+        if refs is not None and n:
+            order = _mirror_sort_order(
+                [batch.numpy_column(ref) for ref in refs], ascending
+            )
+            if order is not None:
+                if (order[1:] > order[:-1]).all():
+                    return batch  # already ordered: zero-copy
+                return batch.gather(order)
+            KERNEL_MEMO_STATS.list_path_runs += 1
+        key_columns = [(fn(batch), up) for fn, up in fns]
 
         def sort_key(i: int) -> tuple:
-            return tuple(
-                _SortKey(column[i], ascending) for column, ascending in key_columns
-            )
+            return tuple(_SortKey(column[i], up) for column, up in key_columns)
 
-        indices = sorted(range(batch.length), key=sort_key)
-        if indices == list(range(batch.length)):
+        indices = sorted(range(n), key=sort_key)
+        if indices == list(range(n)):
             return batch  # already ordered: zero-copy
         return batch.gather(indices)
 
@@ -1172,8 +1373,12 @@ def _limit_kernel(ex, node: logical.Limit, batches: tuple) -> ColumnBatch:
     start = node.offset
     stop = batch.length if node.limit is None else min(batch.length, start + node.limit)
     length = max(0, stop - min(start, batch.length))
+    mirrors = {
+        index: None if mirror is None else mirror[start:stop]
+        for index, mirror in batch._numpy.items()
+    }
     return ColumnBatch(
-        [column[start:stop] for column in batch.columns], length
+        [column[start:stop] for column in batch.columns], length, mirrors
     )
 
 

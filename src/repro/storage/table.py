@@ -6,6 +6,20 @@ updates/deletes rewrite only the chunk containing the victim row. This makes
 whole-table snapshots O(#chunks) reference copies — the property the
 branched transaction manager (paper Sec. 6.2) relies on for cheap forks.
 
+Each chunk also memoizes, lazily and per column position, the two views
+the columnar engine reads: the column's value tuple and its dtype-uniform
+numpy mirror (:func:`numeric_mirror`; ``None`` for columns that are not
+all-``int`` or all-``float``). Because a chunk never changes, its memo is
+valid by construction: a write replaces only the chunk it touched (whose
+memo is rebuilt on the next scan), and forks, snapshots and restores share
+the memos of every chunk they share. Only positions a scan has read are
+memoized; a memoized numeric column costs about 17 bytes per value (a
+tuple slot plus an 8-byte mirror slot), 1.4 MB for a 20,000-row table of
+four numeric columns. The memo is not part of a chunk's
+value — equality and the pickled form cover ``row_ids`` and ``rows``
+only — so WAL records, catalog snapshots and process payloads keep their
+formats, and a chunk arriving by pickle rebuilds its memo on first read.
+
 Every row carries a stable ``row_id`` assigned at insert; row ids survive
 updates and are never reused, which gives the merge machinery a stable
 identity for conflict detection.
@@ -14,7 +28,10 @@ identity for conflict detection.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 from repro.errors import ExecutionError
 from repro.storage.schema import TableSchema
@@ -25,15 +42,68 @@ from repro.storage.types import Row, Value, coerce_value
 CHUNK_SIZE = 256
 
 
+def numeric_mirror(values: Sequence[Value]) -> np.ndarray | None:
+    """A read-only numpy copy of ``values``, or ``None`` when ineligible.
+
+    Eligibility is a strict type sweep — every value ``int`` (bools
+    excluded) fitting int64, or every value ``float`` — so comparisons and
+    reductions on the mirror can never diverge from ``compare_values`` or
+    the accumulators. An empty sequence has no mirror.
+    """
+    if not values:
+        return None
+    mirror = None
+    if all(type(v) is int for v in values):
+        try:
+            candidate = np.asarray(values)
+        except (OverflowError, ValueError, TypeError):
+            return None
+        if candidate.dtype.kind == "i":
+            mirror = candidate
+    elif all(type(v) is float for v in values):
+        mirror = np.asarray(values, dtype=np.float64)
+    if mirror is not None:
+        mirror.flags.writeable = False
+    return mirror
+
+
 @dataclass(frozen=True)
 class Chunk:
-    """An immutable run of rows with their stable row ids."""
+    """An immutable run of rows with their stable row ids.
+
+    :meth:`column` and :meth:`mirror` memoize column views on the instance
+    (outside the dataclass fields, so equality and pickling ignore them).
+    """
 
     row_ids: tuple[int, ...]
     rows: tuple[Row, ...]
 
     def __len__(self) -> int:
         return len(self.rows)
+
+    def column(self, position: int) -> tuple[Value, ...]:
+        """The values at ``position``, extracted once per chunk."""
+        columns = self.__dict__.get("_columns")
+        if columns is None:
+            columns = {}
+            object.__setattr__(self, "_columns", columns)
+        values = columns.get(position)
+        if values is None:
+            values = columns[position] = tuple(map(itemgetter(position), self.rows))
+        return values
+
+    def mirror(self, position: int) -> np.ndarray | None:
+        """The numpy mirror of the values at ``position`` (or ``None``)."""
+        mirrors = self.__dict__.get("_mirrors")
+        if mirrors is None:
+            mirrors = {}
+            object.__setattr__(self, "_mirrors", mirrors)
+        if position not in mirrors:
+            mirrors[position] = numeric_mirror(self.column(position))
+        return mirrors[position]
+
+    def __getstate__(self) -> dict:
+        return {"row_ids": self.row_ids, "rows": self.rows}
 
 
 @dataclass(frozen=True)
@@ -61,21 +131,37 @@ class TableSnapshot:
         """Materialise the requested columns, one value list per position."""
         return _extract_columns(self.chunks, positions)
 
+    def column_mirrors(self, positions: Sequence[int]) -> list[np.ndarray | None]:
+        """The whole-table numpy mirror of each requested column, or ``None``."""
+        return [_concat_mirror(self.chunks, position) for position in positions]
+
 
 def _extract_columns(
     chunks: Iterable[Chunk], positions: Sequence[int]
 ) -> list[list[Value]]:
-    """Column extraction for the vectorized engine: transpose each chunk
-    once at C speed (``zip(*rows)``) and concatenate, instead of plucking
-    positions out of every row tuple individually."""
+    """Concatenate the chunks' memoized column tuples into fresh lists."""
     columns: list[list[Value]] = [[] for _ in positions]
     for chunk in chunks:
-        if not chunk.rows:
-            continue
-        transposed = list(zip(*chunk.rows))
         for out, position in zip(columns, positions):
-            out.extend(transposed[position])
+            out.extend(chunk.column(position))
     return columns
+
+
+def _concat_mirror(chunks: Sequence[Chunk], position: int) -> np.ndarray | None:
+    """Concatenate the chunks' mirrors of one column; ``None`` unless every
+    chunk has one and all share a dtype (an all-int chunk next to an
+    all-float one fails the whole-column sweep, so it fails here too)."""
+    parts = []
+    for chunk in chunks:
+        mirror = chunk.mirror(position)
+        if mirror is None or (parts and mirror.dtype != parts[0].dtype):
+            return None
+        parts.append(mirror)
+    if len(parts) < 2:
+        return parts[0] if parts else None
+    whole = np.concatenate(parts)
+    whole.flags.writeable = False
+    return whole
 
 
 class Table:

@@ -12,6 +12,7 @@ stack returns matches the row engine, the reference oracle.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict
 
 import pytest
@@ -135,12 +136,21 @@ def run_both(db: Database, sql: str, sample_rate: float = 1.0):
     return row_context, row_result, col_context, col_result
 
 
+def _holds_nan(rows: list) -> bool:
+    return any(isinstance(v, float) and math.isnan(v) for row in rows for v in row)
+
+
 def assert_identical(db: Database, sql: str, sample_rate: float = 1.0) -> None:
     row_context, row_result, col_context, col_result = run_both(
         db, sql, sample_rate
     )
     assert col_result.columns == row_result.columns, sql
-    assert col_result.rows == row_result.rows, sql
+    # repr catches what == forgives: 1 == 1.0 (an int SUM returned as a
+    # float) and 0.0 == -0.0. A computed NaN is unequal to every other NaN
+    # object, so for rows holding one repr is the only comparison.
+    assert repr(col_result.rows) == repr(row_result.rows), sql
+    if not _holds_nan(row_result.rows):
+        assert col_result.rows == row_result.rows, sql
     assert col_result.estimate_errors == row_result.estimate_errors, sql
     assert asdict(col_context.stats) == asdict(row_context.stats), sql
 
@@ -218,6 +228,176 @@ class TestDifferentialCorpus:
             col_result = ColumnarExecutor(diff_db.catalog, col_context).run(node)
             assert col_result.rows == row_result.rows
             assert asdict(col_context.stats) == asdict(row_context.stats)
+
+
+def build_adversarial_db() -> Database:
+    """Numeric edge cases for the numpy mirror kernels, over three storage
+    chunks: a 0.1 grid (every float sum depends on its order), leading and
+    interior signed zeros, NaN first and mid-column (three rows share one
+    NaN object, which GROUP BY and DISTINCT treat as one value), ints past 2**53 and past int64, a BOOLEAN column, NULL-bearing
+    numeric columns, and group keys first seen out of sorted order."""
+    db = Database("columnar-adversarial")
+    db.execute(
+        "CREATE TABLE adv (id INT, g INT, k INT, grid FLOAT, z FLOAT,"
+        " nan_first FLOAT, nan_mid FLOAT, nul FLOAT, nul_i INT, big INT,"
+        " huge INT, flag BOOLEAN)"
+    )
+    shared_nan = float("nan")
+    rows = []
+    for i in range(700):
+        z = (0.0, -0.0, 1.5, -2.5)[i % 4] if i else -0.0
+        if i in (350, 352, 600):
+            nan_mid = shared_nan
+        elif i == 351:
+            nan_mid = float("nan")
+        else:
+            nan_mid = (i % 13) * 0.3
+        rows.append(
+            (
+                i,
+                (7 * i + 3) % 5,  # groups first seen as 3, 0, 2, 4, 1
+                1 + i % 20,
+                (i % 37) * 0.1,
+                z,
+                float("nan") if i == 0 else (i % 11) * 0.5,
+                nan_mid,
+                None if i % 9 == 0 else i * 0.25,
+                None if i % 13 == 0 else i % 6,
+                2**53 + (i % 9) * 2**40 + i % 5,
+                2**64 + i,
+                i % 3 == 0,
+            )
+        )
+    db.insert_rows("adv", rows)
+    return db
+
+
+@pytest.fixture(scope="module")
+def adversarial_db() -> Database:
+    return build_adversarial_db()
+
+
+#: The six ``scan_distinct`` template shapes, over the adversarial table.
+SCAN_SHAPES = [
+    "SELECT COUNT(*), SUM(grid), AVG(k) FROM adv WHERE grid < 2.45",
+    "SELECT id, grid FROM adv WHERE grid > 1.75 AND k = 7 AND id <> 1000001",
+    "SELECT g, COUNT(*), SUM(grid) FROM adv WHERE grid < 2.45 GROUP BY g",
+    "SELECT id, grid FROM adv WHERE grid < 0.45 ORDER BY grid DESC, id LIMIT 10",
+    "SELECT MIN(grid), MAX(grid) FROM adv WHERE k <> 1000004",
+    "SELECT g, AVG(grid) FROM adv WHERE id <> 1000005 GROUP BY g",
+]
+
+ADVERSARIAL_CORPUS = SCAN_SHAPES + [
+    # order-sensitive float sums, grouped (first-appearance order) or not
+    "SELECT SUM(grid), AVG(grid), COUNT(grid) FROM adv",
+    "SELECT k, SUM(grid), AVG(grid) FROM adv GROUP BY k",
+    "SELECT grid, COUNT(*) FROM adv GROUP BY grid",
+    "SELECT g, k, SUM(grid) FROM adv GROUP BY g, k",
+    # signed zeros: +0.0 sum starts, keep-first MIN/MAX ties, zero keys
+    "SELECT SUM(z), AVG(z), MIN(z), MAX(z) FROM adv",
+    "SELECT SUM(z) FROM adv WHERE z <= 0.0 AND z > -0.5 AND k = 2",
+    "SELECT k, SUM(z) FROM adv WHERE z < 0.5 AND z > -0.5 GROUP BY k",
+    "SELECT MAX(z), MIN(z) FROM adv WHERE z < 1.0 AND z > -1.0",
+    "SELECT MIN(z), MAX(z) FROM adv WHERE id > 3 AND z > -1.0 AND z < 1.0",
+    "SELECT z, COUNT(*) FROM adv GROUP BY z",
+    "SELECT id, z FROM adv WHERE id < 40 ORDER BY z, id",
+    "SELECT id, z FROM adv WHERE id < 40 ORDER BY z DESC",
+    "SELECT DISTINCT z FROM adv",
+    "SELECT id FROM adv WHERE z = 0.0 AND id < 30",
+    # NaN: first and mid-column, shared and distinct NaN objects
+    "SELECT MIN(nan_first), MAX(nan_first), SUM(nan_first) FROM adv",
+    "SELECT MIN(nan_mid), MAX(nan_mid), AVG(nan_mid) FROM adv",
+    "SELECT MIN(nan_mid), MAX(nan_mid) FROM adv WHERE id > 300",
+    "SELECT nan_mid, COUNT(*) FROM adv WHERE id > 340 AND id < 360 GROUP BY nan_mid",
+    "SELECT DISTINCT nan_mid FROM adv WHERE id > 345 AND id < 355",
+    "SELECT id, nan_mid FROM adv WHERE id > 340 AND id < 360 ORDER BY nan_mid, id",
+    "SELECT id FROM adv WHERE nan_mid = 0.3 OR nan_first > 4.0",
+    "SELECT id, nan_first FROM adv WHERE id < 5",
+    # NULL-bearing numeric columns: the list path
+    "SELECT COUNT(nul), SUM(nul), AVG(nul), MIN(nul), MAX(nul) FROM adv",
+    "SELECT g, SUM(nul_i), COUNT(nul_i), MIN(nul_i) FROM adv GROUP BY g",
+    "SELECT nul_i, COUNT(*) FROM adv GROUP BY nul_i",
+    "SELECT id FROM adv WHERE nul > 100.0 AND k < 4",
+    "SELECT id, nul FROM adv WHERE id < 50 ORDER BY nul DESC, id",
+    # ints past 2**53 (int64 mirror) and past int64 (no mirror)
+    "SELECT SUM(big), AVG(big), MIN(big), MAX(big) FROM adv",
+    "SELECT big, COUNT(*) FROM adv GROUP BY big",
+    "SELECT g, SUM(big) FROM adv GROUP BY g",
+    "SELECT id FROM adv WHERE big = 9007199254740995",
+    "SELECT id, big FROM adv WHERE id < 30 ORDER BY big DESC, id",
+    "SELECT SUM(huge), MIN(huge), MAX(huge), COUNT(huge) FROM adv",
+    "SELECT id, huge FROM adv WHERE id < 20 ORDER BY huge DESC",
+    # BOOLEAN column
+    "SELECT MIN(flag), MAX(flag), COUNT(flag) FROM adv",
+    "SELECT flag, COUNT(*) FROM adv GROUP BY flag",
+    "SELECT id FROM adv WHERE flag AND k = 3",
+    # connectives, NOT, projected comparisons, LIMIT/OFFSET over gathers
+    "SELECT id FROM adv WHERE NOT (grid > 1.0) AND k >= 19",
+    "SELECT id FROM adv WHERE grid > 3.55 OR k < 2",
+    "SELECT id, grid < 1.0, k = 4 FROM adv WHERE id < 12",
+    # a mask beside a three-valued list (NULL-bearing or BOOLEAN operand)
+    "SELECT id FROM adv WHERE nul > 100.0 OR k < 2",
+    "SELECT id FROM adv WHERE NOT (nul > 100.0) AND k < 3",
+    "SELECT id FROM adv WHERE flag OR grid > 3.55",
+    "SELECT id, nul > 100.0 AND k < 3, NOT (grid > 1.0) FROM adv WHERE id < 40",
+    "SELECT id, grid FROM adv WHERE k = 5 ORDER BY grid, id LIMIT 7 OFFSET 3",
+    # empty filter results
+    "SELECT COUNT(*), SUM(grid), AVG(grid), MIN(grid), MAX(z) FROM adv WHERE grid < -1.0",
+    "SELECT g, COUNT(*), SUM(grid) FROM adv WHERE grid < -1.0 GROUP BY g",
+    "SELECT id FROM adv WHERE grid < -1.0 ORDER BY grid LIMIT 3",
+]
+
+ADVERSARIAL_ERRORS = [
+    "SELECT SUM(flag) FROM adv",
+    "SELECT AVG(flag) FROM adv",
+    "SELECT id FROM adv WHERE flag = 1",
+]
+
+
+class TestAdversarialCorpus:
+    """The numpy mirror kernels against the row engine, value for value
+    and type for type."""
+
+    @pytest.mark.parametrize("sql", ADVERSARIAL_CORPUS)
+    def test_exact(self, adversarial_db, sql):
+        assert_identical(adversarial_db, sql)
+
+    @pytest.mark.parametrize("sql", ADVERSARIAL_ERRORS)
+    def test_error_parity(self, adversarial_db, sql):
+        plan = adversarial_db.plan_select(sql)
+        with pytest.raises(Exception) as row_err:
+            Executor(adversarial_db.catalog, ExecContext()).run(plan)
+        with pytest.raises(Exception) as col_err:
+            ColumnarExecutor(adversarial_db.catalog, ExecContext()).run(plan)
+        assert type(col_err.value) is type(row_err.value), sql
+        assert str(col_err.value) == str(row_err.value), sql
+
+    def test_scan_shapes_stay_on_mirrors(self, adversarial_db):
+        for sql in SCAN_SHAPES:
+            assert_identical(adversarial_db, sql)
+        KERNEL_MEMO_STATS.reset()
+        for sql in SCAN_SHAPES:
+            plan = adversarial_db.plan_select(sql)
+            ColumnarExecutor(adversarial_db.catalog, ExecContext()).run(plan)
+        assert KERNEL_MEMO_STATS.list_path_runs == 0
+        assert KERNEL_MEMO_STATS.fallbacks == 0
+
+    @pytest.mark.parametrize(
+        "sql",
+        [
+            "SELECT SUM(nul) FROM adv",
+            "SELECT id FROM adv WHERE nul > 1.0",
+            "SELECT MIN(nan_mid) FROM adv",
+            "SELECT id FROM adv ORDER BY huge",
+        ],
+    )
+    def test_columns_without_mirrors_count_list_path_runs(
+        self, adversarial_db, sql
+    ):
+        plan = adversarial_db.plan_select(sql)
+        KERNEL_MEMO_STATS.reset()
+        ColumnarExecutor(adversarial_db.catalog, ExecContext()).run(plan)
+        assert KERNEL_MEMO_STATS.list_path_runs == 1
 
 
 class TestCrossEngineCache:

@@ -5,17 +5,30 @@ aggregates, group-bys, order/limit); both the SQL engine and a pure-Python
 reference evaluate them over the same rows; results must agree. This is
 the strongest correctness net over the whole parse→plan→optimize→execute
 pipeline.
+
+The columnar engine's numpy kernels read column mirrors that storage
+chunks memoize; a second property checks them against the row
+``Executor`` on NULL-free numeric tables spanning several chunks, and the
+memo tests check that every write path — and every way a table is
+forked, merged, discarded or recovered — is seen by the next scan.
 """
 
 from __future__ import annotations
 
 import math
+import pickle
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.db import Database
+from repro.engine.columnar import ColumnarExecutor
+from repro.engine.executor import ExecContext, Executor
+from repro.storage.table import CHUNK_SIZE
+from repro.txn.branches import BranchManager
 
 COLUMNS = ["id", "grp", "val", "flag"]
 
@@ -219,3 +232,213 @@ class TestDifferentialJoin:
                 assert lk not in right
             else:
                 assert lk == rk
+
+
+# -- the numpy mirror kernels vs the row engine --------------------------------
+
+
+def both_engines(db: Database, sql: str) -> tuple[list, list]:
+    plan = db.plan_select(sql)
+    row = Executor(db.catalog, ExecContext()).run(plan).rows
+    col = ColumnarExecutor(db.catalog, ExecContext()).run(plan).rows
+    return row, col
+
+
+def assert_engines_agree(db: Database, sql: str) -> None:
+    row, col = both_engines(db, sql)
+    assert repr(col) == repr(row), sql
+
+
+#: Floats that break naive reductions: a 0.1 grid, signed zeros, values
+#: far apart in magnitude.
+float_strategy = st.one_of(
+    st.sampled_from([0.0, -0.0, 0.1, 0.2, 0.3, -0.7, 1e16, -1e16, 2.5]),
+    st.floats(-1e6, 1e6, allow_nan=False),
+)
+
+numeric_table_strategy = st.tuples(
+    st.lists(
+        st.tuples(st.integers(-3, 3), float_strategy, st.integers(-(2**62), 2**62)),
+        min_size=1,
+        max_size=12,
+    ),
+    st.integers(CHUNK_SIZE + 1, 3 * CHUNK_SIZE),
+)
+
+MIRROR_QUERIES = [
+    "SELECT COUNT(*), SUM(v), AVG(v), MIN(v), MAX(v) FROM n",
+    "SELECT SUM(w), AVG(w), MIN(w), MAX(w) FROM n WHERE g <> 0",
+    "SELECT g, COUNT(*), SUM(v), AVG(w) FROM n GROUP BY g",
+    "SELECT v, COUNT(*), SUM(w) FROM n WHERE id < 300 GROUP BY v",
+    "SELECT id, v FROM n WHERE v > 0.15 AND g = 1 ORDER BY v DESC, id LIMIT 9",
+    "SELECT id, w FROM n WHERE NOT (w < 0) OR g = -3 ORDER BY w, id LIMIT 9",
+    "SELECT MIN(v), MAX(v) FROM n WHERE v < 0.25 AND v > -0.25",
+]
+
+
+class TestColumnarMirrorKernels:
+    @given(table=numeric_table_strategy, sql=st.sampled_from(MIRROR_QUERIES))
+    @settings(max_examples=60, deadline=None)
+    def test_columnar_matches_row_engine(self, table, sql):
+        base, size = table
+        db = Database("mirror-diff")
+        db.execute("CREATE TABLE n (id INT, g INT, v FLOAT, w INT)")
+        db.insert_rows(
+            "n", [(i,) + base[(i * 7) % len(base)] for i in range(size)]
+        )
+        assert db.catalog.table("n").num_chunks > 1
+        assert_engines_agree(db, sql)
+
+
+# -- chunk memo validity -----------------------------------------------------------
+
+MEMO_SQL = (
+    "SELECT COUNT(*), SUM(v), MIN(v), MAX(v) FROM m WHERE v > -1.0",
+    "SELECT g, SUM(v) FROM m GROUP BY g",
+    "SELECT id, v FROM m ORDER BY v DESC, id LIMIT 3",
+)
+
+
+def memo_db(name: str = "memo", **kwargs) -> Database:
+    db = Database(name, **kwargs)
+    db.execute("CREATE TABLE m (id INT, g INT, v FLOAT)")
+    db.insert_rows("m", [(i, i % 4, i * 0.5) for i in range(2 * CHUNK_SIZE + 88)])
+    return db
+
+
+def served(db: Database) -> list:
+    """Every memo query through the columnar engine, checked against the
+    row engine on the same state."""
+    answers = []
+    for sql in MEMO_SQL:
+        row, col = both_engines(db, sql)
+        assert repr(col) == repr(row), sql
+        answers.append(col)
+    return answers
+
+
+class TestChunkMemoValidity:
+    """A scan warms every chunk's memo; the next scan after a write must
+    see the write (only the rewritten chunk is new, so only its memo is
+    rebuilt)."""
+
+    def test_insert(self):
+        db = memo_db()
+        before = served(db)
+        db.insert_rows("m", [(10_000, 1, 5000.0)])
+        after = served(db)
+        assert after != before
+        assert after[0][0][3] == 5000.0
+
+    def test_insert_many(self):
+        db = memo_db()
+        served(db)
+        db.insert_rows("m", [(10_000 + i, 2, -0.5) for i in range(CHUNK_SIZE + 5)])
+        after = served(db)
+        assert after[0][0][0] == 3 * CHUNK_SIZE + 93
+        assert after[0][0][2] == -0.5
+
+    def test_update(self):
+        db = memo_db()
+        served(db)
+        db.execute("UPDATE m SET v = 9999.5 WHERE id = 300")
+        after = served(db)
+        assert after[0][0][3] == 9999.5
+        assert after[2][0] == (300, 9999.5)
+
+    def test_delete(self):
+        db = memo_db()
+        before = served(db)
+        db.execute("DELETE FROM m WHERE id = 3")
+        after = served(db)
+        assert after[0][0][0] == before[0][0][0] - 1
+        assert after[0][0][1] == before[0][0][1] - 1.5
+
+    def test_fork_shares_memos_and_isolates_writes(self):
+        manager = BranchManager(memo_db())
+        main = manager.main.db
+        before = served(main)
+        child = manager.fork("main", "child")
+        assert child.db.catalog.table("m").snapshot()[0] is (
+            main.catalog.table("m").snapshot()[0]
+        )
+        child.execute("UPDATE m SET v = 7777.5 WHERE id = 5")
+        assert served(child.db)[0][0][3] == 7777.5
+        assert served(main) == before
+
+    def test_merge(self):
+        manager = BranchManager(memo_db())
+        main = manager.main.db
+        served(main)
+        child = manager.fork("main", "child")
+        child.execute("UPDATE m SET v = 8888.5 WHERE id = 400")
+        child.db.insert_rows("m", [(20_000, 3, -0.75)])
+        served(child.db)
+        manager.merge("child")
+        after = served(main)
+        assert after[0][0] == (2 * CHUNK_SIZE + 89, after[0][0][1], -0.75, 8888.5)
+
+    def test_rollback(self):
+        manager = BranchManager(memo_db())
+        main = manager.main.db
+        before = served(main)
+        child = manager.fork("main", "child")
+        child.execute("DELETE FROM m WHERE id < 100")
+        served(child.db)
+        manager.rollback("child")
+        assert served(main) == before
+
+    def test_recover(self, tmp_path):
+        db = memo_db("memo-wal", wal_dir=str(tmp_path))
+        served(db)
+        db.execute("UPDATE m SET v = 6666.5 WHERE id = 9")
+        db.insert_rows("m", [(30_000, 0, 1.25)])
+        live = served(db)
+        db.catalog.wal.close()
+        db.catalog.wal = None
+        recovered = Database.recover(str(tmp_path))
+        assert served(recovered) == live
+
+    def test_scan_leaves_pickled_snapshot_unchanged(self):
+        db = memo_db()
+        table = db.catalog.table("m")
+        before = pickle.dumps(table.snapshot_state())
+        served(db)
+        assert pickle.dumps(table.snapshot_state()) == before
+        restored = pickle.loads(before)
+        assert restored == table.snapshot_state()
+        assert served(db) == served(db)
+
+    def test_concurrent_cold_scans_agree(self):
+        """Scans racing to fill the same chunks' memos (more threads than
+        cores, a tiny switch interval) all see one consistent table."""
+        db = memo_db()
+        expected = [
+            Executor(db.catalog, ExecContext()).run(db.plan_select(sql)).rows
+            for sql in MEMO_SQL
+        ]
+        plans = [db.plan_select(sql) for sql in MEMO_SQL]
+        answers: list = []
+        lock = threading.Lock()
+
+        def scan() -> None:
+            got = [
+                ColumnarExecutor(db.catalog, ExecContext()).run(plan).rows
+                for plan in plans
+            ]
+            with lock:
+                answers.append(got)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=scan) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(answers) == 8
+        assert all(repr(got) == repr(expected) for got in answers)

@@ -701,6 +701,26 @@ class TestMetricsSurface:
         assert "# TYPE repro_gateway_windows_direct_total counter" in text
         assert "# TYPE repro_engine_subplan_cache_hit_ratio gauge" in text
 
+    def test_kernel_list_path_runs_gauge(self):
+        """Scans over mirrored numeric columns stay on numpy; a column
+        with a NULL has no mirror, and its kernel run is counted."""
+        from repro.engine.columnar import KERNEL_MEMO_STATS
+
+        db = build_db()
+        db.execute("CREATE TABLE gaps (id INT, amount FLOAT)")
+        db.insert_rows("gaps", [(i, None if i == 7 else i * 0.5) for i in range(50)])
+        system = AgentFirstDataSystem(db)
+        KERNEL_MEMO_STATS.reset()
+        system.submit(
+            Probe.sql("SELECT COUNT(*), SUM(amount) FROM sales WHERE amount < 20.5")
+        )
+        snap = system.metrics()
+        assert snap.get("repro_engine_kernel_memo_list_path_runs") == 0
+        assert snap.get("repro_engine_kernel_memo_fallbacks") == 0
+        system.submit(Probe.sql("SELECT SUM(amount) FROM gaps WHERE amount > 3.0"))
+        # Filter and aggregate each read the mirror-less column once.
+        assert system.metrics().get("repro_engine_kernel_memo_list_path_runs") == 2
+
     def test_sharded_metrics_merge_with_shard_labels(self):
         sharded = ShardedSystem(build_tenant_db(), shards=2, partition=PARTITION)
         try:
