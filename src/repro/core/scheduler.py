@@ -113,6 +113,7 @@ from repro.core.mqo import SharingReport, subplan_census
 from repro.core.optimizer import PrecomputedExecution, ProbeOptimizer
 from repro.core.probe import Probe, QueryOutcome
 from repro.core.satisfice import ExecutionDecision
+from repro.engine.batch import ColumnBatch
 from repro.engine.executor import subplan_cache_key
 from repro.engine.result import QueryResult
 from repro.obs import trace as obs_trace
@@ -559,7 +560,12 @@ class ProbeScheduler:
         for ((key_pos, _payload, cache_key), outcome) in zip(to_ship, results):
             run.precomputed[key_pos] = outcome
             if cache is not None and cache_key is not None and outcome.result is not None:
-                cache.put(cache_key, outcome.result.rows)
+                cache.put(
+                    cache_key,
+                    ColumnBatch.from_rows(
+                        outcome.result.rows, len(outcome.result.columns)
+                    ),
+                )
         self.speculative_executions += len(to_ship)
         return True
 

@@ -330,7 +330,8 @@ class AgentFirstDataSystem:
         db.on_change(self._on_change)
 
     def _register_engine_collectors(self) -> None:
-        """Publish engine-level metrics as snapshot-time collectors.
+        """Publish engine-level metrics (and the memory store's size) as
+        snapshot-time collectors.
 
         Occupancies and hit ratios are derived from live structures when
         ``metrics()`` is called — zero hot-path bookkeeping, which is how
@@ -349,6 +350,7 @@ class AgentFirstDataSystem:
                 ("subplan_cache_misses", "Subplan cache lifetime misses"),
                 ("subplan_cache_evictions", "Subplan cache lifetime evictions"),
                 ("subplan_cache_hit_ratio", "hits / (hits + misses), 0 when idle"),
+                ("subplan_cache_rows", "Rows retained across subplan cache entries"),
                 ("expr_memo_entries", "Compiled-expression memo occupancy"),
                 ("expr_memo_compilations", "Expression compilations (process-wide)"),
                 ("expr_memo_hits", "Expression memo hits (process-wide)"),
@@ -376,6 +378,10 @@ class AgentFirstDataSystem:
         plan_cache_entries = registry.gauge(
             "repro_plan_cache_entries", "Compiled-statement cache occupancy"
         )
+        memory = self.memory
+        memstore_artifacts = registry.gauge(
+            "repro_memstore_artifacts", "Artifacts held by the agentic memory store"
+        )
 
         def collect() -> None:
             if cache is not None:
@@ -386,9 +392,11 @@ class AgentFirstDataSystem:
                 gauges["subplan_cache_evictions"].set(evictions)
                 total = hits + misses
                 gauges["subplan_cache_hit_ratio"].set(hits / total if total else 0.0)
+                gauges["subplan_cache_rows"].set(cache.retained_rows())
             for counter, value in zip(plan_cache_counters, statements.counters()):
                 counter.set(value)
             plan_cache_entries.set(len(statements))
+            memstore_artifacts.set(len(memory))
             gauges["expr_memo_entries"].set(expr_memo_occupancy())
             gauges["expr_memo_compilations"].set(EXPR_MEMO_STATS.compilations)
             gauges["expr_memo_hits"].set(EXPR_MEMO_STATS.hits)

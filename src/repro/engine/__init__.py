@@ -6,11 +6,12 @@ fallback). The row-at-a-time :class:`Executor` is its base class and the
 reference oracle the differential tests compare it against.
 """
 
+from repro.engine.batch import ColumnBatch
 from repro.engine.executor import ExecContext, Executor, SubplanCache
 from repro.engine.result import ExecStats, QueryResult
 
 # columnar imports executor, so it must come after.
-from repro.engine.columnar import ColumnBatch, ColumnarExecutor  # noqa: E402
+from repro.engine.columnar import ColumnarExecutor  # noqa: E402
 
 __all__ = [
     "ColumnBatch",

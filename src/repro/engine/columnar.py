@@ -47,11 +47,14 @@ steering, and work accounting. Four mechanisms enforce it:
   evaluate a superset of what short-circuiting row closures evaluate)
   come out byte-identical. Subquery-bearing expressions and ``IndexScan``
   leaves take this path unconditionally.
-* **One cache key** — batches enter and leave the shared
-  :class:`~repro.engine.executor.SubplanCache` as plain row lists under
-  the same :func:`~repro.engine.executor.subplan_cache_key`, so a
-  columnar-produced materialisation serves row-engine consumers and vice
-  versa.
+* **One cache key** — the shared
+  :class:`~repro.engine.executor.SubplanCache` holds
+  :class:`~repro.engine.batch.ColumnBatch` entries under the same
+  :func:`~repro.engine.executor.subplan_cache_key` in both engines. The
+  columnar engine caches the batch a node produced, with no copy and no
+  row view, and serves a hit as that same batch; a row-engine consumer
+  reads it through the memoized ``to_rows``, and rows the row engine
+  produced enter through ``ColumnBatch.from_rows``.
 
 :class:`ColumnarExecutor` is the only serving engine: every serving path
 constructs it directly. The row :class:`~repro.engine.executor.Executor`
@@ -71,6 +74,7 @@ import numpy as np
 
 from repro.engine import executor as executor_module
 from repro.engine import expressions as expr_lib
+from repro.engine.batch import ColumnBatch
 from repro.engine.executor import (
     EXPR_MEMO_STATS,
     Executor,
@@ -91,7 +95,6 @@ from repro.obs import trace as obs_trace
 from repro.plan import logical
 from repro.plan.fingerprint import fingerprints
 from repro.sql import nodes
-from repro.storage.table import numeric_mirror
 from repro.storage.types import Row, Value, compare_values
 
 #: Nested-loop pair expansions beyond this bail to the row engine, which
@@ -101,116 +104,6 @@ _MAX_NESTED_PAIRS = 1_000_000
 #: Integer literals beyond int64 range are excluded from the numpy
 #: comparison fast path (kept well inside to dodge any dtype promotion).
 _NUMPY_INT_LIMIT = 2**62
-
-_MISSING = object()
-
-
-# ---------------------------------------------------------------------------
-# the batch representation
-# ---------------------------------------------------------------------------
-
-
-class ColumnBatch:
-    """A batch of rows stored column-major.
-
-    ``columns`` holds one Python list per output column; ``length`` is
-    explicit because zero-width batches (``OneRow``) still carry row
-    counts. Columns are **immutable by convention**: kernels may return a
-    batch's own column list zero-copy (a bare column reference projects
-    for free), so nothing may mutate a column after construction.
-
-    Two caches ride along and are stripped from the pickle state — the
-    same contract as ``PlanNode.__getstate__`` dropping its fingerprint
-    memo, keeping process-pool payloads lean:
-
-    * ``_rows`` — the row-major view (``to_rows`` result), built once and
-      shared with the subplan cache and row-engine consumers;
-    * ``_numpy`` — per-column numpy mirrors for dtype-uniform numeric
-      columns (``None`` marks ineligible columns). A scan pre-fills it
-      from the storage chunks' memoized mirrors
-      (:func:`~repro.storage.table.numeric_mirror`), and filter, project,
-      sort and limit carry mirrors through by gathering or slicing them;
-      only batches built from rows (cache hits, views, joins, fallbacks)
-      pay the type sweep, once per column, on first use.
-    """
-
-    __slots__ = ("columns", "length", "_rows", "_numpy")
-
-    def __init__(
-        self,
-        columns: list[list[Value]],
-        length: int,
-        mirrors: dict[int, object] | None = None,
-    ) -> None:
-        self.columns = columns
-        self.length = length
-        self._rows: list[Row] | None = None
-        self._numpy: dict[int, object] = {} if mirrors is None else mirrors
-
-    @classmethod
-    def from_rows(cls, rows: list[Row], width: int) -> "ColumnBatch":
-        if not rows or not width:
-            return cls([[] for _ in range(width)], len(rows))
-        return cls([list(column) for column in zip(*rows)], len(rows))
-
-    def to_rows(self) -> list[Row]:
-        """The row-major view, built once; callers share the list (the
-        same sharing discipline the subplan cache already imposes)."""
-        if self._rows is None:
-            if not self.columns:
-                self._rows = [()] * self.length
-            elif not self.length:
-                self._rows = []
-            else:
-                self._rows = list(zip(*self.columns))
-        return self._rows
-
-    def gather(self, indices) -> "ColumnBatch":
-        """The rows at ``indices`` (a sequence of row positions), with
-        every known mirror gathered alongside its column.
-
-        A mirrored column is rebuilt from its gathered mirror (``tolist``
-        restores the exact ``int``/``float`` values) unless it holds NaN:
-        those gather from the value list, so NaN object identity — which
-        GROUP BY and DISTINCT key on — matches the row engine.
-        """
-        indices = np.asarray(indices, dtype=np.intp)
-        positions = None
-        columns: list[list[Value]] = []
-        mirrors: dict[int, object] = {}
-        for index, column in enumerate(self.columns):
-            mirror = self._numpy.get(index, _MISSING)
-            if mirror is not _MISSING:
-                if mirror is not None:
-                    mirror = mirror[indices]
-                mirrors[index] = mirror
-            if isinstance(mirror, np.ndarray) and not (
-                mirror.dtype.kind == "f" and np.isnan(mirror).any()
-            ):
-                columns.append(mirror.tolist())
-            else:
-                if positions is None:
-                    positions = indices.tolist()
-                columns.append([column[i] for i in positions])
-        return ColumnBatch(columns, len(indices), mirrors)
-
-    def numpy_column(self, index: int):
-        """A numpy mirror of one column, or ``None`` when ineligible."""
-        cached = self._numpy.get(index, _MISSING)
-        if cached is _MISSING:
-            cached = self._numpy[index] = numeric_mirror(self.columns[index])
-        return cached
-
-    def __len__(self) -> int:
-        return self.length
-
-    def __getstate__(self) -> tuple:
-        return (self.columns, self.length)
-
-    def __setstate__(self, state: tuple) -> None:
-        self.columns, self.length = state
-        self._rows = None
-        self._numpy = {}
 
 
 # ---------------------------------------------------------------------------
@@ -1373,9 +1266,11 @@ def _limit_kernel(ex, node: logical.Limit, batches: tuple) -> ColumnBatch:
     start = node.offset
     stop = batch.length if node.limit is None else min(batch.length, start + node.limit)
     length = max(0, stop - min(start, batch.length))
+    # A snapshot: a cached batch is shared across threads, and another
+    # execution may memoize a mirror on it while this one iterates.
     mirrors = {
         index: None if mirror is None else mirror[start:stop]
-        for index, mirror in batch._numpy.items()
+        for index, mirror in list(batch._numpy.items())
     }
     return ColumnBatch(
         [column[start:stop] for column in batch.columns], length, mirrors
@@ -1406,8 +1301,10 @@ class ColumnarExecutor(Executor):
 
     Every node executes as a :class:`ColumnBatch`; ``_execute`` (the
     row-level entry point the base class, subquery runners, and callers
-    share) serves the batch's cached row view, so results, counters, and
-    cache interactions are indistinguishable from the row engine's.
+    share) serves the batch's memoized row view, so results, counters, and
+    cache interactions are indistinguishable from the row engine's. Rows
+    are built only there and in the row fallback, never to feed the
+    cache.
     """
 
     def _execute(self, node: logical.PlanNode) -> list[Row]:
@@ -1416,11 +1313,12 @@ class ColumnarExecutor(Executor):
     def _execute_batch(self, node: logical.PlanNode) -> ColumnBatch:
         """Mirror of the base ``_execute`` cache discipline, batch-valued.
 
-        The cache key, counters, and stored representation (plain row
-        lists) are exactly the row engine's — that is what lets one
-        materialisation serve both engines. Span plumbing mirrors the
-        row engine too: one ambient read with tracing off, a per-node
-        span (rows out, cache verdict, kernel-vs-fallback) otherwise.
+        The cache key, counters, and stored representation (a
+        :class:`ColumnBatch`) are exactly the row engine's — that is what
+        lets one materialisation serve both engines. Span plumbing
+        mirrors the row engine too: one ambient read with tracing off, a
+        per-node span (rows out, cache verdict, kernel-vs-fallback)
+        otherwise.
         """
         parent_span = obs_trace.current_span()
         if parent_span is None:
@@ -1452,9 +1350,7 @@ class ColumnarExecutor(Executor):
                     self.context.stats.cache_hits += 1
                     if span is not None:
                         span.attrs["cache"] = "hit"
-                    batch = ColumnBatch.from_rows(cached, len(node.output))
-                    batch._rows = cached  # serve the cached list itself
-                    return batch
+                    return cached
                 self.context.stats.cache_misses += 1
                 if span is not None:
                     span.attrs["cache"] = "miss"
@@ -1462,7 +1358,7 @@ class ColumnarExecutor(Executor):
         batch = self._execute_batch_uncached(node)
 
         if cache is not None and cache_key is not None:
-            cache.put(cache_key, batch.to_rows())
+            cache.put(cache_key, batch)
         return batch
 
     def _execute_batch_uncached(self, node: logical.PlanNode) -> ColumnBatch:

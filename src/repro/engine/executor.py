@@ -30,6 +30,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 
 from repro.engine import aggregates as agg_lib
+from repro.engine.batch import ColumnBatch
 from repro.engine.expressions import Compiled, SubqueryRunner, compile_expr
 from repro.engine.result import ExecStats, QueryResult
 from repro.errors import ExecutionError
@@ -77,8 +78,11 @@ class SubplanCache:
     a single admission batch; a lock keeps the counters and the recency
     list consistent under that interleaving. The cache key includes the
     sampling rate (and, for sampled runs, the seed) so approximate and
-    exact runs never alias. Entries are lists of row tuples (immutable
-    enough to share safely).
+    exact runs never alias. Entries are
+    :class:`~repro.engine.batch.ColumnBatch` objects, immutable by
+    convention: the columnar engine stores the batch a node produced and
+    serves a hit as that same object, and readers that need rows call its
+    memoized ``to_rows``.
 
     Eviction is true LRU: a ``get`` refreshes the entry's recency, so a
     hot subplan survives pressure from a stream of cold inserts.
@@ -91,14 +95,15 @@ class SubplanCache:
     """
 
     def __init__(self, max_entries: int = 4096) -> None:
-        self._entries: OrderedDict[tuple, list[Row]] = OrderedDict()
+        self._entries: OrderedDict[tuple, ColumnBatch] = OrderedDict()
         self._max_entries = max_entries
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
         self.evictions = 0
+        self._rows = 0
 
-    def get(self, key: tuple) -> list[Row] | None:
+    def get(self, key: tuple) -> ColumnBatch | None:
         with self._lock:
             entry = self._entries.get(key)
             if entry is None:
@@ -108,16 +113,18 @@ class SubplanCache:
             self.hits += 1
             return entry
 
-    def put(self, key: tuple, rows: list[Row]) -> None:
+    def put(self, key: tuple, entry: ColumnBatch) -> None:
         with self._lock:
-            if key in self._entries:
+            previous = self._entries.get(key)
+            if previous is not None:
                 self._entries.move_to_end(key)
-                self._entries[key] = rows
-                return
-            if len(self._entries) >= self._max_entries:
-                self._entries.popitem(last=False)
+                self._rows -= len(previous)
+            elif len(self._entries) >= self._max_entries:
+                _, evicted = self._entries.popitem(last=False)
+                self._rows -= len(evicted)
                 self.evictions += 1
-            self._entries[key] = rows
+            self._entries[key] = entry
+            self._rows += len(entry)
 
     def contains(self, key: tuple | None) -> bool:
         """Presence probe that observes nothing: no counters, no recency.
@@ -143,6 +150,12 @@ class SubplanCache:
     def invalidate(self) -> None:
         with self._lock:
             self._entries.clear()
+            self._rows = 0
+
+    def retained_rows(self) -> int:
+        """Rows held across all entries (what the cache costs in memory)."""
+        with self._lock:
+            return self._rows
 
     def __len__(self) -> int:
         with self._lock:
@@ -341,7 +354,7 @@ class Executor(SubqueryRunner):
                     self.context.stats.cache_hits += 1
                     if span is not None:
                         span.attrs["cache"] = "hit"
-                    return cached
+                    return cached.to_rows()
                 self.context.stats.cache_misses += 1
                 if span is not None:
                     span.attrs["cache"] = "miss"
@@ -349,7 +362,7 @@ class Executor(SubqueryRunner):
         rows = self._execute_uncached(node)
 
         if cache is not None and cache_key is not None:
-            cache.put(cache_key, rows)
+            cache.put(cache_key, ColumnBatch.from_rows(rows, len(node.output)))
         return rows
 
     def _execute_uncached(self, node: logical.PlanNode) -> list[Row]:

@@ -53,6 +53,7 @@ import threading
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
+from repro.engine.batch import ColumnBatch
 from repro.engine.columnar import ColumnarExecutor
 from repro.engine.executor import ExecContext, subplan_cache_key
 from repro.maintenance.indexer import KIND_EQ, PredicateMiner
@@ -649,7 +650,8 @@ class MaintenanceRuntime:
             # Re-install the evicted hot entry under the *original* plan's
             # strict fingerprint, so even un-rewritten execution paths
             # (e.g. the subtree nested under a colder parent) hit it.
-            cache.put(key, list(view.rows))
+            rows = list(view.rows)
+            cache.put(key, ColumnBatch.from_rows(rows, len(view.plan.output)))
             report.cache_entries_rewarmed += 1
             self.cache_rewarms += 1
 

@@ -2,7 +2,10 @@
 
 Adequate for the memory store's scale (thousands of artifacts); the
 interface is what matters — swap in an ANN structure without touching
-callers.
+callers. Vectors live in the leading rows of a capacity-doubling matrix,
+in insertion order: an add writes one row in place (amortised O(dims)),
+and a remove shifts the rows behind it up by one, so query order and
+tie-breaking stay those of a matrix rebuilt from scratch.
 """
 
 from __future__ import annotations
@@ -11,6 +14,8 @@ import numpy as np
 
 from repro.semantic.embedding import HashedEmbedder
 
+_INITIAL_CAPACITY = 64
+
 
 class VectorIndex:
     """Maps integer ids to embedded texts; answers top-k cosine queries."""
@@ -18,41 +23,34 @@ class VectorIndex:
     def __init__(self, embedder: HashedEmbedder | None = None) -> None:
         self._embedder = embedder or HashedEmbedder()
         self._ids: list[int] = []
-        self._matrix: np.ndarray | None = None
-        self._pending: list[tuple[int, np.ndarray]] = []
+        self._matrix = np.empty((_INITIAL_CAPACITY, self._embedder.dims))
 
     def add(self, item_id: int, text: str) -> None:
-        self._pending.append((item_id, self._embedder.embed(text)))
+        count = len(self._ids)
+        if count == len(self._matrix):
+            grown = np.empty((2 * count, self._matrix.shape[1]))
+            grown[:count] = self._matrix
+            self._matrix = grown
+        self._matrix[count] = self._embedder.embed(text)
+        self._ids.append(item_id)
 
     def remove(self, item_id: int) -> None:
-        self._flush()
-        if self._matrix is None or item_id not in self._ids:
-            return
-        keep = [i for i, existing in enumerate(self._ids) if existing != item_id]
-        self._ids = [self._ids[i] for i in keep]
-        self._matrix = self._matrix[keep] if keep else None
-
-    def _flush(self) -> None:
-        if not self._pending:
-            return
-        new_ids = [item_id for item_id, _ in self._pending]
-        new_rows = np.vstack([vector for _, vector in self._pending])
-        self._ids.extend(new_ids)
-        if self._matrix is None:
-            self._matrix = new_rows
-        else:
-            self._matrix = np.vstack([self._matrix, new_rows])
-        self._pending.clear()
+        """Drop every row stored under ``item_id``, keeping the others'
+        relative order."""
+        while item_id in self._ids:
+            position = self._ids.index(item_id)
+            count = len(self._ids)
+            self._matrix[position : count - 1] = self._matrix[position + 1 : count]
+            del self._ids[position]
 
     def query(self, text: str, k: int = 5) -> list[tuple[int, float]]:
         """Top-k (id, cosine score) for ``text``; embeddings are unit-norm."""
-        self._flush()
-        if self._matrix is None or not self._ids:
+        if not self._ids:
             return []
         query_vector = self._embedder.embed(text)
-        scores = self._matrix @ query_vector
+        scores = self._matrix[: len(self._ids)] @ query_vector
         order = np.argsort(-scores, kind="stable")[:k]
         return [(self._ids[int(i)], float(scores[int(i)])) for i in order]
 
     def __len__(self) -> int:
-        return len(self._ids) + len(self._pending)
+        return len(self._ids)

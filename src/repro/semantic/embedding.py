@@ -10,6 +10,9 @@ metric — and is bit-for-bit reproducible.
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
+
 import numpy as np
 
 from repro.util.hashing import stable_hash_int
@@ -17,32 +20,67 @@ from repro.util.text import character_ngrams, singularize, tokenize_words
 
 DEFAULT_DIMS = 128
 
+#: LRU bound on memoized embeddings (~1 KB each at the default dims).
+MAX_CACHED_TEXTS = 50_000
+#: LRU bound on memoized feature slots. Unique literals in probe texts
+#: keep adding new word features, so this table must evict too.
+MAX_CACHED_SLOTS = 65_536
+
 
 class HashedEmbedder:
-    """Embeds text into a fixed-dimension vector via feature hashing."""
+    """Embeds text into a fixed-dimension vector via feature hashing.
+
+    Two bounded LRU memos make repeat work cheap, and neither changes a
+    result: whole embeddings by text, and each feature's ``(bucket,
+    sign)`` slot — a pure function of the feature string that otherwise
+    costs two SHA-1 digests per feature per call. Returned vectors are
+    shared with the memo: callers must not mutate them.
+    """
 
     def __init__(self, dims: int = DEFAULT_DIMS) -> None:
         if dims <= 0:
             raise ValueError("dims must be positive")
         self.dims = dims
-        self._cache: dict[str, np.ndarray] = {}
+        self._cache: OrderedDict[str, np.ndarray] = OrderedDict()
+        self._slots: OrderedDict[str, tuple[int, float]] = OrderedDict()
+        self._lock = threading.Lock()
 
     def embed(self, text: str) -> np.ndarray:
         """L2-normalised embedding of ``text`` (zero vector for no features)."""
-        cached = self._cache.get(text)
-        if cached is not None:
-            return cached
-        vector = np.zeros(self.dims, dtype=np.float64)
-        for feature, weight in self._features(text):
-            bucket = stable_hash_int(("emb", feature), bits=32)
-            sign = 1.0 if stable_hash_int(("sign", feature), bits=1) else -1.0
-            vector[bucket % self.dims] += sign * weight
-        norm = float(np.linalg.norm(vector))
-        if norm > 0:
-            vector /= norm
-        if len(self._cache) < 50_000:
+        with self._lock:
+            cached = self._cache.get(text)
+            if cached is not None:
+                self._cache.move_to_end(text)
+                return cached
+            # Python floats add exactly as float64 does, in the same
+            # feature order, so the vector is byte-identical to summing
+            # into a numpy array element by element.
+            sums = [0.0] * self.dims
+            for feature, weight in self._features(text):
+                bucket, sign = self._slot(feature)
+                sums[bucket] += sign * weight
+            vector = np.array(sums, dtype=np.float64)
+            norm = float(np.linalg.norm(vector))
+            if norm > 0:
+                vector /= norm
             self._cache[text] = vector
-        return vector
+            if len(self._cache) > MAX_CACHED_TEXTS:
+                self._cache.popitem(last=False)
+            return vector
+
+    def _slot(self, feature: str) -> tuple[int, float]:
+        """``feature``'s (bucket, sign), memoized; caller holds the lock."""
+        slots = self._slots
+        slot = slots.get(feature)
+        if slot is not None:
+            slots.move_to_end(feature)
+            return slot
+        bucket = stable_hash_int(("emb", feature), bits=32) % self.dims
+        sign = 1.0 if stable_hash_int(("sign", feature), bits=1) else -1.0
+        slot = slots[feature] = (bucket, sign)
+        if len(slots) > MAX_CACHED_SLOTS:
+            slots.popitem(last=False)
+        return slot
 
     def _features(self, text: str) -> list[tuple[str, float]]:
         features: list[tuple[str, float]] = []

@@ -19,6 +19,7 @@ import pytest
 
 from repro.core import AgentFirstDataSystem, Brief, Probe, SystemConfig
 from repro.db import Database
+from repro.engine.batch import ColumnBatch
 from repro.engine.columnar import (
     KERNEL_MEMO_STATS,
     ColumnarExecutor,
@@ -29,6 +30,7 @@ from repro.engine.executor import (
     Executor,
     SubplanCache,
     clear_expr_memo,
+    subplan_cache_key,
 )
 from repro.plan import logical
 
@@ -430,6 +432,74 @@ class TestCrossEngineCache:
         assert col_result.rows == row_result.rows
         assert col_context.stats.cache_hits > 0
         assert col_context.stats.cache_misses == 0
+
+    def test_hit_serves_the_cached_batch_itself(self, diff_db):
+        cache = SubplanCache()
+        _, first = self._run(diff_db, ColumnarExecutor, cache)
+        plan = diff_db.plan_select(self.SQL)
+        executor = ColumnarExecutor(diff_db.catalog, ExecContext(cache=cache))
+        batch = executor._execute_batch(plan)
+        assert batch is cache.get(subplan_cache_key(plan, 1.0, 0))
+        assert batch.to_rows() is first.rows
+
+    def test_miss_caches_interior_batches_without_row_view(self, diff_db):
+        """Only the plan root builds rows; the interior batches a miss
+        caches stay column-major until a reader asks for rows."""
+        cache = SubplanCache()
+        plan = diff_db.plan_select(
+            "SELECT COUNT(*), SUM(id) FROM t WHERE id > 10 AND id < 250"
+        )
+        ColumnarExecutor(diff_db.catalog, ExecContext(cache=cache)).run(plan)
+        entries = [
+            (node is plan, cache.get(key))
+            for node in plan.walk()
+            if (key := subplan_cache_key(node, 1.0, 0)) is not None
+        ]
+        assert any(not is_root for is_root, _ in entries)
+        for is_root, entry in entries:
+            assert isinstance(entry, ColumnBatch)
+            assert is_root or entry._rows is None
+        assert cache.retained_rows() == sum(len(entry) for _, entry in entries)
+
+    @staticmethod
+    def assert_served_identically(db, cache, sql):
+        """An installed entry answers ``sql`` at its root in both engines,
+        byte-identically to an uncached oracle run."""
+        plan = db.plan_select(sql)
+        assert isinstance(cache.get(subplan_cache_key(plan, 1.0, 0)), ColumnBatch)
+        oracle = Executor(db.catalog, ExecContext()).run(plan).rows
+        for engine in (Executor, ColumnarExecutor):
+            context = ExecContext(cache=cache)
+            rows = engine(db.catalog, context).run(plan).rows
+            assert (context.stats.cache_hits, context.stats.cache_misses) == (1, 0)
+            assert repr(rows) == repr(oracle)
+
+    def test_process_dispatch_installs_serve_both_engines(self):
+        from test_dispatch import SHARED_JOIN, overlapping_probes, process_system
+
+        with process_system() as system:
+            system.submit_many(overlapping_probes(4))
+            assert system.scheduler._dispatcher.units_dispatched > 0
+            for sql in (
+                SHARED_JOIN,
+                "SELECT COUNT(*) FROM sales WHERE store_id = 1",
+                "SELECT COUNT(*) FROM sales WHERE store_id = 2",
+            ):
+                self.assert_served_identically(
+                    system.db, system.optimizer.cache, sql
+                )
+
+    def test_maintenance_rewarm_serves_both_engines(self):
+        from test_maintenance import JOIN, make_system
+
+        system = make_system(True, workers=1)
+        for _ in range(3):
+            system.submit(Probe(queries=(JOIN,), brief=Brief(goal="exact")))
+        system.maintenance.run_pending()
+        cache = system.optimizer.cache
+        cache.invalidate()
+        assert system.maintenance.run_pending().cache_entries_rewarmed > 0
+        self.assert_served_identically(system.db, cache, JOIN)
 
 
 class TestKernelMemo:

@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.db import Database
 from repro.errors import AccessDenied, MemoryStoreError
 from repro.memstore import AgenticMemoryStore, Artifact, ArtifactKind, StalenessPolicy
+from repro.memstore.vector_index import VectorIndex
+from repro.semantic.embedding import HashedEmbedder
 
 
 def note(table="sales", column=None, text="states use two-letter codes", **kwargs):
@@ -202,3 +207,84 @@ class TestAccessControl:
             ArtifactKind.COLUMN_ENCODING, ("sales",), principal="alice"
         )
         assert [a.text for a in found] == ["alice fact"]
+
+
+# -- the vector index against a brute-force reference -----------------------
+
+#: Few distinct texts (and an empty one, a zero vector) so queries tie.
+INDEX_TEXTS = ["coffee sales", "coffee", "flight crew roster", "sales", ""]
+
+
+class ReferenceIndex:
+    """Rebuilds the matrix from scratch on every query: insertion order,
+    removals dropping every row of an id, stable argsort on -scores."""
+
+    def __init__(self, embedder: HashedEmbedder) -> None:
+        self.embedder = embedder
+        self.items: list[tuple[int, np.ndarray]] = []
+
+    def add(self, item_id: int, text: str) -> None:
+        self.items.append((item_id, self.embedder.embed(text)))
+
+    def remove(self, item_id: int) -> None:
+        self.items = [item for item in self.items if item[0] != item_id]
+
+    def query(self, text: str, k: int) -> list[tuple[int, float]]:
+        if not self.items:
+            return []
+        scores = np.vstack([v for _, v in self.items]) @ self.embedder.embed(text)
+        order = np.argsort(-scores, kind="stable")[:k]
+        return [(self.items[int(i)][0], float(scores[int(i)])) for i in order]
+
+
+def apply(index, op: tuple) -> None:
+    kind, item_id, text = op
+    if kind == "add":
+        index.add(item_id, text)
+    elif kind == "remove":
+        index.remove(item_id)
+    else:  # refresh: what AgenticMemoryStore.refresh does to the index
+        index.remove(item_id)
+        index.add(item_id, text)
+
+
+INDEX_OPS = st.tuples(
+    st.sampled_from(["add", "add", "remove", "refresh"]),
+    st.integers(min_value=0, max_value=12),
+    st.sampled_from(INDEX_TEXTS),
+)
+
+
+class TestVectorIndex:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        ops=st.lists(INDEX_OPS, max_size=120),
+        queries=st.lists(
+            st.tuples(st.sampled_from(INDEX_TEXTS), st.integers(1, 20)),
+            min_size=1,
+            max_size=4,
+        ),
+    )
+    def test_queries_match_brute_force_reference(self, ops, queries):
+        embedder = HashedEmbedder()
+        index, reference = VectorIndex(embedder), ReferenceIndex(embedder)
+        for step, op in enumerate(ops):
+            apply(index, op)
+            apply(reference, op)
+            if step % 7 == 0:
+                text, k = queries[step % len(queries)]
+                assert index.query(text, k) == reference.query(text, k)
+        assert len(index) == len(reference.items)
+        for text, k in queries:
+            assert index.query(text, k) == reference.query(text, k)
+
+    def test_growth_past_initial_capacity_keeps_order(self):
+        embedder = HashedEmbedder()
+        index, reference = VectorIndex(embedder), ReferenceIndex(embedder)
+        for i in range(300):
+            op = ("remove", i // 3, "") if i % 5 == 4 else ("add", i, f"note {i % 17}")
+            apply(index, op)
+            apply(reference, op)
+        assert len(index) == len(reference.items) > 64
+        for text in ("note 3", "note", ""):
+            assert index.query(text, k=40) == reference.query(text, k=40)

@@ -739,6 +739,34 @@ class TestMetricsSurface:
         finally:
             sharded.close()
 
+    def test_growth_gauges_are_shard_labelled(self):
+        """Derived state that grows with throughput is visible per shard:
+        memory-store artifacts and rows retained by the subplan cache."""
+        sharded = ShardedSystem(build_tenant_db(), shards=2, partition=PARTITION)
+        try:
+            for shard_probe in (
+                "SELECT COUNT(*) FROM sales",
+                "SELECT tenant, SUM(qty) FROM sales WHERE qty > 3 GROUP BY tenant",
+            ):
+                sharded.submit(
+                    Probe(queries=(shard_probe,), brief=Brief(goal="sales totals"))
+                )
+            snap = sharded.metrics()
+            artifacts = rows = 0
+            for handle in sharded.shards:
+                shard, system = str(handle.shard_id), handle.system
+                assert snap.get("repro_memstore_artifacts", shard=shard) == len(
+                    system.memory
+                )
+                assert snap.get(
+                    "repro_engine_subplan_cache_rows", shard=shard
+                ) == system.optimizer.cache.retained_rows()
+                artifacts += len(system.memory)
+                rows += system.optimizer.cache.retained_rows()
+            assert artifacts > 0 and rows > 0
+        finally:
+            sharded.close()
+
 
 # -- merge_brief and the gateway's trace plumbing ------------------------------
 

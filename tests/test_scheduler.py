@@ -14,6 +14,7 @@ counters while many batches (and threads) hammer it.
 
 from __future__ import annotations
 
+import sys
 import threading
 
 import pytest
@@ -21,6 +22,7 @@ import pytest
 from repro.agents.parallel import run_parallel_attempts
 from repro.core import AgentFirstDataSystem, Brief, Probe, SystemConfig
 from repro.db import Database
+from repro.engine.batch import ColumnBatch
 from repro.engine.executor import SubplanCache
 
 
@@ -719,16 +721,25 @@ class TestInterleavedCacheStress:
             for i in range(attempts_per_thread):
                 key = (f"fp-{(thread_index + i) % 100}", 1.0)
                 if cache.get(key) is None:
-                    cache.put(key, [(thread_index, i)])
+                    cache.put(key, ColumnBatch.from_rows([(thread_index, i)], 2))
 
         threads = [
             threading.Thread(target=hammer, args=(t,)) for t in range(n_threads)
         ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
         hits, misses, evictions = cache.counters()
         assert hits + misses == n_threads * attempts_per_thread
         assert len(cache) <= 64
         assert evictions > 0
+        # Every entry holds one row: a lost update to the retained-row
+        # count would show as a mismatch with the occupancy.
+        assert cache.retained_rows() == len(cache)

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -13,6 +16,33 @@ from repro.semantic import (
     SemanticSearch,
     cosine_similarity,
 )
+from repro.semantic import embedding as embedding_module
+from repro.util.hashing import stable_hash_int
+
+
+def reference_embedding(embedder: HashedEmbedder, text: str) -> np.ndarray:
+    """The embedding formula spelled out: two SHA-1 digests per feature,
+    each contribution added into a float64 vector in feature order."""
+    vector = np.zeros(embedder.dims, dtype=np.float64)
+    for feature, weight in embedder._features(text):
+        bucket = stable_hash_int(("emb", feature), bits=32)
+        sign = 1.0 if stable_hash_int(("sign", feature), bits=1) else -1.0
+        vector[bucket % embedder.dims] += sign * weight
+    norm = float(np.linalg.norm(vector))
+    if norm > 0:
+        vector /= norm
+    return vector
+
+
+EMBEDDING_TEXTS = [
+    "",
+    "   ",
+    "coffee sales",
+    "Ünïcödé café naïve straße 東京 ß",
+    "find the weekly total: SELECT region, SUM(amount) FROM sales s JOIN stores t"
+    " ON s.store_id = t.id WHERE s.day BETWEEN 3 AND 17 AND t.label = 'x-4711'"
+    " GROUP BY region ORDER BY region -> 12 rows " * 8,
+]
 
 
 class TestEmbedder:
@@ -46,6 +76,82 @@ class TestEmbedder:
     def test_cosine_zero_for_zero_vector(self):
         embedder = HashedEmbedder()
         assert cosine_similarity(embedder.embed(""), embedder.embed("x")) == 0.0
+
+    @pytest.mark.parametrize("dims", [128, 7])
+    def test_vectors_match_the_reference_formula_bytewise(self, dims):
+        embedder = HashedEmbedder(dims=dims)
+        for _ in range(2):  # cold slots, then memoized slots and texts
+            for text in EMBEDDING_TEXTS:
+                expected = reference_embedding(embedder, text).tobytes()
+                assert embedder.embed(text).tobytes() == expected
+        # Texts that share features with memoized ones but are new.
+        for text in EMBEDDING_TEXTS:
+            fresh = text + " coffee"
+            assert (
+                embedder.embed(fresh).tobytes()
+                == reference_embedding(embedder, fresh).tobytes()
+            )
+
+    def test_text_first_seen_after_cache_is_full_is_memoized(self):
+        embedder = HashedEmbedder()
+        filler = np.zeros(embedder.dims)
+        embedder._cache.update(
+            (f"seen-{i}", filler) for i in range(embedding_module.MAX_CACHED_TEXTS)
+        )
+        first = embedder.embed("a question asked twice")
+        assert embedder.embed("a question asked twice") is first
+        assert len(embedder._cache) == embedding_module.MAX_CACHED_TEXTS
+
+    def test_text_cache_is_lru(self, monkeypatch):
+        monkeypatch.setattr(embedding_module, "MAX_CACHED_TEXTS", 3)
+        embedder = HashedEmbedder()
+        kept = embedder.embed("a")
+        embedder.embed("b")
+        embedder.embed("c")
+        assert embedder.embed("a") is kept  # a hit refreshes a: b is oldest
+        embedder.embed("d")
+        assert list(embedder._cache) == ["c", "a", "d"]
+
+    def test_concurrent_embeds_under_eviction_match_reference(self, monkeypatch):
+        monkeypatch.setattr(embedding_module, "MAX_CACHED_TEXTS", 3)
+        monkeypatch.setattr(embedding_module, "MAX_CACHED_SLOTS", 16)
+        embedder = HashedEmbedder()
+        texts = [f"{text} {i}" for i in range(4) for text in EMBEDDING_TEXTS[:4]]
+        expected = {
+            text: reference_embedding(embedder, text).tobytes() for text in texts
+        }
+        failures: list[str] = []
+
+        def hammer(offset: int) -> None:
+            try:
+                for round_no in range(40):
+                    text = texts[(offset + round_no) % len(texts)]
+                    if embedder.embed(text).tobytes() != expected[text]:
+                        failures.append(text)
+            except Exception as exc:  # a torn LRU raises KeyError here
+                failures.append(repr(exc))
+
+        threads = [threading.Thread(target=hammer, args=(t,)) for t in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []
+        assert len(embedder._cache) <= 3 and len(embedder._slots) <= 16
+
+    def test_slot_table_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(embedding_module, "MAX_CACHED_SLOTS", 8)
+        embedder = HashedEmbedder()
+        for text in EMBEDDING_TEXTS:
+            expected = reference_embedding(embedder, text).tobytes()
+            assert embedder.embed(text).tobytes() == expected
+            assert len(embedder._slots) <= 8
 
 
 class TestInvertedIndex:
