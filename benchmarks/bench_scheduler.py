@@ -1,6 +1,6 @@
 """Scheduler bench — batched ``submit_many`` vs serial per-agent serving.
 
-Five sections, all recorded to machine-readable JSON
+Four sections, all recorded to machine-readable JSON
 (``BENCH_scheduler.json``, override via ``BENCH_SCHEDULER_JSON``) so the
 perf trajectory accumulates across PRs:
 
@@ -17,19 +17,11 @@ perf trajectory accumulates across PRs:
    threads in parallel* (>=4 CPUs and no GIL); on GIL-bound or small
    hosts the table is still recorded and only a no-pathology floor is
    asserted, since CPython serialises pure-Python engine work.
-3. **Dispatch backend** — the same batched workload at ``workers=4`` on
-   the thread substrate vs the process substrate (spawned workers with
-   versioned catalog snapshots; pools pre-started so steady-state serving
-   is timed, not cold spawns). This is the table the thread speedup
-   section cannot deliver on GIL hosts: on a multi-core machine where
-   ``parallel_capable`` is false, the process backend must beat threads
-   (speedup > 1x at 64 agents). Small or free-threaded hosts record the
-   honest ratio and assert only a no-pathology floor.
-4. **Fingerprint memoization** — a repeated-execution workload (every
+3. **Fingerprint memoization** — a repeated-execution workload (every
    subtree of every plan fingerprinted per round, mirroring the
    executor's cache keying) measured against the per-call baseline.
    Acceptance: >=3x fewer node canonicalisations, digests unchanged.
-5. **Plan cache, cold vs warm** — one 64-agent batch served over and over
+4. **Plan cache, cold vs warm** — one 64-agent batch served over and over
    by the same system: the first window compiles every distinct statement
    (and executes it), steady-state windows hit the compiled-statement
    cache (and history). The same steady state on a database injected with
@@ -45,7 +37,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 
-from repro.core import AgentFirstDataSystem, Brief, Probe, SystemConfig
+from repro.core import AgentFirstDataSystem, Brief, Probe
 from repro.db import Database
 from repro.plan.compiled import StatementCache
 from repro.plan.fingerprint import (
@@ -197,29 +189,16 @@ def effective_parallelism() -> bool:
     return (os.cpu_count() or 1) >= PARALLEL_WORKERS and not gil_enabled
 
 
-def process_backend_capable() -> bool:
-    """The process backend's winning condition: enough cores to overlap
-    engine work, and GIL-bound threads that cannot (so there is slack for
-    spawned workers to reclaim)."""
-    gil_enabled = getattr(sys, "_is_gil_enabled", lambda: True)()
-    return (os.cpu_count() or 1) >= PARALLEL_WORKERS and gil_enabled
-
-
 @dataclass
 class SchedulerBenchResult:
     #: (agents, serial_rows, batched_rows, saved, serial_ms, batched_ms).
     sharing_rows: list[tuple] = field(default_factory=list)
     #: (agents, groups, workers_1_ms, workers_n_ms, speedup).
     speedup_rows: list[tuple] = field(default_factory=list)
-    #: (agents, units, thread_ms, process_ms, speedup) per agent count.
-    backend_rows: list[tuple] = field(default_factory=list)
     #: Row-work saving fraction at N=16 (the sharing acceptance metric).
     saving_at_16: float = 0.0
     #: workers=1 / workers=N wall-clock ratio at 64 agents.
     speedup_at_64: float = 0.0
-    #: thread-backend / process-backend wall-clock ratio at 64 agents.
-    process_speedup_at_64: float = 0.0
-    process_capable: bool = False
     #: Canonicalisation-work reduction factor and digest equality.
     fingerprint_reduction: float = 0.0
     fingerprint_digests_match: bool = False
@@ -279,29 +258,6 @@ class SchedulerBenchResult:
                 title=(
                     "parallel work-group dispatch"
                     f" (parallel-capable host: {self.parallel_capable})"
-                ),
-            ),
-            format_table(
-                [
-                    "agents",
-                    "units",
-                    "thread ms",
-                    "process ms",
-                    "speedup",
-                ],
-                [
-                    (
-                        agents,
-                        units,
-                        f"{thread_ms:.1f}",
-                        f"{process_ms:.1f}",
-                        f"{speedup:.2f}x",
-                    )
-                    for agents, units, thread_ms, process_ms, speedup in self.backend_rows
-                ],
-                title=(
-                    f"dispatch backend at workers={PARALLEL_WORKERS}"
-                    f" (process-capable host: {self.process_capable})"
                 ),
             ),
             format_table(
@@ -376,7 +332,6 @@ class SchedulerBenchResult:
                 "gil_enabled": getattr(sys, "_is_gil_enabled", lambda: True)(),
                 "python": sys.version.split()[0],
                 "parallel_capable": self.parallel_capable,
-                "process_backend_capable": self.process_capable,
             },
             "sharing": [
                 {
@@ -399,17 +354,6 @@ class SchedulerBenchResult:
                     "speedup": round(speedup, 3),
                 }
                 for agents, groups, serial_ms, parallel_ms, speedup in self.speedup_rows
-            ],
-            "backend": [
-                {
-                    "agents": agents,
-                    "workers": PARALLEL_WORKERS,
-                    "units_dispatched": units,
-                    "thread_ms": round(thread_ms, 2),
-                    "process_ms": round(process_ms, 2),
-                    "speedup": round(speedup, 3),
-                }
-                for agents, units, thread_ms, process_ms, speedup in self.backend_rows
             ],
             "fingerprint": {
                 "uncached_node_visits": self.fingerprint_uncached_visits,
@@ -513,48 +457,6 @@ def run_speedup_bench(result: SchedulerBenchResult) -> None:
         )
 
 
-def run_backend_bench(result: SchedulerBenchResult) -> None:
-    """Thread vs process substrate for the same speculative workload.
-
-    Pools are pre-started (spawn + snapshot ship happen before the timer)
-    so the table records steady-state serving: a long-lived system pays
-    cold start once, then reuses the pool across every batch until a
-    write bumps the catalog version. Fresh system per measurement keeps
-    caches/history identically cold.
-
-    ``units`` is the *worker-side* dispatch count: the scheduler falls
-    back to threads silently when the pool breaks, and a fallback run
-    must not be recorded as a process timing — the acceptance test
-    asserts ``units > 0`` so a broken pool fails loudly instead of
-    corrupting the perf-trajectory artifact.
-    """
-    for n_agents in SPEEDUP_AGENT_COUNTS:
-        probes = parallel_probes(n_agents)
-        timings: dict[str, float] = {}
-        units = 0
-        for backend in ("thread", "process"):
-            system = AgentFirstDataSystem(
-                build_db(),
-                config=SystemConfig(dispatch_backend=backend),
-                workers=PARALLEL_WORKERS,
-            )
-            system.prestart()
-            started = time.perf_counter()
-            system.submit_many(probes)
-            timings[backend] = (time.perf_counter() - started) * 1000.0
-            if backend == "process":
-                units = system.scheduler._dispatcher.units_dispatched
-            system.close()
-        speedup = (
-            timings["thread"] / timings["process"] if timings["process"] else 0.0
-        )
-        if n_agents == 64:
-            result.process_speedup_at_64 = speedup
-        result.backend_rows.append(
-            (n_agents, units, timings["thread"], timings["process"], speedup)
-        )
-
-
 def run_fingerprint_bench(result: SchedulerBenchResult, rounds: int = 4) -> None:
     """Repeated-execution canonicalisation work: per-call vs memoized.
 
@@ -641,10 +543,8 @@ def run_plan_cache_bench(result: SchedulerBenchResult, windows: int = 9) -> None
 def run_scheduler_bench() -> SchedulerBenchResult:
     result = SchedulerBenchResult()
     result.parallel_capable = effective_parallelism()
-    result.process_capable = process_backend_capable()
     run_sharing_bench(result)
     run_speedup_bench(result)
-    run_backend_bench(result)
     run_fingerprint_bench(result)
     run_engine_bench(result)
     run_plan_cache_bench(result)
@@ -691,20 +591,6 @@ def test_scheduler_batching(benchmark):
         # not pathologically regress either. The JSON records the honest
         # ratio for hosts that can check the 1.5x bar.
         assert result.speedup_at_64 >= 0.4
-    # Worker-side units prove the process measurement really ran on the
-    # pool (the scheduler's thread fallback would otherwise record a
-    # thread-vs-thread row mislabeled as "process").
-    assert all(units > 0 for _, units, _, _, _ in result.backend_rows)
-    if result.process_capable:
-        # The tentpole bar: on a multi-core host where the GIL made
-        # parallel_capable false, the process backend must actually beat
-        # the thread backend at 64 agents.
-        assert result.process_speedup_at_64 > 1.0
-    else:
-        # Single/few-core or free-threaded host: the process pool has no
-        # slack to reclaim and pays pickling overhead; record the honest
-        # ratio, assert only that it is not pathological.
-        assert result.process_speedup_at_64 >= 0.1
 
 
 if __name__ == "__main__":

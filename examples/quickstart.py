@@ -183,26 +183,7 @@ def main() -> None:
     print("\n== asyncio surface ==")
     asyncio.run(async_swarm())
 
-    # 7. Choosing a dispatch backend for the scheduler's speculative
-    #    phase. "thread" (the default) shares this process's catalog and
-    #    cache, but the GIL serialises pure-Python engine work; "process"
-    #    runs each batch's independent engine runs in spawned workers fed
-    #    versioned catalog snapshots — real cores, re-shipped only when a
-    #    write bumps the catalog version. "auto" picks process exactly
-    #    when threads can't parallelise on a multi-core host. Env
-    #    override: REPRO_SCHEDULER_BACKEND; `system.prestart()` warms
-    #    the worker pool ahead of the first batch (`system.close()` is
-    #    its lifecycle pair).
-    tuned = AgentFirstDataSystem(
-        Database("backend-demo"),
-        config=SystemConfig(dispatch_backend="auto"),
-        workers=2,
-    )
-    print("\n== dispatch backend ==")
-    print("auto resolved to:", tuned.prestart(), "on this host")
-    tuned.close()
-
-    # 8. The execution engine. Every plan runs on the vectorized columnar
+    # 7. The execution engine. Every plan runs on the vectorized columnar
     #    engine: batch-at-a-time kernels over per-column arrays, with a
     #    per-node fallback to row-at-a-time execution for anything not yet
     #    vectorized (subquery predicates, index scans, sampled
@@ -222,7 +203,7 @@ def main() -> None:
         .first_value(),
     )
 
-    # 9. The sleeper-agent maintenance runtime: idle windows between
+    # 8. The sleeper-agent maintenance runtime: idle windows between
     #    turns are spent acting on the advisors — hot recurring subplans
     #    become materialized views, repeated equality/range predicates
     #    become auto-built (planner-invisible) indexes, statistics are
@@ -266,12 +247,12 @@ def main() -> None:
         print(f"advice [{flag}]: seen {suggestion.count}x: {suggestion.description}")
     maintained.close()
 
-    # 10. What the system has learned along the way.
+    # 9. What the system has learned along the way.
     print("\n== agentic memory ==")
     for artifact in system.memory.artifacts_about("stores"):
         print(artifact.describe())
 
-    # 11. Durability and read replicas: pass a wal_dir (or set REPRO_WAL=1)
+    # 10. Durability and read replicas: pass a wal_dir (or set REPRO_WAL=1)
     #     and every catalog write appends to an on-disk write-ahead log
     #     *before* mutating state. After a crash, ``recover`` rebuilds the
     #     exact pre-crash state — rows, version counters, the turn counter,
@@ -323,7 +304,7 @@ def main() -> None:
     recovered_wal.close()
     shutil.rmtree(wal_dir, ignore_errors=True)
 
-    # 12. Overload control & agent QoS: enable_qos=True (or REPRO_QOS=1)
+    # 11. Overload control & agent QoS: enable_qos=True (or REPRO_QOS=1)
     #     adds priority lanes, per-principal token buckets, and
     #     degrade-don't-drop load shedding to the streaming gateway. The
     #     layer is watermark-gated — an unloaded QoS-on system serves
@@ -390,7 +371,7 @@ def main() -> None:
     )
     loaded.gateway.close()
 
-    # 13. Scaling out: the sharded serving tier. Partition a fact table
+    # 12. Scaling out: the sharded serving tier. Partition a fact table
     # by tenant across 4 complete systems; sessions land on their
     # tenant's home shard, tenant-pinned probes prune to the owner
     # shard, and genuinely cross-tenant aggregates scatter-gather with
@@ -434,7 +415,7 @@ def main() -> None:
     )
     tier.close()
 
-    # 14. Watching the system think: the observability layer. Set
+    # 13. Watching the system think: the observability layer. Set
     # Brief(trace=True) (or REPRO_TRACE=1 globally) and the response
     # carries a span tree following the probe end-to-end — gateway
     # admission, QoS verdict, scheduler work group, every engine plan

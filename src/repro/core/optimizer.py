@@ -20,15 +20,9 @@ from many threads (engine-only, no shared-state writes beyond the
 internally-locked :class:`~repro.engine.executor.SubplanCache`), and
 ``run_decision`` itself may be called concurrently by independent serving
 threads — so the ``history`` / ``lenient_history`` dictionaries are
-guarded by a lock, and the advisor locks internally.
-
-Under the *process* dispatch backend the same engine work crosses a
-process boundary instead: :meth:`speculation_payload` derives the
-picklable ``(plan, sample_rate, seed)`` unit whose worker-side execution
-(:func:`repro.core.dispatch._worker_run`) mirrors
-:meth:`speculative_execute` byte-for-byte against a catalog snapshot of
-the same version. Either way the serial replay feeds results back through
-:meth:`run_decision`, which owns all order-sensitive bookkeeping.
+guarded by a lock, and the advisor locks internally. The serial replay
+feeds speculative results back through :meth:`run_decision`, which owns
+all order-sensitive bookkeeping.
 """
 
 from __future__ import annotations
@@ -71,11 +65,6 @@ class PrecomputedExecution:
 
     result: QueryResult | None = None
     error: str | None = None
-    #: Worker-side span subtree (process backend only, traced probes
-    #: only): the engine-node spans recorded in the worker process, shipped
-    #: back through the pickle seam for :func:`repro.obs.trace.reparent`
-    #: to graft under the coordinator-side decision span.
-    span: object | None = None
 
 
 @dataclass
@@ -168,26 +157,6 @@ class ProbeOptimizer:
         except Exception:
             return False
 
-    def speculation_payload(self, decision: ExecutionDecision, turn: int):
-        """The picklable form of one speculative engine run.
-
-        Exactly the knobs :meth:`speculative_execute` would use — same
-        plan, same sampling rate, seed-by-turn — with no optimizer,
-        history, or cache references, so the unit can cross a process
-        boundary. The import is local to keep this module free of the
-        dispatch layer at import time (dispatch imports us for
-        :class:`PrecomputedExecution`).
-        """
-        from repro.core.dispatch import SpeculationPayload
-
-        query = decision.query
-        assert query.plan is not None
-        return SpeculationPayload(
-            plan=self._plan_for_execution(query.plan, decision.sample_rate),
-            sample_rate=decision.sample_rate,
-            sample_seed=turn,
-        )
-
     def _plan_for_execution(self, plan, sample_rate: float):
         """The plan an engine run should actually execute.
 
@@ -265,17 +234,11 @@ class ProbeOptimizer:
             # ambient decision span via the trace contextvar.
             precomputed = self.speculative_execute(decision, turn)
         else:
+            # Speculated on a pool thread: the engine-node spans live under
+            # the unit span; the decision span gets a provenance marker.
             ambient = obs_trace.current_span()
             if ambient is not None:
-                worker_span = precomputed.span
-                if worker_span is not None:
-                    # Process-backend speculation: graft the worker's span
-                    # subtree here, once — later sharers of the same unit
-                    # get a provenance marker instead of a duplicate tree.
-                    obs_trace.reparent(ambient, worker_span)
-                    precomputed.span = None
-                else:
-                    ambient.child("engine:shared", source="speculation").finish()
+                ambient.child("engine:shared", source="speculation").finish()
         if precomputed.error is not None:
             return QueryOutcome(
                 sql=query.sql,

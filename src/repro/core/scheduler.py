@@ -54,31 +54,13 @@ already answered by session history, plus every sampled occurrence
 subplan cache is internally locked and only redistributes work, never
 changes rows — so concurrent execution cannot change any answer.
 
-**Where the units run: dispatch backends.** The speculative phase has two
-interchangeable execution substrates (``dispatch_backend`` on
-:class:`~repro.core.system.SystemConfig`, env
-``REPRO_SCHEDULER_BACKEND``; see :mod:`repro.core.dispatch`):
-
-* ``"thread"`` — a per-batch :class:`ThreadPoolExecutor` of ``workers``
-  threads sharing this process's catalog and subplan cache. Zero setup
-  cost; real overlap only on free-threaded builds (the GIL serialises
-  pure-Python engine work otherwise).
-* ``"process"`` — a persistent ``ProcessPoolExecutor`` of spawned
-  workers, each initialised once with a versioned catalog snapshot that
-  is reused across batches until a write bumps the catalog version.
-  Units cross as picklable ``SpeculationPayload``\\ s; only units whose
-  materialisation is not already in the in-process subplan cache are
-  shipped, and returned materialisations are installed into that cache,
-  so cross-batch reuse and the dedup of identical units are preserved.
-  The trade: *intra-batch* subtree sharing between distinct units happens
-  per worker (each worker has its own cache), so overlapping-but-not-
-  identical units may recompute shared subtrees, and worker-side cache
-  activity is invisible to the batch ``SharingReport`` (its hit/miss
-  deltas cover the in-process cache only). Rows and statuses are
-  unaffected. Any pool-level failure falls back to the thread path
-  mid-batch — correctness never depends on the pool's health.
-* ``"auto"`` — ``process`` exactly when threads cannot overlap engine
-  work (GIL enabled) on a multi-core host, else ``thread``.
+**Where the units run.** The speculative phase runs on a per-batch
+:class:`ThreadPoolExecutor` of ``workers`` threads (named
+``probe-sched-*``) that share this process's catalog and subplan cache.
+Setup costs microseconds; real overlap of pure-Python engine work needs
+a free-threaded build (the GIL serialises it otherwise). Threads that
+race on the same subtree may both compute it; answers are identical,
+only the work accounting grows.
 
 **Where serial order is re-imposed.** After the speculative phase, the
 original serial dispatch loop runs unchanged — round-robin with
@@ -105,16 +87,11 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
-from dataclasses import replace
-
-from repro.core.dispatch import ProcessDispatcher, resolve_backend
 from repro.core.interpreter import InterpretedProbe, ProbeInterpreter
 from repro.core.mqo import SharingReport, subplan_census
 from repro.core.optimizer import PrecomputedExecution, ProbeOptimizer
 from repro.core.probe import Probe, QueryOutcome
 from repro.core.satisfice import ExecutionDecision
-from repro.engine.batch import ColumnBatch
-from repro.engine.executor import subplan_cache_key
 from repro.engine.result import QueryResult
 from repro.obs import trace as obs_trace
 from repro.obs.metrics import MetricAttr, MetricsRegistry
@@ -208,10 +185,7 @@ class ProbeScheduler:
     ``workers`` controls the speculative execution pool: ``None`` resolves
     to the ``REPRO_SCHEDULER_WORKERS`` environment override, else
     ``min(8, os.cpu_count())``; ``1`` disables speculation and preserves
-    the serial dispatch loop exactly. ``backend`` picks the speculative
-    phase's substrate (``"thread" | "process" | "auto"``; ``None``
-    resolves to the ``REPRO_SCHEDULER_BACKEND`` environment override,
-    else threads).
+    the serial dispatch loop exactly.
     """
 
     #: Batches served, queries dispatched, and engine runs performed by
@@ -227,20 +201,11 @@ class ProbeScheduler:
         interpreter: ProbeInterpreter,
         optimizer: ProbeOptimizer,
         workers: int | None = None,
-        backend: str | None = None,
         registry: MetricsRegistry | None = None,
     ) -> None:
         self.interpreter = interpreter
         self.optimizer = optimizer
         self.workers = resolve_workers(workers)
-        self.backend = resolve_backend(backend)
-        #: Lazily-pooled worker processes; only the process backend (at
-        #: workers > 1, with real work to overlap) ever spawns one.
-        self._dispatcher: ProcessDispatcher | None = (
-            ProcessDispatcher(self.workers)
-            if self.backend == "process" and self.workers > 1
-            else None
-        )
         self.metrics_registry = registry if registry is not None else MetricsRegistry()
         self._m_batches_served = self.metrics_registry.counter(
             "repro_scheduler_batches_served_total", "Admission batches served"
@@ -256,39 +221,6 @@ class ProbeScheduler:
         self.batches_served = 0
         self.queries_dispatched = 0
         self.speculative_executions = 0
-
-    # -- backend lifecycle -------------------------------------------------------
-
-    def prestart(self) -> str:
-        """Warm the dispatch backend; returns the resolved backend name.
-
-        For the process backend this spawns every worker and ships the
-        catalog snapshot now, moving pool cold-start out of the first
-        batch's serving latency. A no-op for threads (per-batch pools
-        cost microseconds).
-        """
-        if self._dispatcher is not None:
-            self._dispatcher.prestart(
-                self.optimizer.db.catalog, self.optimizer.cache is not None
-            )
-        return self.backend
-
-    def invalidate_backend(self) -> None:
-        """Retire pooled workers eagerly (e.g. after a write).
-
-        Purely an economy measure: correctness never needs it — the
-        dispatcher re-checks the catalog version on every use — but
-        retiring on write frees worker processes holding now-stale
-        snapshots instead of leaving them idle until the next batch.
-        """
-        if self._dispatcher is not None:
-            self._dispatcher.retire()
-
-    def close(self) -> None:
-        """Release backend resources (worker processes). Idempotent; the
-        scheduler remains usable — the next batch rebuilds what it needs."""
-        if self._dispatcher is not None:
-            self._dispatcher.retire()
 
     # -- batch entry point -------------------------------------------------------
 
@@ -341,7 +273,6 @@ class ProbeScheduler:
                 turn=state.turn,
                 batch_size=len(probes),
                 workers=self.workers,
-                backend=self.backend,
             )
             degradation = degradations[state.index] if degradations else None
             if degradation is not None:
@@ -418,17 +349,10 @@ class ProbeScheduler:
     # -- speculative parallel execution ------------------------------------------
 
     def _speculate(self, run: _BatchRun) -> None:
-        """Run the batch's independent engine work on the dispatch backend.
-
-        Unit selection is backend-independent; execution happens on the
-        process pool when configured (falling back to threads on any
-        pool-level failure — a sick pool may cost time, never answers).
-        """
+        """Run the batch's independent engine work on the worker pool."""
         units = self._select_units(run)
         if len(units) < 2:
             return  # nothing to overlap; let the serial loop execute inline
-        if self._dispatcher is not None and self._speculate_process(run, units):
-            return
         self._speculate_threads(run, units)
 
     def _select_units(self, run: _BatchRun) -> list[tuple[int, int]]:
@@ -464,7 +388,7 @@ class ProbeScheduler:
         return units
 
     def _speculate_threads(self, run: _BatchRun, units: list[tuple[int, int]]) -> None:
-        """Thread substrate: shared catalog and cache, per-batch pool.
+        """Shared catalog and cache, per-batch pool.
 
         A pool per batch: threads never outlive the work they served
         (schedulers are as numerous as systems; leaked idle workers
@@ -493,7 +417,7 @@ class ProbeScheduler:
             for index, position in units:
                 parent = run.spans.get(index)
                 span = (
-                    parent.child("speculate:unit", backend="thread", position=position)
+                    parent.child("speculate:unit", position=position)
                     if parent is not None
                     else None
                 )
@@ -511,63 +435,6 @@ class ProbeScheduler:
             for key, future in futures:
                 run.precomputed[key] = future.result()
         self.speculative_executions += len(units)
-
-    def _speculate_process(self, run: _BatchRun, units: list[tuple[int, int]]) -> bool:
-        """Process substrate: versioned snapshots, GIL-free engine runs.
-
-        Returns False on any pool-level failure, in which case the caller
-        falls back to the thread path for this batch (the pool is retired
-        so the next batch re-ships a fresh snapshot). Shared-cache
-        interplay: units whose whole-unit materialisation is already in
-        the in-process cache are not shipped — the serial replay executes
-        them inline and takes the cache hit — and returned
-        materialisations are installed into that cache, so later batches
-        (and termination-shifted inline executions) keep sharing work.
-        Distinct units that merely *overlap* execute on workers with
-        independent caches and may recompute shared subtrees (answers
-        identical; work accounting higher than the thread backend's).
-        """
-        optimizer = self.optimizer
-        cache = optimizer.cache
-        to_ship: list[tuple[tuple[int, int], object, tuple | None]] = []
-        for index, position in units:
-            decision = run.states[index].decisions[position]
-            payload = optimizer.speculation_payload(decision, run.states[index].turn)
-            if (index in run.spans) and not payload.trace:
-                # Traced probe: have the worker record its engine-node
-                # spans and ship them back for re-parenting during replay.
-                payload = replace(payload, trace=True)
-            key = subplan_cache_key(
-                payload.plan, payload.sample_rate, payload.sample_seed
-            )
-            if cache is not None and cache.contains(key):
-                continue  # replay answers it inline from the cache
-            to_ship.append(((index, position), payload, key))
-        if not to_ship:
-            return True
-        try:
-            results = self._dispatcher.run(
-                optimizer.db.catalog,
-                [payload for _, payload, _ in to_ship],
-                use_cache=cache is not None,
-            )
-        except Exception:
-            # Broken pool, unpicklable payload, wedged worker: retire the
-            # pool and let the thread path serve this batch. Engine runs
-            # are pure, so the fallback cannot change any answer.
-            self._dispatcher.retire()
-            return False
-        for ((key_pos, _payload, cache_key), outcome) in zip(to_ship, results):
-            run.precomputed[key_pos] = outcome
-            if cache is not None and cache_key is not None and outcome.result is not None:
-                cache.put(
-                    cache_key,
-                    ColumnBatch.from_rows(
-                        outcome.result.rows, len(outcome.result.columns)
-                    ),
-                )
-        self.speculative_executions += len(to_ship)
-        return True
 
     # -- dispatch ----------------------------------------------------------------
 

@@ -27,11 +27,8 @@ degenerate window of one.
                       probe scheduler ──────────┐  admission, fairness,
                              │                  │  cross-agent dedup
                              ▼                  │
-            dispatch backend (speculative phase)│
-             thread pool  │  process pool       │
-             (shared GIL) │  (spawned workers,  │
-                          │   versioned catalog │
-                          │   snapshots)        │
+           speculative phase: per-batch thread  │
+             pool over the shared catalog/cache │
                              │                  │
                              ▼                  │
            columnar engine: ColumnBatch kernels │
@@ -97,9 +94,7 @@ degenerate window of one.
                 probe ─┬─> gateway:queued/window ──> qos:classify/shed
                        ├─> scheduler:batch ──> speculate:unit │
                        │      decision:qN ──> node:* (rows, cache,
-                       │      kernel vs fallback; process workers ship
-                       │      speculation:worker subtrees, re-parented
-                       │      onto the coordinator clock)
+                       │      kernel vs fallback)
                        └─> wal:commit │ replica:serve │ scatter:shardN
                 opt-in per probe (Brief.trace) or global (REPRO_TRACE=1);
                 attached as response.trace; export: trace.to_chrome()
@@ -179,13 +174,6 @@ class SystemConfig:
     #: ``None`` -> the ``REPRO_SCHEDULER_WORKERS`` env override, else
     #: ``min(8, os.cpu_count())``; ``1`` keeps dispatch fully serial.
     workers: int | None = None
-    #: Execution substrate for the speculative phase: ``"thread"`` (shared
-    #: catalog, GIL-bound on stock CPython), ``"process"`` (spawned
-    #: workers with versioned catalog snapshots — real cores for
-    #: pure-Python engine work), or ``"auto"`` (process exactly when
-    #: threads cannot parallelise on a multi-core host). ``None`` -> the
-    #: ``REPRO_SCHEDULER_BACKEND`` env override, else ``"thread"``.
-    dispatch_backend: str | None = None
     #: Streaming admission window knobs: the gateway closes a window when
     #: ``gateway_max_batch`` probes are pending or ``gateway_max_wait``
     #: seconds have elapsed since the oldest arrival. ``None`` -> the
@@ -268,7 +256,6 @@ class AgentFirstDataSystem:
             interpreter=self.interpreter,
             optimizer=self.optimizer,
             workers=scheduler_workers,
-            backend=self.config.dispatch_backend,
             registry=self.metrics_registry,
         )
         self.qos = (
@@ -775,10 +762,6 @@ class AgentFirstDataSystem:
             if wal is not None:
                 wal.log_invalidation()
             self.optimizer.invalidate()
-            # Worker-process snapshots are now stale too. The dispatcher
-            # would notice on next use (it re-checks the catalog version);
-            # retiring eagerly just frees the stale workers sooner.
-            self.scheduler.invalidate_backend()
             # Maintenance artifacts built against the old data retire
             # (views eagerly dropped; the table queues for a stats refresh).
             self.maintenance.observe_change(event)
@@ -807,25 +790,22 @@ class AgentFirstDataSystem:
         db = Database.recover(directory, name=name)
         return cls(db, memory=memory, config=config, workers=workers)
 
-    def prestart(self) -> str:
-        """Warm the serving path; returns the resolved dispatch backend.
+    def prestart(self) -> None:
+        """Lifecycle hook called before timed serving; currently a no-op.
 
-        For the process backend this spawns the worker pool and ships the
-        catalog snapshot now instead of inside the first batch's serving
-        latency; a no-op for threads. The lifecycle pair of
-        :meth:`close`.
+        Nothing on the serving path needs warming: the speculative
+        phase's thread pool is built per batch, and the gateway's
+        admission loop starts on first submission. Kept so callers can
+        pair it with :meth:`close` without knowing that.
         """
-        return self.scheduler.prestart()
 
     def close(self) -> None:
-        """Release serving resources: the gateway's admission loop, the
-        maintenance runtime's idle loop, and the scheduler's dispatch
-        backend (worker processes, if any). Idempotent;
+        """Release serving resources: the gateway's admission loop and the
+        maintenance runtime's idle loop. Idempotent;
         ``submit``/``submit_many`` keep working after close — only streamed
         submission (``session.submit``) requires a live gateway."""
         self.gateway.close()
         self.maintenance.stop()
-        self.scheduler.close()
 
     def __enter__(self) -> "AgentFirstDataSystem":
         return self

@@ -47,6 +47,7 @@ from repro.sql import nodes
 from repro.storage.catalog import Catalog
 from repro.storage.schema import Column, TableSchema
 from repro.storage.types import DataType, Value
+from repro.util.env import env_flag
 
 
 @dataclass(frozen=True)
@@ -93,7 +94,7 @@ class Database:
             # REPRO_WAL=1 turns durability on globally: every facade gets
             # a throwaway log directory (reclaimed at GC / interpreter
             # exit). Pass ``wal_dir=False`` to opt a facade out.
-            if os.environ.get("REPRO_WAL", "") not in ("", "0"):
+            if env_flag("REPRO_WAL"):
                 wal_dir = tempfile.mkdtemp(prefix=f"repro-wal-{name}-")
                 self._wal_tmp = wal_dir
         if wal_dir:

@@ -30,7 +30,7 @@ class ColumnBatch:
 
     Two caches ride along and are stripped from the pickle state — the
     same contract as ``PlanNode.__getstate__`` dropping its fingerprint
-    memo, keeping process-pool payloads lean:
+    memo, keeping pickles lean:
 
     * ``_rows`` — the row-major view, built once by ``to_rows`` when a
       reader needs rows (the plan root, a subquery runner, the row
@@ -68,8 +68,8 @@ class ColumnBatch:
         """The batch holding ``rows``, which become its row view.
 
         The single way rows turn into a batch — and so into a subplan
-        cache entry: the row engine, process-dispatch installs and the
-        maintenance re-warm all come through here, and row readers get
+        cache entry: the row engine and the maintenance re-warm both
+        come through here, and row readers get
         the same list back from ``to_rows``.
         """
         if not rows or not width:

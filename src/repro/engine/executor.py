@@ -44,7 +44,7 @@ from repro.util.rng import RngStream
 
 #: Subplans smaller than this are cheaper to recompute than to look up —
 #: the default for :attr:`ExecContext.min_cacheable_size`, shared with the
-#: scheduler's dispatch backends so both sides key the cache identically.
+#: maintenance runtime so both sides key the cache identically.
 DEFAULT_MIN_CACHEABLE_SIZE = 2
 
 
@@ -57,8 +57,8 @@ def subplan_cache_key(
     """The shared-work cache key for one subplan, or None when uncacheable.
 
     Single source of truth for cache keying: the executor uses it per
-    materialised node, and the process-pool dispatch backend uses it to
-    probe for (and install) whole-unit materialisations. The key includes
+    materialised node, and the maintenance runtime uses it to probe for
+    (and install) whole-view materialisations. The key includes
     the sampling rate — and, for sampled runs, the seed — so approximate
     and exact executions never alias.
     """
@@ -129,9 +129,9 @@ class SubplanCache:
     def contains(self, key: tuple | None) -> bool:
         """Presence probe that observes nothing: no counters, no recency.
 
-        The process-pool dispatch backend uses this to skip shipping units
-        whose materialisation is already cached in-process; the serial
-        replay's own ``get`` then records the hit exactly once.
+        The maintenance runtime uses this to skip re-warming views whose
+        materialisation is already cached; the serving path's own ``get``
+        then records the hit exactly once.
         """
         if key is None:
             return False

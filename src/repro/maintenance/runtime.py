@@ -9,9 +9,8 @@ already had (:class:`~repro.core.mqo.MaterializationAdvisor` suggestions,
 lazily-recomputed statistics, a subplan cache that forgets under
 pressure) into *acted-on* maintenance:
 
-* **view materializer** — executes the advisor's hot subplans once (on
-  the process dispatch substrate when a warm pool exists, else inline
-  through the shared subplan cache), registers the result as a
+* **view materializer** — executes the advisor's hot subplans once
+  (inline, through the shared subplan cache), registers the result as a
   version-stamped :class:`~repro.maintenance.views.MaterializedView`, and
   rewrites incoming plans to scan the view
   (:func:`repro.plan.rules.rewrite_with_materialized_views`) when strict
@@ -48,7 +47,6 @@ byte-identical to a maintenance-off run.
 
 from __future__ import annotations
 
-import os
 import threading
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
@@ -60,6 +58,7 @@ from repro.maintenance.indexer import KIND_EQ, PredicateMiner
 from repro.maintenance.views import MaterializedView, ViewStore, source_tables
 from repro.obs.metrics import MetricAttr, MetricsRegistry
 from repro.plan import logical, rules
+from repro.util.env import env_flag
 
 if TYPE_CHECKING:
     from repro.core.system import AgentFirstDataSystem
@@ -70,14 +69,12 @@ if TYPE_CHECKING:
 #: lever for the maintenance-on differential leg of the tier-1 suite.
 MAINTENANCE_ENV_VAR = "REPRO_MAINTENANCE"
 
-_TRUTHY = ("1", "true", "yes", "on")
-
 
 def resolve_maintenance_enabled(enabled: bool | None) -> bool:
     """Normalise the maintenance switch (None -> env override, else off)."""
     if enabled is not None:
         return bool(enabled)
-    return os.environ.get(MAINTENANCE_ENV_VAR, "").strip().lower() in _TRUTHY
+    return env_flag(MAINTENANCE_ENV_VAR)
 
 
 @dataclass
@@ -600,28 +597,11 @@ class MaintenanceRuntime:
     def _execute_subplan(self, plan: logical.PlanNode) -> list | None:
         """One engine run of a hot subplan, off the serving path.
 
-        Prefers the scheduler's process dispatch substrate when a warm
-        worker pool is already up (the build then costs the serving
-        process nothing but a pickle); otherwise runs inline through the
-        session's shared subplan cache, which doubles as a pre-warm.
+        Runs inline through the session's shared subplan cache, which
+        doubles as a pre-warm.
         """
-        optimizer = self.system.optimizer
-        dispatcher = getattr(self.system.scheduler, "_dispatcher", None)
-        if dispatcher is not None and getattr(dispatcher, "_pool", None) is not None:
-            try:
-                from repro.core.dispatch import SpeculationPayload
-
-                payload = SpeculationPayload(plan=plan, sample_rate=1.0, sample_seed=0)
-                [outcome] = dispatcher.run(
-                    self.system.db.catalog, [payload], optimizer.cache is not None
-                )
-                if outcome.error is None and outcome.result is not None:
-                    return list(outcome.result.rows)
-                return None
-            except Exception:
-                pass  # pool trouble: build inline instead
         try:
-            context = ExecContext(cache=optimizer.cache)
+            context = ExecContext(cache=self.system.optimizer.cache)
             executor = ColumnarExecutor(self.system.db.catalog, context)
             return list(executor.run(plan).rows)
         except Exception:

@@ -8,11 +8,10 @@ can stand in for this subtree, byte-for-byte?"*
 
 Validity is strict by construction: a view is served only while
 ``Catalog.data_version_tuple()`` still equals the stamp taken around the
-build (the same machinery that retires the process-pool dispatch
-backend's worker snapshots). Any write — DML through the database,
-branch checkout via ``replace_table``, even a direct ``Table`` mutation —
-moves the tuple and silently retires every view, so a maintenance-on run
-can never serve rows a maintenance-off run would not compute.
+build. Any write — DML through the database, branch checkout via
+``replace_table``, even a direct ``Table`` mutation — moves the tuple and
+silently retires every view, so a maintenance-on run can never serve rows
+a maintenance-off run would not compute.
 """
 
 from __future__ import annotations

@@ -26,7 +26,6 @@ from repro.obs.trace import (
     current_span,
     ensure_probe_trace,
     probe_trace,
-    reparent,
     reset_current,
     resolve_trace_enabled,
     set_current,
@@ -54,7 +53,6 @@ __all__ = [
     "current_span",
     "ensure_probe_trace",
     "probe_trace",
-    "reparent",
     "reset_current",
     "resolve_trace_enabled",
     "set_current",

@@ -16,11 +16,8 @@ point, never per row; the bench-asserted contract is <2% overhead with
 tracing off on the scheduler corpus.
 
 Propagation uses a :mod:`contextvars` variable holding the *current
-span*: engine recursion, thread-pool speculation, and the
-process-dispatch pickle seam each re-anchor it explicitly (worker
-processes build a detached subtree that :func:`reparent` grafts back
-under the coordinator-side unit span, normalizing the two processes'
-unrelated monotonic clock bases).
+span*: engine recursion and thread-pool speculation each re-anchor it
+explicitly.
 
 Concurrency discipline: a ``Span``'s ``children`` list is only ever
 appended to by the thread that owns the span at that moment — unit
@@ -37,10 +34,10 @@ import time
 from contextlib import contextmanager
 from typing import Iterator
 
+from repro.util.env import env_flag
+
 TRACE_ENV_VAR = "REPRO_TRACE"
 SLOW_PROBE_ENV_VAR = "REPRO_SLOW_PROBE_MS"
-
-_TRUTHY = {"1", "true", "yes", "on"}
 
 #: Kill switch for benchmarking the instrumentation itself: when True,
 #: every obs entry point short-circuits before touching the contextvar,
@@ -50,17 +47,13 @@ DISABLED = False
 _now = time.perf_counter
 
 
-def _env_truthy(raw: str) -> bool:
-    return raw.strip().lower() in _TRUTHY
-
-
 def resolve_trace_enabled() -> bool:
     """Is global tracing requested by the environment right now?
 
     Read dynamically (not cached at import) so CI legs that export
     ``REPRO_TRACE=1`` and tests that monkeypatch the env both work.
     """
-    if _env_truthy(os.environ.get(TRACE_ENV_VAR, "")):
+    if env_flag(TRACE_ENV_VAR):
         return True
     # A slow-probe threshold implies tracing: the offending probe's
     # trace must already exist by the time it turns out to be slow.
@@ -86,8 +79,7 @@ class Span:
 
     Timings are monotonic-clock (``time.perf_counter``) floats in
     seconds; ``attrs`` is a flat dict of structured attributes;
-    ``children`` are sub-spans. Plain attributes throughout so spans
-    pickle across the process-dispatch seam unchanged.
+    ``children`` are sub-spans.
     """
 
     def __init__(self, name: str, start: float | None = None) -> None:
@@ -127,14 +119,6 @@ class Span:
     def find(self, prefix: str) -> list["Span"]:
         """Every span in this subtree whose name starts with ``prefix``."""
         return [span for span in self.walk() if span.name.startswith(prefix)]
-
-    def shift(self, delta: float) -> "Span":
-        """Translate this subtree's time base by ``delta`` seconds."""
-        for span in self.walk():
-            span.start += delta
-            if span.end is not None:
-                span.end += delta
-        return self
 
     def to_dict(self) -> dict:
         return {
@@ -296,22 +280,3 @@ def probe_trace(probe) -> Trace | None:
     if DISABLED:
         return None
     return getattr(probe, "_obs_trace", None)
-
-
-# -- process-seam re-parenting ------------------------------------------------
-
-
-def reparent(parent: Span, worker_root: Span) -> Span:
-    """Graft a worker process's detached span subtree under ``parent``.
-
-    Worker processes time spans on their *own* monotonic clock, whose
-    zero point is unrelated to the coordinator's. The only anchor both
-    sides share is the unit span the coordinator opened before
-    dispatching, so the worker subtree is translated to start where its
-    parent did — preserving every intra-worker duration and ordering
-    exactly, at the cost of collapsing the (unmeasurable) transport
-    latency into the parent span.
-    """
-    worker_root.shift(parent.start - worker_root.start)
-    parent.children.append(worker_root)
-    return worker_root

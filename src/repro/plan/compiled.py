@@ -25,8 +25,8 @@ engine. This module puts the cache in front of the planner:
   before anyone could hit it).
 
 The cache is derived state: never journaled, never snapshotted, cold after
-recovery. Cached plans are shared across probes, threads and the
-process-dispatch pickle seam; nothing may mutate them (rewrites build new
+recovery. Cached plans are shared across probes and threads, and
+pickle with their memos stripped; nothing may mutate them (rewrites build new
 nodes; the fingerprint and estimate memos are idempotent).
 """
 

@@ -45,11 +45,11 @@ class PlanNode:
 
     # -- serialization -----------------------------------------------------
     #
-    # Plans cross process boundaries (the scheduler's process-pool dispatch
-    # backend pickles them into worker payloads). The fingerprint memo that
-    # :func:`repro.plan.fingerprint.fingerprints` caches on each node is
-    # content-derived and cheap to rebuild, so it is stripped from the
-    # pickled state: payloads stay small and receivers re-memoize lazily.
+    # Plans are picklable values (the WAL's serve-state records carry the
+    # materialization advisor's representative plans). The fingerprint
+    # memo that :func:`repro.plan.fingerprint.fingerprints` caches on each
+    # node is content-derived and cheap to rebuild, so it is stripped from
+    # the pickled state: pickles stay small and receivers re-memoize lazily.
     # The cost-estimate memo of :func:`repro.plan.compiled.compiled_estimate`
     # goes the same way (it describes the sender's catalog, not the
     # receiver's).
@@ -415,8 +415,8 @@ class ViewScan(PlanNode):
     for a plan subtree whose strict fingerprint matches a valid view (or
     whose lenient fingerprint matches modulo an output-column permutation,
     closed by ``projection``) immediately before execution. The node is
-    self-contained — it carries the view's rows — so it crosses the
-    process-dispatch boundary without the worker needing the view store.
+    self-contained — it carries the view's rows — so it executes, and
+    pickles, without needing the view store.
 
     ``columns`` is the *replaced subtree's* output (names and bindings),
     so parents compile their expressions against exactly the schema they

@@ -32,9 +32,10 @@ Three policy families live here:
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
+
+from repro.util.env import env_flag
 
 if TYPE_CHECKING:  # repro.core imports this package; stay cycle-free
     from repro.core.brief import Brief
@@ -43,14 +44,12 @@ if TYPE_CHECKING:  # repro.core imports this package; stay cycle-free
 #: (CI's differential leg); explicit ``SystemConfig.enable_qos`` wins.
 QOS_ENV_VAR = "REPRO_QOS"
 
-_TRUTHY = ("1", "true", "yes", "on")
-
 
 def resolve_qos_enabled(enabled: bool | None) -> bool:
     """Explicit config wins; else the ``REPRO_QOS`` env override; else off."""
     if enabled is not None:
         return bool(enabled)
-    return os.environ.get(QOS_ENV_VAR, "").strip().lower() in _TRUTHY
+    return env_flag(QOS_ENV_VAR)
 
 
 # -- priority lanes ----------------------------------------------------------

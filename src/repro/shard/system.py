@@ -15,8 +15,7 @@ three things in front:
   router and steering lines naming the shards consulted.
 
 Shard state moves as :class:`~repro.storage.catalog.CatalogSnapshot`
-values — the same wire format the process-dispatch backend ships to
-worker processes — both at spin-up (``ShardedSystem`` construction
+values (the picklable form WAL checkpoints also write) both at spin-up (``ShardedSystem`` construction
 filters one source snapshot into per-shard slices) and at rebalancing
 (:meth:`ShardedSystem.add_shard` seeds the newcomer from a donor
 snapshot, then migrates exactly the rows whose ring arc it captured).
@@ -376,10 +375,9 @@ class ShardedSystem:
 
     # -- lifecycle -------------------------------------------------------------
 
-    def prestart(self) -> str:
-        with ThreadPoolExecutor(max_workers=self.count) as pool:
-            backends = list(pool.map(lambda h: h.system.prestart(), self.shards))
-        return backends[0]
+    def prestart(self) -> None:
+        """Lifecycle hook called before timed serving; a no-op, like
+        :meth:`AgentFirstDataSystem.prestart` on every shard."""
 
     def close(self) -> None:
         """Close every shard concurrently; idempotent and safe before
@@ -628,8 +626,8 @@ class _ScatterTicket:
                     )
                     partial_trace = getattr(partial, "trace", None)
                     if partial_trace is not None:
-                        # Same process, same monotonic clock: graft the
-                        # shard's subtree verbatim, no re-anchoring.
+                        # Shards share this process's monotonic clock:
+                        # graft the shard's subtree verbatim.
                         shard_span.children.append(partial_trace.root)
                         shard_span.start = partial_trace.root.start
                         shard_span.finish(partial_trace.root.end)

@@ -2,9 +2,8 @@
 
 The catalog is the unit the database facade and the branched transaction
 manager both wrap. It tracks version counters used by the agentic memory
-store's staleness machinery (paper Sec. 6.1) and by the scheduler's
-process-pool dispatch backend (which ships whole-catalog snapshots to
-worker processes and must know when they go stale):
+store's staleness machinery (paper Sec. 6.1) and by every derived-state
+cache stamped with it (compiled statements, materialized views):
 
 * ``schema_version`` — bumped on CREATE/DROP/ALTER-like changes;
 * ``data_epoch`` — bumped by every catalog-mediated write, including
@@ -39,10 +38,10 @@ class CatalogSnapshot:
     travel as *definitions* only — their contents are derivable, and
     rebuilding them at restore time is cheaper than pickling value->row-id
     maps. ``version`` records the source catalog's :meth:`Catalog.version`
-    so consumers (the process-pool dispatch backend) can tell when a
-    shipped snapshot no longer matches the live catalog. Auxiliary
-    (maintenance-built) index definitions ship too: rewritten plans
-    executing in worker processes reference them by column.
+    so a consumer can tell when a snapshot no longer matches the live
+    catalog. Auxiliary (maintenance-built) index definitions ship too:
+    rewritten plans executing on a restored catalog reference them by
+    column.
     """
 
     version: tuple
@@ -137,11 +136,10 @@ class Catalog:
 
         Includes per-table ``data_version`` counters so even writes that
         bypass the catalog (direct ``Table.insert``/``update``/``delete``)
-        change the version, plus the auxiliary-index counter so shipped
-        worker snapshots are refreshed when maintenance builds an index.
-        The process-pool dispatch backend compares versions to decide
-        whether its shipped worker snapshots are still valid; cost is
-        O(#tables) per check.
+        change the version, plus the auxiliary-index counter so caches
+        stamped with it are refreshed when maintenance builds an index.
+        The compiled-statement cache compares versions to decide whether
+        its plans are still valid; cost is O(#tables) per check.
         """
         return self.data_version_tuple() + (self.aux_index_version,)
 

@@ -17,8 +17,8 @@ memoized; a memoized numeric column costs about 17 bytes per value (a
 tuple slot plus an 8-byte mirror slot), 1.4 MB for a 20,000-row table of
 four numeric columns. The memo is not part of a chunk's
 value — equality and the pickled form cover ``row_ids`` and ``rows``
-only — so WAL records, catalog snapshots and process payloads keep their
-formats, and a chunk arriving by pickle rebuilds its memo on first read.
+only — so WAL records and catalog snapshots keep their formats, and a
+chunk arriving by pickle rebuilds its memo on first read.
 
 Every row carries a stable ``row_id`` assigned at insert; row ids survive
 updates and are never reused, which gives the merge machinery a stable
@@ -111,9 +111,9 @@ class TableSnapshot:
     """One table's complete state as an immutable, picklable value.
 
     Everything inside is tuples of plain values, so a snapshot crosses
-    process boundaries intact — the scheduler's process-pool dispatch
-    backend ships these to worker processes, and the branched transaction
-    manager keeps them as fork/merge baselines. Within one process,
+    process boundaries intact — WAL checkpoints and shard seeding pickle
+    them, and the branched transaction manager keeps them as fork/merge
+    baselines. Within one process,
     restoring shares all chunk storage with the source table (chunks are
     immutable); across processes, pickling copies it exactly once.
     """

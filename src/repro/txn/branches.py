@@ -172,8 +172,7 @@ class BranchManager:
             # immutable chunks until either side rewrites one (COW). All
             # branch write paths go through the catalog DML helpers, so
             # they bump the child catalog's data_epoch/version — which is
-            # what invalidates any process-pool worker snapshots shipped
-            # from a branch's database.
+            # what invalidates caches stamped from a branch's database.
             child_db.catalog.register_table(Table.restore(table.snapshot_state()))
         child = Branch(new_name, child_db, parent=parent.name)
         child.fork_point = len(parent.log)

@@ -60,6 +60,7 @@ from typing import Callable
 from repro.errors import WalError
 from repro.storage.catalog import Catalog
 from repro.storage.table import Table
+from repro.util.env import env_flag
 
 _LOG = logging.getLogger(__name__)
 
@@ -272,7 +273,7 @@ class WriteAheadLog:
         self.segment_bytes = max(4096, int(segment_bytes))
         self.checkpoint_every = max(1, int(checkpoint_every))
         if fsync is None:
-            fsync = os.environ.get("REPRO_WAL_FSYNC", "0") not in ("", "0")
+            fsync = env_flag("REPRO_WAL_FSYNC")
         self.fsync = fsync
         #: Serving-system hook: returns the serve-state payload embedded
         #: in checkpoints (``None`` for a bare database).

@@ -6,7 +6,7 @@ match the row engine exactly, at every plan node. These tests run the
 same plans through both engines and diff everything, over a corpus that
 touches every ``PlanNode`` type, NULL-heavy columns, empty and
 single-row tables, and alias-shadowed plans. A system-level sweep
-(workers 1/8 × thread/process backends) checks that what the serving
+(workers 1/8) checks that what the serving
 stack returns matches the row engine, the reference oracle.
 """
 
@@ -17,7 +17,7 @@ from dataclasses import asdict
 
 import pytest
 
-from repro.core import AgentFirstDataSystem, Brief, Probe, SystemConfig
+from repro.core import AgentFirstDataSystem, Brief, Probe
 from repro.db import Database
 from repro.engine.batch import ColumnBatch
 from repro.engine.columnar import (
@@ -474,21 +474,6 @@ class TestCrossEngineCache:
             assert (context.stats.cache_hits, context.stats.cache_misses) == (1, 0)
             assert repr(rows) == repr(oracle)
 
-    def test_process_dispatch_installs_serve_both_engines(self):
-        from test_dispatch import SHARED_JOIN, overlapping_probes, process_system
-
-        with process_system() as system:
-            system.submit_many(overlapping_probes(4))
-            assert system.scheduler._dispatcher.units_dispatched > 0
-            for sql in (
-                SHARED_JOIN,
-                "SELECT COUNT(*) FROM sales WHERE store_id = 1",
-                "SELECT COUNT(*) FROM sales WHERE store_id = 2",
-            ):
-                self.assert_served_identically(
-                    system.db, system.optimizer.cache, sql
-                )
-
     def test_maintenance_rewarm_serves_both_engines(self):
         from test_maintenance import JOIN, make_system
 
@@ -602,14 +587,12 @@ def system_probes() -> list[Probe]:
 class TestSystemDifferential:
     """The whole serving stack — scheduler admission, speculation,
     history, steering — against the row engine as oracle, at any worker
-    count on either dispatch backend."""
+    count."""
 
     @pytest.mark.parametrize("workers", [1, 8])
-    @pytest.mark.parametrize("backend", ["thread", "process"])
-    def test_batch_matches_row_engine(self, workers, backend):
+    def test_batch_matches_row_engine(self, workers):
         db = system_db()
-        config = SystemConfig(dispatch_backend=backend)
-        with AgentFirstDataSystem(db, config=config, workers=workers) as system:
+        with AgentFirstDataSystem(db, workers=workers) as system:
             responses = system.submit_many(system_probes())
         outcomes = [o for response in responses for o in response.outcomes]
         exact = [o for o in outcomes if o.status == "ok"]

@@ -5,9 +5,8 @@ views being built and served, auxiliary indexes rewriting scan paths,
 statistics refreshed, caches pre-warmed — per-query rows, statuses,
 reasons (history attribution), and declared order are **byte-identical**
 to a maintenance-off run, including across writes that invalidate views
-and indexes mid-workload, at every worker count and on either dispatch
-backend (CI reruns this module under ``REPRO_SCHEDULER_WORKERS`` /
-``REPRO_SCHEDULER_BACKEND``).
+and indexes mid-workload, at every worker count (CI reruns this module
+under ``REPRO_SCHEDULER_WORKERS``).
 """
 
 from __future__ import annotations
@@ -69,13 +68,10 @@ def maintenance_config(**overrides) -> MaintenanceConfig:
     return MaintenanceConfig(**defaults)
 
 
-def make_system(
-    maintenance: bool, workers: int | None = None, backend: str | None = None
-) -> AgentFirstDataSystem:
+def make_system(maintenance: bool, workers: int | None = None) -> AgentFirstDataSystem:
     config = SystemConfig(
         enable_maintenance=maintenance,
         maintenance=maintenance_config() if maintenance else None,
-        dispatch_backend=backend,
     )
     return AgentFirstDataSystem(build_db(), config=config, workers=workers)
 
@@ -176,17 +172,6 @@ class TestMaintenanceDifferential:
         assert on.maintenance.views_built > 0
         assert on.maintenance.indexes_built > 0
         assert on.maintenance.stats_refreshes > 0
-
-    def test_byte_identical_on_process_backend(self):
-        on = make_system(True, workers=2, backend="process")
-        off = make_system(False, workers=2, backend="process")
-        script = DIFFERENTIAL_SCRIPT[:7]  # spawned pools are slow; one burst
-        try:
-            assert run_script(on, script) == run_script(off, script)
-            assert on.maintenance.views_built > 0
-        finally:
-            on.close()
-            off.close()
 
     def test_sampled_probes_never_served_from_views(self):
         """Approximate runs must sample real scans, not full view rows."""

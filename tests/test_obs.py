@@ -3,14 +3,13 @@
 Three contracts pinned here:
 
 * **answers never change** — tracing on vs off is byte-identical on
-  rows, statuses, steering, and ``stats()`` keys, across worker counts
-  1/8 × thread/process dispatch, and equal to the row and columnar
-  executors run directly on the same plans;
+  rows, statuses, steering, and ``stats()`` keys, at worker counts 1
+  and 8, and equal to the row and columnar executors run directly on
+  the same plans;
 * **completeness** — every traced served probe's tree carries a gateway
   span, a scheduler span, and at least one engine span (``node:*`` /
-  ``engine:*``), including across the process-dispatch pickle seam
-  (worker subtrees re-parented onto the coordinator's clock) and the
-  cross-shard scatter fan-out;
+  ``engine:*``), including speculated units and the cross-shard
+  scatter fan-out;
 * **compatibility** — the migrated ``stats()`` dicts keep their exact
   keys and values while ``system.metrics()`` exposes the same counters
   as one registry with JSON and Prometheus renderers.
@@ -20,7 +19,6 @@ from __future__ import annotations
 
 import json
 import logging
-import os
 
 import pytest
 
@@ -45,7 +43,6 @@ from repro.obs.trace import (
     current_span,
     ensure_probe_trace,
     probe_trace,
-    reparent,
     resolve_trace_enabled,
     trace_wanted,
     use_span,
@@ -134,17 +131,6 @@ class TestSpanPrimitives:
         span.note(rows=3).note(cache="hit")
         assert span.attrs == {"rows": 3, "cache": "hit"}
 
-    def test_shift_translates_whole_subtree(self):
-        root = Span("unit", start=100.0)
-        root.child("node:Scan", start=100.2).finish(end=100.4)
-        root.finish(end=100.5)
-        root.shift(-100.0)
-        assert root.start == pytest.approx(0.0)
-        assert root.children[0].start == pytest.approx(0.2)
-        assert root.children[0].end == pytest.approx(0.4)
-        # Durations are invariant under translation.
-        assert root.children[0].duration_ms == pytest.approx(200.0)
-
     def test_to_dict_round_trips_structure(self):
         root = Span("probe", start=0.0)
         root.child("node:Scan", start=0.1, rows=9).finish(end=0.2)
@@ -188,24 +174,6 @@ class TestChromeExport:
         trace.root.child("node:Scan")  # never finished
         events = trace.to_chrome()["traceEvents"]
         assert events[1]["dur"] == 0.0
-
-
-class TestReparent:
-    def test_worker_subtree_lands_on_parent_clock(self):
-        # The coordinator's unit span and a worker subtree timed on a
-        # clock with an unrelated (here: much larger) zero point.
-        parent = Span("speculate:unit", start=50.0)
-        worker = Span("speculation:worker", start=9_000.0)
-        worker.child("node:Scan", start=9_000.3).finish(end=9_000.7)
-        worker.finish(end=9_001.0)
-        grafted = reparent(parent, worker)
-        assert grafted is worker
-        assert parent.children == [worker]
-        assert worker.start == pytest.approx(50.0)
-        assert worker.end == pytest.approx(51.0)
-        assert worker.children[0].start == pytest.approx(50.3)
-        # Intra-worker durations survive the clock translation exactly.
-        assert worker.children[0].duration_ms == pytest.approx(400.0)
 
 
 class TestAmbientContext:
@@ -490,6 +458,26 @@ class TestEndToEndTrace:
             assert response.trace is not None
             assert_complete(response.trace)
 
+    def test_speculation_unit_spans_hold_engine_work(self):
+        """Speculated engine work nests under its unit span (recorded on a
+        pool thread); the decision consuming it gets a provenance marker."""
+        system = AgentFirstDataSystem(build_db(), workers=8)
+        responses = system.submit_many(traced_probes(8))
+        units = [
+            span
+            for response in responses
+            for span in response.trace.find("speculate:unit")
+        ]
+        assert units
+        assert all(unit.find("node:") for unit in units)
+        shared = [
+            span
+            for response in responses
+            for span in response.trace.find("engine:shared")
+        ]
+        assert shared
+        assert all(span.attrs["source"] == "speculation" for span in shared)
+
     def test_node_latency_histogram_populated_by_traced_runs(self):
         system = AgentFirstDataSystem(build_db())
         system.submit(traced_probes(1)[0])
@@ -541,54 +529,6 @@ class TestQosTraceSpans:
             assert classify.attrs["lane"] == "bulk"
 
 
-class TestProcessSeamTrace:
-    def test_worker_spans_reparented_onto_coordinator_clock(self):
-        system = AgentFirstDataSystem(
-            build_db(),
-            config=SystemConfig(dispatch_backend="process"),
-            workers=8,
-        )
-        responses = system.submit_many(traced_probes(8))
-        for response in responses:
-            assert_complete(response.trace)
-        worker_spans = [
-            span
-            for response in responses
-            for span in response.trace.find("speculation:worker")
-        ]
-        assert worker_spans, "no unit crossed the process seam"
-        parents = {
-            id(span): parent
-            for response in responses
-            for parent in response.trace.spans()
-            for span in parent.children
-        }
-        own_pid = os.getpid()
-        for span in worker_spans:
-            assert span.attrs["pid"] != own_pid
-            parent = parents[id(span)]
-            # reparent() anchors the worker subtree at its parent's start.
-            assert span.start == pytest.approx(parent.start)
-            assert span.end is not None
-            for node in span.find("node:"):
-                assert node.start >= span.start
-
-    def test_thread_speculation_unit_spans(self):
-        # Pinned to the thread substrate: the process-backend CI leg's
-        # env override must not reroute this test's speculation.
-        system = AgentFirstDataSystem(
-            build_db(), config=SystemConfig(dispatch_backend="thread"), workers=8
-        )
-        responses = system.submit_many(traced_probes(8))
-        units = [
-            span
-            for response in responses
-            for span in response.trace.find("speculate:unit")
-        ]
-        assert units
-        assert all(unit.attrs["backend"] == "thread" for unit in units)
-
-
 class TestScatterTrace:
     def test_cross_shard_probe_shows_fanout_and_merge(self):
         sharded = ShardedSystem(build_tenant_db(), shards=2, partition=PARTITION)
@@ -634,16 +574,12 @@ class TestScatterTrace:
 
 class TestTracingDifferential:
     @pytest.mark.parametrize("workers", [1, 8])
-    @pytest.mark.parametrize("backend", ["thread", "process"])
     @pytest.mark.parametrize("engine", ["row", "columnar"])
-    def test_traced_matches_untraced(self, workers, backend, engine):
+    def test_traced_matches_untraced(self, workers, engine):
         """``engine`` names the reference executor the traced answers are
         also checked against, run directly on the same plans."""
-        config = SystemConfig(dispatch_backend=backend)
-        plain_system = AgentFirstDataSystem(build_db(), config=config, workers=workers)
-        traced_system = AgentFirstDataSystem(
-            build_db(), config=config, workers=workers
-        )
+        plain_system = AgentFirstDataSystem(build_db(), workers=workers)
+        traced_system = AgentFirstDataSystem(build_db(), workers=workers)
         plain = plain_system.submit_many(overlapping_probes(6))
         traced = traced_system.submit_many(traced_probes(6))
         assert_same_outcomes(plain, traced)

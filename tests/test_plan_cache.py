@@ -6,7 +6,7 @@ Three contracts:
   :class:`StatementCache` answers byte-identically to one injected with
   ``StatementCache(max_entries=0)`` (every lookup a miss) — rows, statuses,
   reasons, steering, history attribution and work counters — at every
-  worker count, dispatch backend and engine, for caller-assembled windows
+  worker count and engine, for caller-assembled windows
   and streamed sessions alike.
 * **One stamp.** ``Catalog.version()`` is the only invalidation signal, so
   anything that moves it — DDL, DML, direct ``Table`` mutation, table
@@ -209,9 +209,8 @@ def assert_exact_answers_match(db, signatures, engine: str) -> None:
 
 class TestDifferential:
     @pytest.mark.parametrize("engine", ["row", "columnar"])
-    @pytest.mark.parametrize("backend", ["thread", "process"])
     @pytest.mark.parametrize("workers", [1, 8])
-    def test_cached_matches_always_miss(self, workers, backend, engine):
+    def test_cached_matches_always_miss(self, workers, engine):
         """``engine`` names the reference executor the cached answers are
         also checked against."""
 
@@ -221,7 +220,6 @@ class TestDifferential:
             # pinned off (its idle-window jobs move work counters by
             # timing); the test below covers it on answers alone.
             return SystemConfig(
-                dispatch_backend=backend,
                 gateway_max_batch=64,
                 gateway_max_wait=30.0,
                 enable_maintenance=False,

@@ -369,6 +369,37 @@ class TestWorkerDifferential:
             r.rows_processed for r in serial_responses
         )
 
+    @pytest.mark.parametrize("workers", [1, 2, 8])
+    def test_errors_and_pruning(self, workers):
+        """Plan errors, satisficer pruning and engine errors raised inside
+        speculation all surface exactly as serial submission reports them."""
+        probes = [
+            Probe.sql("SELECT * FROM ghost_table"),
+            Probe(
+                queries=(
+                    "SELECT COUNT(*) FROM sales",
+                    "SELECT COUNT(*) FROM stores",
+                ),
+                brief=Brief(goal="exact answer", complete_k_of_n=1),
+            ),
+            Probe.sql("SELECT 1 / (id - id) FROM stores"),
+            Probe.sql("SELECT COUNT(*) FROM sales WHERE product = 'tea'"),
+        ]
+        serial_system = AgentFirstDataSystem(build_db())
+        serial_responses = [serial_system.submit(p) for p in probes]
+        batch_system = AgentFirstDataSystem(build_db(), workers=workers)
+        batch_responses = batch_system.submit_many(probes)
+        # The division by zero must actually raise on a pool thread.
+        assert (batch_system.scheduler.speculative_executions > 0) == (workers > 1)
+        assert_same_outcomes(serial_responses, batch_responses)
+        for serial, batch in zip(serial_responses, batch_responses):
+            assert [o.reason for o in serial.outcomes] == [
+                o.reason for o in batch.outcomes
+            ]
+        (engine_error,) = batch_responses[2].outcomes
+        assert engine_error.status == "error"
+        assert "division by zero" in engine_error.reason
+
     @pytest.mark.parametrize("workers", [2, 8])
     def test_termination_discards_speculative_work(self, workers):
         """Speculation may run queries that termination then skips; the
@@ -450,29 +481,25 @@ class TestWorkerDifferential:
 
 
 class TestBackendDifferential:
-    """The dispatch-backend axis of the equivalence contract, pinned
-    explicitly (CI additionally reruns this whole file with
-    ``REPRO_SCHEDULER_BACKEND=process`` at several worker counts): the
-    same batch must produce byte-identical rows, statuses, and
-    attributions on the thread and process substrates."""
+    """The dispatch-substrate axis of the equivalence contract, pinned
+    explicitly: speculation runs on a per-batch thread pool, and the same
+    batch must produce byte-identical rows, statuses, and attributions
+    there as under serial submission."""
 
-    @pytest.mark.parametrize("backend", ["thread", "process", "auto"])
+    @pytest.mark.parametrize("backend", ["thread"])
     def test_exact_overlapping_matches_serial(self, backend):
         probes = overlapping_probes(6)
         serial_system = AgentFirstDataSystem(build_db())
         serial_responses = [serial_system.submit(p) for p in probes]
-        batch_system = AgentFirstDataSystem(
-            build_db(),
-            config=SystemConfig(dispatch_backend=backend),
-            workers=2,
-        )
+        batch_system = AgentFirstDataSystem(build_db(), workers=2)
         try:
             batch_responses = batch_system.submit_many(probes)
         finally:
             batch_system.close()
+        assert batch_system.scheduler.speculative_executions > 0
         assert_same_outcomes(serial_responses, batch_responses)
 
-    @pytest.mark.parametrize("backend", ["thread", "process"])
+    @pytest.mark.parametrize("backend", ["thread"])
     def test_history_attribution_matches_across_backends(self, backend):
         duplicate = "SELECT COUNT(*) FROM sales WHERE product = 'coffee'"
         first = Probe(
@@ -481,11 +508,7 @@ class TestBackendDifferential:
             agent_id="alice",
         )
         second = Probe(queries=(duplicate,), agent_id="bob")
-        system = AgentFirstDataSystem(
-            build_db(),
-            config=SystemConfig(dispatch_backend=backend),
-            workers=2,
-        )
+        system = AgentFirstDataSystem(build_db(), workers=2)
         try:
             batch_responses = system.submit_many([first, second])
         finally:

@@ -1,16 +1,17 @@
-"""Serialization-seam regression tests for the process dispatch backend.
+"""Serialization regression tests: the pickle contracts of plans,
+catalog snapshots and column batches.
 
-The process pool's correctness rests on two seams staying faithful:
+WAL checkpoints, serve-state records and shard seeding rely on them:
 
 * **plans** — every :class:`PlanNode` type must pickle round-trip to an
-  equal tree with identical fingerprints (the worker re-keys its subplan
-  cache from them), with the fingerprint memo stripped from the wire form;
+  equal tree with identical fingerprints, with the fingerprint memo
+  stripped from the wire form;
 * **catalog snapshots** — ``Table.snapshot_state()``/``Table.restore()``
   and ``Catalog.snapshot()``/``Catalog.from_snapshot()`` must round-trip
   rows, row ids, and indexes exactly, and every write path (inserts,
   updates, deletes, DDL, branch checkout via ``replace_table``, even
-  direct table mutation) must move :meth:`Catalog.version` so shipped
-  worker snapshots are invalidated.
+  direct table mutation) must move :meth:`Catalog.version` so anything
+  stamped with an older version is invalidated.
 """
 
 from __future__ import annotations
@@ -19,11 +20,8 @@ import pickle
 
 import pytest
 
-from repro.core.dispatch import SpeculationPayload, _worker_init, _worker_run
-from repro.core.optimizer import PrecomputedExecution
 from repro.db import Database
 from repro.engine.columnar import ColumnBatch
-from repro.engine.executor import ExecContext, Executor
 from repro.plan import logical
 from repro.plan.fingerprint import fingerprints
 from repro.storage.catalog import Catalog
@@ -128,10 +126,8 @@ class TestPlanPickling:
         # lives in the dedicated maintenance-rewrite tests below.
 
     def test_maintenance_view_scan_round_trip(self):
-        """ViewScan crosses the dispatch pickle boundary carrying its rows
-        (optimizer.speculation_payload rewrites plans before shipping), and
-        a pickle regression would only show as a silent thread fallback —
-        so round-trip it explicitly, memo-stripping included."""
+        """ViewScan is self-contained — it carries its rows — so it must
+        pickle like every planner-emitted node, memo-stripping included."""
         scan = logical.ViewScan(
             name="mv_test",
             source_strict="deadbeef",
@@ -174,22 +170,6 @@ class TestPlanPickling:
             assert "_fingerprint_memo" not in node.__dict__
         # Lazily re-memoized on first use, to identical digests.
         assert fingerprints(clone) == fingerprints(plan)
-
-    def test_speculation_payload_and_result_round_trip(self):
-        db = build_db()
-        plan = db.plan_select(PLAN_CORPUS["aggregate"])
-        payload = SpeculationPayload(plan=plan, sample_rate=0.5, sample_seed=7)
-        clone = pickle.loads(pickle.dumps(payload))
-        assert clone == payload
-
-        result = db.execute(PLAN_CORPUS["aggregate"])
-        precomputed = PrecomputedExecution(result=result)
-        back = pickle.loads(pickle.dumps(precomputed))
-        assert back.result.rows == result.rows
-        assert back.result.columns == result.columns
-        assert back.result.stats.rows_processed == result.stats.rows_processed
-        assert back.error is None
-
 
 class TestTableSnapshot:
     def make_table(self) -> Table:
@@ -243,24 +223,6 @@ class TestCatalogSnapshot:
         assert restored_sorted.lookup_range(1.0, 3.0) == original_sorted.lookup_range(
             1.0, 3.0
         )
-
-    def test_worker_execution_on_restored_snapshot_matches_direct(self):
-        """End-to-end over the real worker entry points, in-process."""
-        db = build_db()
-        sql = "SELECT product, COUNT(*), SUM(amount) FROM sales GROUP BY product"
-        plan = db.plan_select(sql)
-        _worker_init(pickle.loads(pickle.dumps(db.catalog.snapshot())), True)
-        outcome = _worker_run(SpeculationPayload(plan=plan, sample_rate=1.0, sample_seed=3))
-        assert outcome.error is None
-        assert outcome.result.rows.to_rows() == db.execute(sql).rows
-
-    def test_worker_surfaces_engine_errors_as_strings(self):
-        db = build_db()
-        plan = db.plan_select("SELECT 1 / (id - id) FROM stores")
-        _worker_init(db.catalog.snapshot(), False)
-        outcome = _worker_run(SpeculationPayload(plan=plan, sample_rate=1.0, sample_seed=0))
-        assert outcome.result is None
-        assert "division by zero" in outcome.error
 
     def test_every_write_path_bumps_the_catalog_version(self):
         db = build_db()
@@ -318,9 +280,8 @@ class TestCatalogSnapshot:
 
 
 class TestColumnBatchPickling:
-    """The columnar engine's :class:`ColumnBatch` rides the process
-    dispatch seam (workers ship query results column-major). Like
-    ``PlanNode.__getstate__`` strips the fingerprint memo, the batch's
+    """The columnar engine's :class:`ColumnBatch` pickles column-major.
+    Like ``PlanNode.__getstate__`` strips the fingerprint memo, the batch's
     wire form must strip its caches — the materialised row view and the
     lazy numpy mirrors — and rebuild them on demand after the trip."""
 
@@ -358,23 +319,3 @@ class TestColumnBatchPickling:
         back = pickle.loads(pickle.dumps(zero_width))
         assert back.length == 2
         assert back.to_rows() == [(), ()]
-
-    def test_result_rows_cross_the_process_seam_column_major(self):
-        """End-to-end: a worker packs result rows as a ColumnBatch; the
-        parent unpacks them to the row list the row engine returns."""
-        from repro.core.dispatch import ProcessDispatcher
-
-        db = build_db()
-        plan = db.plan_select(PLAN_CORPUS["aggregate"])
-        payload = SpeculationPayload(plan=plan, sample_rate=1.0, sample_seed=0)
-        _worker_init(db.catalog.snapshot(), True)
-        shipped = pickle.loads(pickle.dumps(_worker_run(payload)))
-        assert isinstance(shipped.result.rows, ColumnBatch)
-        dispatcher = ProcessDispatcher(workers=2)
-        try:
-            (precomputed,) = dispatcher.run(db.catalog, [payload], use_cache=True)
-        finally:
-            dispatcher.retire()
-        oracle = Executor(db.catalog, ExecContext()).run(plan)
-        assert precomputed.result.rows == oracle.rows
-        assert isinstance(precomputed.result.rows, list)

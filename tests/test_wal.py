@@ -5,11 +5,10 @@ interrupted after an arbitrary prefix of acknowledged operations, then
 rebuilt via :meth:`AgentFirstDataSystem.recover`, serves the remaining
 operations with byte-identical rows, statuses, reasons (including
 "answered at turn N (agent X)" history attribution) and turn numbers to
-an uninterrupted run — on both dispatch backends, with the maintenance
-runtime on and off. Below it sit the exactness units: every catalog
-write path replays to the exact ``version()``, repair truncates torn
-frames and uncommitted admission windows, and a failed mutation leaves
-no record behind.
+an uninterrupted run, with the maintenance runtime on and off. Below it
+sit the exactness units: every catalog write path replays to the exact
+``version()``, repair truncates torn frames and uncommitted admission
+windows, and a failed mutation leaves no record behind.
 """
 
 from __future__ import annotations
@@ -137,6 +136,34 @@ class TestExactRecovery:
         fresh = Database("other", wal_dir=False)
         with pytest.raises(WalError, match="recover"):
             fresh.attach_wal(str(tmp_path))
+
+
+class TestEnvSwitches:
+    """``REPRO_WAL`` and ``REPRO_WAL_FSYNC`` parse like every boolean
+    ``REPRO_*`` switch: only 1/true/yes/on (any case) turn them on."""
+
+    @pytest.mark.parametrize(
+        "raw, on",
+        [
+            ("0", False),
+            ("false", False),
+            ("off", False),
+            ("no", False),
+            ("", False),
+            ("1", True),
+            ("true", True),
+            ("On", True),
+        ],
+    )
+    def test_wal_and_fsync_follow_the_flag(self, raw, on, monkeypatch, tmp_path):
+        monkeypatch.setenv("REPRO_WAL", raw)
+        monkeypatch.setenv("REPRO_WAL_FSYNC", raw)
+        db = Database("env_switch")
+        assert (db.catalog.wal is not None) is on
+        if on:
+            assert db.catalog.wal.fsync is True
+        with WriteAheadLog(str(tmp_path / "log")) as wal:
+            assert wal.fsync is on
 
 
 class TestRecoveryEdgeCases:
@@ -360,30 +387,24 @@ def table_rows(db: Database) -> dict:
 
 
 class TestKillRecoverDifferential:
-    def run_differential(self, backend, maintenance, kill_after, wal_dir):
+    def run_differential(self, maintenance, kill_after, wal_dir):
         config = SystemConfig(
             enable_maintenance=maintenance,
             maintenance=maintenance_config() if maintenance else None,
-            dispatch_backend=backend,
         )
-        workers = 2 if backend == "process" else None
         ops = script_ops()
 
-        reference = AgentFirstDataSystem(build_db(), config=config, workers=workers)
+        reference = AgentFirstDataSystem(build_db(), config=config)
         ref_sigs = run_ops(reference, ops)
         ref_rows = table_rows(reference.db)
         ref_version = reference.db.catalog.data_version_tuple()
         reference.close()
 
-        victim = AgentFirstDataSystem(
-            build_db(wal_dir=wal_dir), config=config, workers=workers
-        )
+        victim = AgentFirstDataSystem(build_db(wal_dir=wal_dir), config=config)
         assert run_ops(victim, ops[:kill_after]) == ref_sigs[:kill_after]
         crash_system(victim)
 
-        recovered = AgentFirstDataSystem.recover(
-            wal_dir, config=config, workers=workers
-        )
+        recovered = AgentFirstDataSystem.recover(wal_dir, config=config)
         try:
             assert run_ops(recovered, ops[kill_after:]) == ref_sigs[kill_after:]
             assert table_rows(recovered.db) == ref_rows
@@ -398,14 +419,7 @@ class TestKillRecoverDifferential:
     def test_thread_backend(self, maintenance, tmp_path):
         for kill_after in (2, 5, 9):
             self.run_differential(
-                None,
                 maintenance,
                 kill_after,
                 str(tmp_path / f"wal-{maintenance}-{kill_after}"),
             )
-
-    @pytest.mark.parametrize("maintenance", [False, True])
-    def test_process_backend(self, maintenance, tmp_path):
-        self.run_differential(
-            "process", maintenance, 5, str(tmp_path / f"walp-{maintenance}")
-        )
