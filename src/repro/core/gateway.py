@@ -14,11 +14,18 @@ This module moves batch formation into the system:
   returns immediately: ``result(timeout=)``, ``done()``, and ``cancel()``
   for probes not yet admitted into a window.
 * :class:`ProbeGateway` — the admission loop. Streamed probes queue up
-  across all sessions; a window closes when ``max_batch`` probes are
-  pending or ``max_wait`` has elapsed since the oldest arrival (both
-  configurable on :class:`~repro.core.system.SystemConfig`), and the
-  window is served through the scheduler's batch path — cross-agent
-  dedup/sharing now happens between agents that never coordinated.
+  across all sessions; a window closes as soon as every session answered
+  in the previous window has submitted again (its *cohort*: a closed-loop
+  swarm closes each window when its agents have answered, not when a
+  timer fires), when ``max_batch`` probes are pending, on ``flush()`` or
+  shutdown, and at the latest ``max_wait`` after the oldest arrival
+  (``max_batch``/``max_wait`` are configurable on
+  :class:`~repro.core.system.SystemConfig`). A window without sessions
+  leaves no cohort, so the next one waits for count, flush or timer; so
+  does every window of an admission loop that has seen the data change
+  (see :meth:`ProbeGateway.note_data_change`). The window is served
+  through the scheduler's batch path — cross-agent dedup/sharing now
+  happens between agents that never coordinated.
   ``submit``/``submit_many`` remain as shims over a one-window gateway,
   and ``await session.asubmit(probe)`` / ``async for response in
   gateway.serve(aiter_of_probes)`` expose the same loop to asyncio.
@@ -56,7 +63,7 @@ from repro.core.probe import Probe, ProbeResponse, QueryOutcome
 from repro.errors import GatewayClosed
 from repro.qos.policy import lane_name
 from repro.obs import trace as obs_trace
-from repro.obs.metrics import MetricAttr, MetricsRegistry
+from repro.obs.metrics import Histogram, MetricAttr, MetricsRegistry
 from repro.qos.chaos import ChaosEngine, resolve_chaos_seed
 from repro.qos.policy import LANE_STANDARD, Degradation
 
@@ -66,31 +73,25 @@ if TYPE_CHECKING:
 
 _LOG = logging.getLogger(__name__)
 
-#: Environment overrides for the admission-window knobs. CI uses
-#: ``REPRO_GATEWAY_JITTER`` to fuzz window formation timing under the
-#: differential suite: answers must not depend on where windows close.
-MAX_BATCH_ENV_VAR = "REPRO_GATEWAY_MAX_BATCH"
-MAX_WAIT_ENV_VAR = "REPRO_GATEWAY_MAX_WAIT"
+#: CI uses ``REPRO_GATEWAY_JITTER`` to fuzz the ``max_wait`` ceiling under
+#: the differential suite: answers must not depend on where windows close.
 JITTER_ENV_VAR = "REPRO_GATEWAY_JITTER"
 
 DEFAULT_MAX_BATCH = 64
 DEFAULT_MAX_WAIT = 0.01  # seconds
 
+#: Why a streamed window closed (``repro_gateway_windows_closed_total``).
+CLOSE_CAUSES = ("cohort", "batch", "timer", "flush", "stop")
+
 
 def resolve_max_batch(max_batch: int | None) -> int:
-    """Normalise a window-size setting (None -> env override or default)."""
-    if max_batch is None:
-        env = os.environ.get(MAX_BATCH_ENV_VAR)
-        max_batch = int(env) if env else DEFAULT_MAX_BATCH
-    return max(1, int(max_batch))
+    """Normalise a window-size setting (None -> the default)."""
+    return max(1, int(DEFAULT_MAX_BATCH if max_batch is None else max_batch))
 
 
 def resolve_max_wait(max_wait: float | None) -> float:
-    """Normalise a window-wait setting (None -> env override or default)."""
-    if max_wait is None:
-        env = os.environ.get(MAX_WAIT_ENV_VAR)
-        max_wait = float(env) if env else DEFAULT_MAX_WAIT
-    return max(0.0, float(max_wait))
+    """Normalise a window-wait setting (None -> the default)."""
+    return max(0.0, float(DEFAULT_MAX_WAIT if max_wait is None else max_wait))
 
 
 def merge_brief(brief: Brief, defaults: Brief) -> Brief:
@@ -266,6 +267,65 @@ class AgentSession:
         )
 
 
+class _ServeLock:
+    """The window-serving lock, writers first.
+
+    Windows take it through :meth:`window`, which also waits while any
+    outside holder is queued. Outside holders (writers, the maintenance
+    runtime) take it with ``with lock:`` and wait only for the current
+    holder. Back-to-back windows therefore never starve a writer, and a
+    writer that fell behind runs its catch-up tasks back to back instead
+    of each waiting out a whole reader window.
+    """
+
+    def __init__(self, wait_ms: Histogram) -> None:
+        self._cond = threading.Condition()
+        self._held = False
+        self._writers_queued = 0
+        self._window_wait = wait_ms.bind(holder="window")
+        self._writer_wait = wait_ms.bind(holder="writer")
+
+    def __enter__(self) -> "_ServeLock":
+        begun = time.monotonic()
+        with self._cond:
+            self._writers_queued += 1
+            try:
+                while self._held:
+                    self._cond.wait()
+            except BaseException:
+                # Interrupted while queued: windows held back for this
+                # writer must re-check, or they could wait forever.
+                self._writers_queued -= 1
+                self._cond.notify_all()
+                raise
+            self._writers_queued -= 1
+            self._held = True
+        self._writer_wait.observe((time.monotonic() - begun) * 1000.0)
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self._release()
+
+    @contextlib.contextmanager
+    def window(self):
+        """Hold the lock for one window, once no outside holder is queued."""
+        begun = time.monotonic()
+        with self._cond:
+            while self._held or self._writers_queued:
+                self._cond.wait()
+            self._held = True
+        self._window_wait.observe((time.monotonic() - begun) * 1000.0)
+        try:
+            yield
+        finally:
+            self._release()
+
+    def _release(self) -> None:
+        with self._cond:
+            self._held = False
+            self._cond.notify_all()
+
+
 class ProbeGateway:
     """Admits streamed probes into cross-session admission windows.
 
@@ -289,6 +349,13 @@ class ProbeGateway:
     for its counters. The counters themselves live in the shared metrics
     registry via :class:`~repro.obs.metrics.MetricAttr` shims —
     attribute reads/writes and ``stats()`` keys are unchanged.
+
+    ``_serve_lock`` is a :class:`_ServeLock` with a writers-first rule:
+    windows (streamed and direct) acquire it through ``window()``, which
+    also waits while any outside holder is queued on ``serve_lock``, so a
+    writer waits behind at most the window being served. The cohort state
+    (``_cohort``, ``_data_changed``) is guarded by ``_cond`` like the
+    counters.
     """
 
     windows_streamed = MetricAttr("_m_windows_streamed")
@@ -332,11 +399,14 @@ class ProbeGateway:
         #: for probes that are past admission. Guarded by ``_cond``.
         self._serve_waiters = 0
         self._cond = threading.Condition()
-        #: Serialises window serving: streamed windows and direct
-        #: ``submit_many`` windows interleave without tearing turn numbers.
-        #: The maintenance runtime takes the same lock for its idle-window
-        #: jobs, so sleeper-agent work is never co-resident with serving.
-        self._serve_lock = threading.Lock()
+        #: The sessions answered in the last streamed window that have not
+        #: submitted since: the open window closes once this is empty.
+        #: ``None`` when that window had no sessions (the timer decides).
+        self._cohort: set[AgentSession] | None = None
+        #: Set once the data changes under the running admission loop;
+        #: from then on until the loop retires, no window closes on its
+        #: cohort (see :meth:`note_data_change`).
+        self._data_changed = False
         #: Maintenance hook: called (outside all gateway locks) whenever
         #: the admission loop drains its queue — an idle window opened.
         self.idle_hook: "Callable[[], None] | None" = None
@@ -385,6 +455,25 @@ class ProbeGateway:
         self._m_probes_closed_unserved = _bind(
             "probes_closed_unserved_total", "Probes still queued at shutdown."
         )
+        self._m_windows_closed = {
+            cause: registry.counter(
+                "repro_gateway_windows_closed_total",
+                "Streamed windows closed, by what closed them.",
+                labelnames=("cause",),
+            ).bind(cause=cause)
+            for cause in CLOSE_CAUSES
+        }
+        #: Serialises window serving: streamed windows and direct
+        #: ``submit_many`` windows interleave without tearing turn numbers.
+        #: Writers and the maintenance runtime's idle-window jobs take the
+        #: same lock (writers first), so they never overlap serving.
+        self._serve_lock = _ServeLock(
+            registry.histogram(
+                "repro_gateway_serve_lock_wait_ms",
+                "Time spent waiting for the serve lock, by holder.",
+                labelnames=("holder",),
+            )
+        )
         registry.add_collector(self._collect_gauges)
         self.windows_streamed = 0
         self.probes_streamed = 0
@@ -426,7 +515,7 @@ class ProbeGateway:
         with self._cond:
             self._serve_waiters += 1  # visible to maintenance preemption
         try:
-            with self._serve_lock:
+            with self._serve_lock.window():
                 responses = self.system._serve_batch(probes)
         finally:
             with self._cond:
@@ -447,8 +536,6 @@ class ProbeGateway:
         """
         trace = obs_trace.ensure_probe_trace(probe)
         ticket = ProbeTicket(self, probe, session)
-        if trace is not None:
-            ticket._queued_span = trace.root.child("gateway:queued")
         with self._cond:
             if self._stopped:
                 raise GatewayClosed()
@@ -465,8 +552,14 @@ class ProbeGateway:
                         lane=lane_name(ticket.lane),
                         starved=ticket.starved,
                     ).finish()
+            # Opened only once the probe is accepted: a rejected submit
+            # must leave no open span on a trace its retry reuses.
+            if trace is not None:
+                ticket._queued_span = trace.root.child("gateway:queued")
             ticket._seq = self._seq_counter
             self._seq_counter += 1
+            if self._cohort:
+                self._cohort.discard(session)
             self._ensure_loop()
             self._pending.append(ticket)
             if len(self._pending) > self._queue_depth_peak:
@@ -527,9 +620,12 @@ class ProbeGateway:
             return len(self._pending) + self._serve_waiters
 
     @property
-    def serve_lock(self) -> threading.Lock:
-        """The window-serving lock; the maintenance runtime holds it for
-        idle-window jobs so sleeper work and serving never overlap."""
+    def serve_lock(self) -> _ServeLock:
+        """The window-serving lock, taken with ``with gateway.serve_lock:``
+        by writers and by the maintenance runtime's idle-window jobs, so
+        that their work and serving never overlap. Such outside holders go
+        first: a queued writer waits for the window being served, never
+        for the windows formed behind it."""
         return self._serve_lock
 
     async def serve(
@@ -578,8 +674,30 @@ class ProbeGateway:
 
     # -- admission loop -------------------------------------------------------
 
+    def note_data_change(self) -> None:
+        """Record that the data changed (the system calls this on every
+        change event that wipes the answered-before history).
+
+        Cohort close chains windows over unchanged data: between changes,
+        a closed loop re-asks what history already answers and its
+        windows cost next to nothing. When writes land between windows,
+        each one wipes that history, and back-to-back windows turn the
+        read/write mix into a queue at the edge of saturation: whether a
+        window finds its answers in history then depends on whether it
+        slipped in before the writer's next turn, and throughput swings
+        with host speed from run to run. So from the first change until
+        the admission loop retires idle, windows close only on count,
+        flush, shutdown or the ``max_wait`` ceiling; writers still go
+        first on the serve lock.
+        """
+        with self._cond:
+            self._data_changed = True
+
     def _ensure_loop(self) -> None:
         if self._thread is None:
+            # A new admission loop starts with no change seen: changes
+            # while no loop ran do not race any window.
+            self._data_changed = False
             self._thread = threading.Thread(
                 target=self._loop, name="probe-gateway", daemon=True
             )
@@ -589,6 +707,23 @@ class ProbeGateway:
         if not self.jitter:
             return self.max_wait
         return self.max_wait + self._jitter_rng.uniform(0.0, self.jitter)
+
+    def _close_cause(self, remaining: float) -> str | None:
+        """Why the forming window closes now, or ``None`` to keep waiting;
+        ``remaining`` is the time left before the ``max_wait`` ceiling.
+        Called under ``_cond`` with probes pending."""
+        if self._stopped:
+            return "stop"
+        if self._flush_requested:
+            return "flush"
+        if len(self._pending) >= self.max_batch:
+            return "batch"
+        cohort_done = self._cohort is not None and not self._cohort
+        if cohort_done and not self._data_changed:
+            return "cohort"
+        if remaining <= 0:
+            return "timer"
+        return None
 
     def _loop(self) -> None:
         while True:
@@ -605,18 +740,14 @@ class ProbeGateway:
                 if not self._pending and self._stopped:
                     return
                 window_wait = self._window_wait()
-                while (
-                    self._pending
-                    and len(self._pending) < self.max_batch
-                    and not self._flush_requested
-                    and not self._stopped
-                ):
+                while self._pending:
                     remaining = (
                         self._pending[0]._enqueued_at
                         + window_wait
                         - time.monotonic()
                     )
-                    if remaining <= 0:
+                    cause = self._close_cause(remaining)
+                    if cause is not None:
                         break
                     self._cond.wait(timeout=remaining)
                 if not self._pending:  # everything cancelled while waiting
@@ -666,8 +797,19 @@ class ProbeGateway:
                 if not self._pending:
                     self._flush_requested = False
                 formation_ms = (time.monotonic() - first_enqueued) * 1000.0
-            if not window:  # everything was cancelled at the admission edge
-                continue
+                if not window:  # everything was cancelled at the admission edge
+                    continue
+                self._m_windows_closed[cause].inc()
+                # The next window's cohort: this window's sessions, minus
+                # those already queued again. Each resubmit strikes its
+                # session off; one that never returns costs at most one
+                # max_wait and is absent from the cohort after that.
+                cohort = {t.session for t in window if t.session is not None}
+                self._cohort = (
+                    cohort.difference(t.session for t in self._pending)
+                    if cohort
+                    else None
+                )
             self._serve_streamed_window(window, formation_ms, overload_cause)
 
     def _serve_streamed_window(
@@ -710,7 +852,7 @@ class ProbeGateway:
                 with self._cond:
                     self._serve_waiters += 1  # admitted probes still count as demand
                 try:
-                    with self._serve_lock:
+                    with self._serve_lock.window():
                         # The keyword travels only when a shedding plan
                         # exists, so serve-path wrappers (tests, hooks)
                         # with the original one-argument signature keep
@@ -939,6 +1081,10 @@ class ProbeGateway:
                 "chaos_delays_injected": (
                     self.chaos.delays_injected if self.chaos is not None else 0
                 ),
+                "windows_closed_by": {
+                    cause: counter.value()
+                    for cause, counter in self._m_windows_closed.items()
+                },
             }
 
 

@@ -174,11 +174,12 @@ class SystemConfig:
     #: ``None`` -> the ``REPRO_SCHEDULER_WORKERS`` env override, else
     #: ``min(8, os.cpu_count())``; ``1`` keeps dispatch fully serial.
     workers: int | None = None
-    #: Streaming admission window knobs: the gateway closes a window when
-    #: ``gateway_max_batch`` probes are pending or ``gateway_max_wait``
-    #: seconds have elapsed since the oldest arrival. ``None`` -> the
-    #: ``REPRO_GATEWAY_MAX_BATCH`` / ``REPRO_GATEWAY_MAX_WAIT`` env
-    #: overrides, else 64 probes / 0.01 s.
+    #: Streaming admission window bounds: the gateway closes a window once
+    #: every session answered in the previous window has submitted again
+    #: (until the data changes under the admission loop), and at the
+    #: latest when ``gateway_max_batch`` probes are pending or
+    #: ``gateway_max_wait`` seconds have elapsed since the oldest arrival
+    #: (the ceiling). ``None`` -> 64 probes / 0.01 s.
     gateway_max_batch: int | None = None
     gateway_max_wait: float | None = None
     #: Sleeper-agent maintenance runtime: idle-window view
@@ -762,6 +763,9 @@ class AgentFirstDataSystem:
             if wal is not None:
                 wal.log_invalidation()
             self.optimizer.invalidate()
+            # Windows stop closing on their cohort for the rest of the
+            # admission loop's life: see ProbeGateway.note_data_change.
+            self.gateway.note_data_change()
             # Maintenance artifacts built against the old data retire
             # (views eagerly dropped; the table queues for a stats refresh).
             self.maintenance.observe_change(event)

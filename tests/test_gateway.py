@@ -14,7 +14,9 @@ jitter (``REPRO_GATEWAY_JITTER``).
 from __future__ import annotations
 
 import asyncio
+import sys
 import threading
+import time
 from concurrent.futures import CancelledError
 from concurrent.futures import TimeoutError as FuturesTimeout
 
@@ -217,6 +219,232 @@ class TestAdmissionWindows:
         system.gateway.close()
 
 
+COUNT_SALES = "SELECT COUNT(*) FROM sales"
+COUNT_STORES = "SELECT COUNT(*) FROM stores"
+
+
+def closed_by(system):
+    return system.gateway.stats()["windows_closed_by"]
+
+
+def causes(**counts):
+    """An expected ``windows_closed_by`` dict: the given causes, else 0."""
+    expected = {cause: 0 for cause in ("cohort", "batch", "timer", "flush", "stop")}
+    expected.update(counts)
+    return expected
+
+
+class TestCohortClose:
+    """A streamed window closes once every session answered in the
+    previous window has submitted again; ``max_wait`` is only a ceiling."""
+
+    def first_round(self, system, sessions):
+        tickets = [session.submit(Probe.sql(COUNT_STORES)) for session in sessions]
+        system.gateway.flush()
+        return [ticket.result(timeout=30.0) for ticket in tickets]
+
+    def test_closed_loop_window_closes_when_its_cohort_resubmits(self):
+        system = AgentFirstDataSystem(
+            build_db(), config=SystemConfig(gateway_max_wait=30.0)
+        )
+        agents = [system.session(agent_id=f"agent-{i}") for i in range(4)]
+        self.first_round(system, agents)
+        again = [agent.submit(Probe.sql(COUNT_SALES)) for agent in agents]
+        # No flush, and the ceiling is 30 s: only the cohort can close this.
+        responses = [ticket.result(timeout=10.0) for ticket in again]
+        assert [r.outcomes[0].result.rows for r in responses] == [[(900,)]] * 4
+        stats = system.gateway.stats()
+        assert stats["windows_streamed"] == 2 and stats["max_window_size"] == 4
+        assert closed_by(system) == causes(flush=1, cohort=1)
+        snapshot = system.metrics()
+        assert snapshot.get("repro_gateway_windows_closed_total", cause="cohort") == 1
+        waits = snapshot.get("repro_gateway_serve_lock_wait_ms", holder="window")
+        assert waits["count"] == 2
+        system.gateway.close()
+
+    def test_silent_session_costs_one_ceiling_then_drops_out(self):
+        system = AgentFirstDataSystem(
+            build_db(), config=SystemConfig(gateway_max_wait=0.2)
+        )
+        talker, silent = system.session(agent_id="talker"), system.session()
+        self.first_round(system, [talker, silent])
+        # ``silent`` never returns: this window waits out the ceiling...
+        talker.submit(Probe.sql(COUNT_STORES)).result(timeout=30.0)
+        assert closed_by(system) == causes(flush=1, timer=1)
+        # ...and the next cohort is only ``talker``.
+        talker.submit(Probe.sql(COUNT_STORES)).result(timeout=30.0)
+        assert closed_by(system) == causes(flush=1, timer=1, cohort=1)
+        system.gateway.close()
+
+    def test_session_less_submits_never_close_early(self):
+        system = AgentFirstDataSystem(
+            build_db(), config=SystemConfig(gateway_max_wait=30.0)
+        )
+        anonymous = system.gateway.submit(Probe.sql(COUNT_STORES))
+        system.gateway.flush()
+        anonymous.result(timeout=30.0)
+        # A session-less window leaves no cohort: the next one is timed.
+        held = system.gateway.submit(Probe.sql(COUNT_STORES))
+        with pytest.raises(FuturesTimeout):
+            held.result(timeout=0.2)
+        system.gateway.flush()
+        held.result(timeout=30.0)
+        # A session-less arrival does not strike a cohort member off.
+        agent = system.session(agent_id="agent")
+        self.first_round(system, [agent])
+        held = system.gateway.submit(Probe.sql(COUNT_STORES))
+        with pytest.raises(FuturesTimeout):
+            held.result(timeout=0.2)
+        agent.submit(Probe.sql(COUNT_STORES)).result(timeout=10.0)
+        assert held.result(timeout=10.0).outcomes[0].result.rows == [(3,)]
+        assert closed_by(system) == causes(flush=3, cohort=1)
+        system.gateway.close()
+
+    def test_cancelled_cohort_ticket_strands_nothing(self):
+        system = AgentFirstDataSystem(
+            build_db(), config=SystemConfig(gateway_max_wait=30.0)
+        )
+        stayer, quitter = system.session(agent_id="stayer"), system.session()
+        self.first_round(system, [stayer, quitter])
+        withdrawn = quitter.submit(Probe.sql(COUNT_STORES))
+        assert withdrawn.cancel() is True
+        kept = stayer.submit(Probe.sql(COUNT_STORES))
+        # The withdrawn resubmit still counted for the cohort.
+        assert kept.result(timeout=10.0).turn == 3  # no turn burned
+        assert withdrawn.cancelled()
+        assert closed_by(system) == causes(flush=1, cohort=1)
+        # The next cohort is the window actually served: ``stayer`` alone.
+        assert stayer.submit(Probe.sql(COUNT_STORES)).result(timeout=10.0).turn == 4
+        assert closed_by(system) == causes(flush=1, cohort=2)
+        system.gateway.close()
+
+    def test_data_change_keeps_the_timer_until_the_loop_retires(self):
+        system = AgentFirstDataSystem(
+            build_db(), config=SystemConfig(gateway_max_wait=0.2)
+        )
+        gateway = system.gateway
+        gateway.idle_stop = 1.0
+        agents = [system.session(agent_id=f"agent-{i}") for i in range(2)]
+
+        def round_trip():
+            tickets = [agent.submit(Probe.sql(COUNT_STORES)) for agent in agents]
+            return [t.result(timeout=10.0).outcomes[0].result.rows for t in tickets]
+
+        self.first_round(system, agents)
+        assert round_trip() == [[(3,)]] * 2
+        assert closed_by(system) == causes(flush=1, cohort=1)
+        system.db.execute("INSERT INTO stores VALUES (4, 'Reno', 'NV')")
+        # Every cohort is back, but the data changed under this loop: the
+        # ceiling closes these windows, not the cohort.
+        assert round_trip() == [[(4,)]] * 2
+        assert round_trip() == [[(4,)]] * 2
+        assert closed_by(system) == causes(flush=1, cohort=1, timer=2)
+        deadline = time.monotonic() + 10.0
+        while gateway._thread is not None and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert gateway._thread is None, "admission loop did not retire"
+        # A new loop has seen no change: the cohort closes windows again.
+        assert round_trip() == [[(4,)]] * 2
+        assert closed_by(system) == causes(flush=1, cohort=2, timer=2)
+        gateway.close()
+
+
+class TestWritersFirst:
+    def test_writer_waits_behind_at_most_one_window(self):
+        """Agents keep streamed windows back to back while a writer takes
+        ``gateway.serve_lock`` to INSERT: no window may start between a
+        writer's request and its grant beyond the one already running,
+        and every reader's ``COUNT(*)`` only grows."""
+        db = build_db()
+        db.execute("CREATE TABLE events (id INT)")
+        db.execute("INSERT INTO events VALUES (0)")
+        # Windows of two under eight agents: probes are always queued when
+        # a window ends, so the next one is ready to take the lock at once.
+        system = AgentFirstDataSystem(
+            db, config=SystemConfig(gateway_max_batch=2), workers=2
+        )
+        windows_started = [0]
+        original = system._serve_batch
+
+        def counting(probes, **kwargs):
+            windows_started[0] += 1  # under the serve lock
+            return original(probes, **kwargs)
+
+        system._serve_batch = counting
+        n_agents, n_writes = 8, 25
+        stop = threading.Event()
+        errors: list[str] = []
+        behind: list[int] = []
+        streamed: list[int] = []
+
+        def agent_main(index):
+            session = system.session(agent_id=f"agent-{index}")
+            last = 0
+            try:
+                while not stop.is_set():
+                    response = session.submit(
+                        Probe.sql("SELECT COUNT(*) FROM events")
+                    ).result(timeout=30.0)
+                    count = response.outcomes[0].result.rows[0][0]
+                    if count < last:
+                        errors.append(f"agent {index}: {count} after {last}")
+                    last = count
+            except Exception as exc:  # surfaced after join
+                errors.append(f"agent {index}: {exc!r}")
+
+        def writer_main():
+            try:
+                deadline = time.monotonic() + 30.0
+                while windows_started[0] < 3 and time.monotonic() < deadline:
+                    stop.wait(0.001)  # let the windows start streaming first
+                first_window = windows_started[0]
+                lock = system.gateway.serve_lock
+                for i in range(1, n_writes + 1):
+                    # Holding the lock's (re-entrant) condition makes the
+                    # read and the writer's place in the queue one step:
+                    # no window can acquire in between.
+                    with lock._cond:
+                        before = windows_started[0]
+                        with lock:
+                            behind.append(windows_started[0] - before)
+                            system.db.execute(f"INSERT INTO events VALUES ({i})")
+                    stop.wait(0.002)
+                streamed.append(windows_started[0] - first_window)
+            except Exception as exc:  # surfaced after join
+                errors.append(f"writer: {exc!r}")
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            agents = [
+                threading.Thread(target=agent_main, args=(i,)) for i in range(n_agents)
+            ]
+            for thread in agents:
+                thread.start()
+            writer = threading.Thread(target=writer_main)
+            writer.start()
+            writer.join(timeout=60.0)
+            assert not writer.is_alive()
+            stop.set()
+            for thread in agents:
+                thread.join(timeout=60.0)
+                assert not thread.is_alive()
+        finally:
+            stop.set()
+            sys.setswitchinterval(interval)
+        assert not errors
+        assert len(behind) == n_writes and max(behind) <= 1
+        final = system.submit(Probe.sql("SELECT COUNT(*) FROM events"))
+        assert final.outcomes[0].result.rows == [(n_writes + 1,)]
+        assert streamed[0] > 0  # windows kept streaming beside the writer
+        writer_waits = system.metrics().get(
+            "repro_gateway_serve_lock_wait_ms", holder="writer"
+        )
+        # Maintenance passes (REPRO_MAINTENANCE=1) are outside holders too.
+        assert writer_waits["count"] >= n_writes
+        system.gateway.close()
+
+
 class TestProbeTickets:
     def make_slow_gateway_system(self):
         return AgentFirstDataSystem(
@@ -353,6 +581,42 @@ class TestProbeTickets:
             system.gateway.submit(Probe.sql("SELECT 1"))
         assert isinstance(exc_info.value, ReproError)
         assert "resubmit on a live system" in str(exc_info.value)
+
+    @pytest.mark.parametrize("rejection", ["closed", "overload"])
+    def test_rejected_submit_leaves_no_open_span(self, rejection):
+        """A rejected submit must not open ``gateway:queued`` on the trace
+        its probe carries: the retry the error advises reuses that trace
+        and must come back with exactly one, finished, queued span."""
+        from repro.errors import GatewayClosed, OverloadError
+        from repro.obs.trace import probe_trace
+        from repro.qos import QosConfig
+
+        probe = Probe(queries=("SELECT COUNT(*) FROM stores",), brief=Brief(trace=True))
+        if rejection == "closed":
+            dead = AgentFirstDataSystem(build_db())
+            dead.gateway.close()
+            with pytest.raises(GatewayClosed):
+                dead.gateway.submit(probe)
+            system = AgentFirstDataSystem(build_db())
+        else:
+            system = AgentFirstDataSystem(
+                build_db(),
+                config=SystemConfig(
+                    enable_qos=True,
+                    qos=QosConfig(queue_reject=1),
+                    gateway_max_wait=30.0,
+                ),
+            )
+            filler = system.gateway.submit(Probe.sql("SELECT COUNT(*) FROM sales"))
+            with pytest.raises(OverloadError):
+                system.gateway.submit(probe)
+            system.gateway.flush()
+            filler.result(timeout=30.0)
+        assert probe_trace(probe).find("gateway:queued") == []
+        response = stream_and_gather(system, [probe])[0]
+        queued = response.trace.find("gateway:queued")
+        assert len(queued) == 1
+        assert queued[0].end is not None
 
     def test_close_resolves_stranded_tickets_with_structured_error(
         self, monkeypatch
