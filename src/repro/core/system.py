@@ -318,8 +318,9 @@ class AgentFirstDataSystem:
         db.on_change(self._on_change)
 
     def _register_engine_collectors(self) -> None:
-        """Publish engine-level metrics (and the memory store's size) as
-        snapshot-time collectors.
+        """Publish engine-level metrics (plus the memory store's size and
+        what storage rebuilt for new table states) as snapshot-time
+        collectors.
 
         Occupancies and hit ratios are derived from live structures when
         ``metrics()`` is called — zero hot-path bookkeeping, which is how
@@ -348,7 +349,8 @@ class AgentFirstDataSystem:
                 ("kernel_memo_fallbacks", "Kernel runs resolved by row fallback"),
                 (
                     "kernel_memo_list_path_runs",
-                    "Kernel runs on value lists: a column had no numpy mirror",
+                    "Kernel runs on value lists: no numpy path for the shape "
+                    "(text, column vs column) or a column had no numpy mirror",
                 ),
                 ("kernel_memo_unvectorized", "Nodes executed on the row path"),
             )
@@ -366,6 +368,14 @@ class AgentFirstDataSystem:
         plan_cache_entries = registry.gauge(
             "repro_plan_cache_entries", "Compiled-statement cache occupancy"
         )
+        storage_counters = {
+            name: registry.counter(f"repro_storage_{name}_total", help)
+            for name, help in (
+                ("stats_recomputes", "Table statistics computed for a new table state"),
+                ("stats_recompute_ms", "Milliseconds spent computing table statistics"),
+                ("segment_builds", "Column segments built for a new table state"),
+            )
+        }
         memory = self.memory
         memstore_artifacts = registry.gauge(
             "repro_memstore_artifacts", "Artifacts held by the agentic memory store"
@@ -384,6 +394,9 @@ class AgentFirstDataSystem:
             for counter, value in zip(plan_cache_counters, statements.counters()):
                 counter.set(value)
             plan_cache_entries.set(len(statements))
+            built = self.db.catalog.storage_counters
+            for name, counter in storage_counters.items():
+                counter.set(getattr(built, name))
             memstore_artifacts.set(len(memory))
             gauges["expr_memo_entries"].set(expr_memo_occupancy())
             gauges["expr_memo_compilations"].set(EXPR_MEMO_STATS.compilations)

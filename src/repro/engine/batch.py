@@ -38,8 +38,9 @@ class ColumnBatch:
       keeps the list it was built from as this view;
     * ``_numpy`` — per-column numpy mirrors for dtype-uniform numeric
       columns (``None`` marks ineligible columns). A scan pre-fills it
-      from the storage chunks' memoized mirrors
-      (:func:`~repro.storage.table.numeric_mirror`), and filter, project,
+      with the table state's segment mirrors, sharing the segments'
+      value lists as its columns
+      (:class:`~repro.storage.table.Segment`), and filter, project,
       sort and limit carry mirrors through by gathering or slicing them;
       only batches built from rows (views, joins, fallbacks, cache
       entries installed as rows) pay the type sweep, once per column, on

@@ -8,10 +8,13 @@ columns), and expressions compile into **batch kernels** — functions from
 a batch to a full value column — memoized per plan-node strict
 fingerprint alongside the row engine's ``compile_expr`` LRU.
 
-Mirrors come from storage: every immutable chunk memoizes its column
-tuples and their numpy mirrors (:mod:`repro.storage.table`), so a scan
-concatenates memos instead of transposing rows and sweeping types. The
-numeric kernels then stay in numpy:
+Columns and mirrors come from storage: every table state memoizes one
+*segment* per column — the value list and its numpy mirror
+(:mod:`repro.storage.table`) — so a scan hands out the state's segments
+zero-copy instead of transposing rows and sweeping types, and the
+segments are built once per table state, shared with the table
+statistics. Batches never mutate their columns, which is what makes the
+sharing safe. The numeric kernels then stay in numpy:
 
 * numeric ``column OP literal`` comparisons produce bool masks, combined
   by ``&``/``|``/``~`` (a mirror holds no NULLs, so three-valued logic is
@@ -348,7 +351,9 @@ class _BatchCompiler:
                 mask = fast(batch)
                 if mask is not None:
                     return mask
-                KERNEL_MEMO_STATS.list_path_runs += 1
+            # No mask: the shape has no numpy path (text, column vs
+            # column, ...) or its column had no mirror at run time.
+            KERNEL_MEMO_STATS.list_path_runs += 1
             out = []
             for lv, rv in zip(left(batch), right(batch)):
                 ordering = compare_values(lv, rv)
@@ -650,9 +655,10 @@ class KernelMemoStats:
     fallbacks: int = 0
     #: nodes executed through the row engine because no kernel exists
     unvectorized: int = 0
-    #: kernel runs that took the per-value list path because a column they
-    #: could have read as a numpy mirror had none (NULLs, mixed types,
-    #: bools, ints beyond int64) or held NaN where order matters
+    #: kernel runs that took the per-value list path: a comparison with no
+    #: numpy path at all (text literals, column vs column, ...), or a
+    #: column that could have been read as a numpy mirror had none (NULLs,
+    #: mixed types, bools, ints beyond int64) or held NaN where order matters
     list_path_runs: int = 0
 
     def reset(self) -> None:
@@ -779,22 +785,30 @@ def _scan_kernel(ex, node: logical.Scan, batches: tuple) -> ColumnBatch:
     table = ex._catalog.table(node.table)
     positions = [table.schema.position_of(c) for c in node.columns]
     sampler = ex._make_sampler(node.table)
+    # One table state per scan: the counters, the segments and the sampled
+    # rows all describe the same rows even if a write lands mid-scan.
+    state = table.snapshot_state()
     stats = ex.context.stats
-    stats.rows_scanned += table.num_rows
-    stats.rows_processed += table.num_rows
+    stats.rows_scanned += state.num_rows
+    stats.rows_processed += state.num_rows
     if sampler is None:
-        # One consistent chunk list for the mirrors now and the value
-        # lists later: both concatenate the chunks' memoized views.
-        state = table.snapshot_state()
+        # Zero-copy: the batch shares the state's segment lists and mirrors.
+        counters = ex._catalog.storage_counters
+        segments = [state.segment(position, counters) for position in positions]
         return ColumnBatch(
-            state.extract_columns(positions),
+            [segment.values for segment in segments],
             state.num_rows,
-            dict(enumerate(state.column_mirrors(positions))),
+            {index: segment.mirror for index, segment in enumerate(segments)},
         )
     # Sampled: one bernoulli draw per row in scan order — the identical
     # draw sequence the row engine consumes from the identical stream.
     rate = ex.context.sample_rate
-    kept = [row for row in table.scan() if sampler.bernoulli(rate)]
+    kept = [
+        row
+        for chunk in state.chunks
+        for row in chunk.rows
+        if sampler.bernoulli(rate)
+    ]
     if not kept:
         return ColumnBatch([[] for _ in positions], 0)
     transposed = list(zip(*kept)) if positions else []

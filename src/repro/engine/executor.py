@@ -401,16 +401,19 @@ class Executor(SubqueryRunner):
         positions = [table.schema.position_of(c) for c in node.columns]
         sampler = self._make_sampler(node.table)
         # Every input row is scanned and processed whether or not the
-        # sampler keeps it, so the counters batch to the table size.
+        # sampler keeps it, so the counters batch to the size of the one
+        # table state the scan reads.
+        state = table.snapshot_state()
         stats = self.context.stats
-        stats.rows_scanned += table.num_rows
-        stats.rows_processed += table.num_rows
+        stats.rows_scanned += state.num_rows
+        stats.rows_processed += state.num_rows
         rows: list[Row] = []
         rate = self.context.sample_rate
-        for row in table.scan():
-            if sampler is not None and not sampler.bernoulli(rate):
-                continue
-            rows.append(tuple(row[p] for p in positions))
+        for chunk in state.chunks:
+            for row in chunk.rows:
+                if sampler is not None and not sampler.bernoulli(rate):
+                    continue
+                rows.append(tuple(row[p] for p in positions))
         return rows
 
     def _exec_index_scan(self, node: logical.IndexScan) -> list[Row]:

@@ -1,4 +1,4 @@
-"""The catalog: named tables, their indexes, and cached statistics.
+"""The catalog: named tables, their indexes, and their statistics.
 
 The catalog is the unit the database facade and the branched transaction
 manager both wrap. It tracks version counters used by the agentic memory
@@ -24,8 +24,8 @@ from typing import Iterable
 from repro.errors import CatalogError
 from repro.storage.indexes import HashIndex, SortedIndex
 from repro.storage.schema import TableSchema
-from repro.storage.statistics import TableStats, compute_table_stats
-from repro.storage.table import Table, TableSnapshot
+from repro.storage.statistics import TableStats, table_stats
+from repro.storage.table import StorageCounters, Table, TableSnapshot
 from repro.storage.types import Value
 from repro.util.text import normalize_identifier
 
@@ -85,7 +85,8 @@ class Catalog:
         self._sorted_indexes: dict[tuple[str, str], SortedIndex] = {}
         self._aux_hash_indexes: dict[tuple[str, str], AuxiliaryIndex] = {}
         self._aux_sorted_indexes: dict[tuple[str, str], AuxiliaryIndex] = {}
-        self._stats_cache: dict[str, tuple[int, TableStats]] = {}
+        #: What this catalog's readers rebuilt (segments, statistics).
+        self.storage_counters = StorageCounters()
         self.schema_version = 0
         #: Bumped by every catalog-mediated write path (DML helpers and
         #: whole-table swaps); one input to :meth:`version`.
@@ -243,7 +244,6 @@ class Catalog:
         token = self._wal_log("drop_table", name)
         try:
             del self._tables[key]
-            self._stats_cache.pop(key, None)
             for index_key in [k for k in self._hash_indexes if k[0] == key]:
                 del self._hash_indexes[index_key]
             for index_key in [k for k in self._sorted_indexes if k[0] == key]:
@@ -268,7 +268,6 @@ class Catalog:
         token = self._wal_log("replace_table", table.snapshot_state())
         try:
             self._tables[key] = table
-            self._stats_cache.pop(key, None)
             self._rebuild_indexes_for(key)
             self.data_epoch += 1
         except BaseException:
@@ -306,7 +305,6 @@ class Catalog:
                 for row_id in row_ids:
                     self._index_row(key, table, row_id, add=True)
             self._sync_aux_versions(key, table, before_version)
-            self._stats_cache.pop(key, None)
             self.data_epoch += 1
         except BaseException:
             self._wal_abort(token)
@@ -326,7 +324,6 @@ class Catalog:
             if self._indexed_columns(key):
                 self._index_row(key, table, row_id, add=True)
             self._sync_aux_versions(key, table, before_version)
-            self._stats_cache.pop(key, None)
             self.data_epoch += 1
         except BaseException:
             self._wal_abort(token)
@@ -342,7 +339,6 @@ class Catalog:
                 self._index_row(key, table, row_id, add=False)
             table.delete(row_id)
             self._sync_aux_versions(key, table, before_version)
-            self._stats_cache.pop(key, None)
             self.data_epoch += 1
         except BaseException:
             self._wal_abort(token)
@@ -501,15 +497,11 @@ class Catalog:
     # -- statistics --------------------------------------------------------------
 
     def stats(self, table_name: str) -> TableStats:
-        """Statistics for ``table_name``, recomputed lazily on data change."""
-        key = normalize_identifier(table_name)
-        table = self.table(table_name)
-        cached = self._stats_cache.get(key)
-        if cached is not None and cached[0] == table.data_version:
-            return cached[1]
-        stats = compute_table_stats(table)
-        self._stats_cache[key] = (table.data_version, stats)
-        return stats
+        """Statistics for ``table_name``'s current state: memoized on the
+        state, so recomputed only after the table changed."""
+        return table_stats(
+            self.table(table_name).snapshot_state(), self.storage_counters
+        )
 
     # -- internals -----------------------------------------------------------------
 

@@ -8,15 +8,24 @@ Statistics serve three masters in this system:
   literal-format mismatches, e.g. ``'CA'`` vs ``'California'``);
 * the simulated agents themselves, whose "exploring specific columns"
   activity (Figure 3) issues the stats queries these objects summarise.
+
+Statistics are derived state of one table state: :func:`table_stats`
+computes them from the state's column segments (the same segments scans
+read, :class:`~repro.storage.table.Segment`) and memoizes them on the
+state, so they are recomputed once per write, not once per reader, and
+a fork or restore that shares the state shares them too.
 """
 
 from __future__ import annotations
 
+import math
+import time
 from collections import Counter
 from dataclasses import dataclass, field
 
-from repro.storage.schema import TableSchema
-from repro.storage.table import Table
+import numpy as np
+
+from repro.storage.table import StorageCounters, Table, TableSnapshot
 from repro.storage.types import DataType, Value
 
 #: Number of most-common values retained per column.
@@ -87,18 +96,76 @@ class TableStats:
 
 
 def compute_column_stats(
-    schema: TableSchema, table: Table, column_name: str
+    state: TableSnapshot, position: int, counters: StorageCounters | None = None
 ) -> ColumnStats:
-    """Single-pass statistics for one column."""
-    position = schema.position_of(column_name)
-    data_type = schema.columns[position].data_type
+    """Statistics for the column at ``position``, read from its segment.
+
+    A mirrored column whose values and span are finite is summarised in
+    numpy (:func:`_mirror_summary`); every other column — NULL-bearing,
+    text, boolean, mixed, NaN or infinity, beyond int64 — runs the
+    per-value loop (:func:`_loop_summary`). Both produce the same
+    ``repr``.
+    """
+    column = state.schema.columns[position]
+    segment = state.segment(position, counters)
+    summary = None
+    if segment.mirror is not None:
+        summary = _mirror_summary(segment.values, segment.mirror)
+    if summary is None:
+        summary = _loop_summary(segment.values)
+    null_count, distinct_count, min_value, max_value, most_common, histogram = summary
+    return ColumnStats(
+        column=column.name,
+        data_type=column.data_type,
+        row_count=state.num_rows,
+        null_count=null_count,
+        distinct_count=distinct_count,
+        min_value=min_value,
+        max_value=max_value,
+        most_common=most_common,
+        histogram=histogram,
+    )
+
+
+def table_stats(
+    state: TableSnapshot, counters: StorageCounters | None = None
+) -> TableStats:
+    """Statistics for every column of one table state, computed once per
+    state and memoized on it beside its segments."""
+
+    def build() -> TableStats:
+        start = time.perf_counter()
+        columns = {
+            column.name.lower(): compute_column_stats(state, position, counters)
+            for position, column in enumerate(state.schema.columns)
+        }
+        stats = TableStats(
+            table=state.schema.name, row_count=state.num_rows, columns=columns
+        )
+        if counters is not None:
+            counters.count_stats((time.perf_counter() - start) * 1000.0)
+        return stats
+
+    return state.stats(build)
+
+
+def compute_table_stats(table: Table) -> TableStats:
+    """Statistics for every column of ``table``'s current state."""
+    return table_stats(table.snapshot_state())
+
+
+_Summary = tuple[int, int, Value, Value, tuple[tuple[Value, int], ...], tuple[int, ...]]
+
+
+def _loop_summary(values: list[Value]) -> _Summary:
+    """Single pass over the values: (null count, distinct count, min, max,
+    most common values, histogram)."""
     counter: Counter[Value] = Counter()
     null_count = 0
     min_value: Value = None
     max_value: Value = None
     numeric_values: list[float] = []
-    for row in table.scan():
-        value = row[position]
+    for value in values:
         if value is None:
             null_count += 1
             continue
@@ -115,27 +182,60 @@ def compute_column_stats(
         histogram = _equi_width_histogram(
             numeric_values, float(min_value), float(max_value)
         )
-
-    return ColumnStats(
-        column=schema.columns[position].name,
-        data_type=data_type,
-        row_count=table.num_rows,
-        null_count=null_count,
-        distinct_count=len(counter),
-        min_value=min_value,
-        max_value=max_value,
-        most_common=tuple(counter.most_common(MCV_SIZE)),
-        histogram=histogram,
+    return (
+        null_count,
+        len(counter),
+        min_value,
+        max_value,
+        tuple(counter.most_common(MCV_SIZE)),
+        histogram,
     )
 
 
-def compute_table_stats(table: Table) -> TableStats:
-    """Statistics for every column of ``table``."""
-    columns = {
-        column.name.lower(): compute_column_stats(table.schema, table, column.name)
-        for column in table.schema.columns
-    }
-    return TableStats(table=table.schema.name, row_count=table.num_rows, columns=columns)
+def _mirror_summary(values: list[Value], mirror: np.ndarray) -> _Summary | None:
+    """The loop's summary computed on a NULL-free numeric mirror, or
+    ``None`` when the loop must run (NaN, infinities, an infinite span).
+
+    Each part reproduces the loop exactly. ``argmin``/``argmax`` return
+    the first occurrence, the loop's keep-first on ``±0.0`` ties, and the
+    value comes from ``values`` so its type and sign are the original's.
+    Sorting groups equal values — ``-0.0`` with ``0.0``, as the
+    ``Counter`` merges them — and the smallest original index in each
+    group is that value's first occurrence: it picks the key the
+    ``Counter`` keeps, and ordering count ties by it is
+    ``Counter.most_common``'s insertion order. The histogram evaluates
+    the loop's float64 expression elementwise and truncates it the same
+    way.
+    """
+    if mirror.dtype.kind == "f" and not np.isfinite(mirror).all():
+        return None
+    min_value = values[int(mirror.argmin())]
+    max_value = values[int(mirror.argmax())]
+    low, high = float(min_value), float(max_value)
+    span = high - low
+    if not math.isfinite(span):
+        return None
+    order = np.argsort(mirror)
+    ordered = mirror[order]
+    starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
+    first = np.minimum.reduceat(order, starts)
+    counts = np.diff(np.append(starts, len(values)))
+    top = np.lexsort((first, -counts))[:MCV_SIZE]
+    most_common = tuple(
+        (values[index], count)
+        for index, count in zip(first[top].tolist(), counts[top].tolist())
+    )
+    if span <= 0:
+        buckets = [0] * HISTOGRAM_BUCKETS
+        buckets[0] = len(values)
+        histogram = tuple(buckets)
+    else:
+        scaled = (mirror.astype(np.float64) - low) / span * HISTOGRAM_BUCKETS
+        indices = np.minimum(scaled.astype(np.int64), HISTOGRAM_BUCKETS - 1)
+        histogram = tuple(
+            np.bincount(indices, minlength=HISTOGRAM_BUCKETS).tolist()
+        )
+    return 0, len(first), min_value, max_value, most_common, histogram
 
 
 def _less_than(left: Value, right: Value) -> bool:

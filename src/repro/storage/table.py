@@ -1,4 +1,4 @@
-"""Chunked row tables.
+"""Chunked row tables and the column segments derived from them.
 
 Tables store rows in immutable fixed-size chunks. Mutations never modify a
 chunk in place: inserts append to a tail chunk that is re-frozen, and
@@ -6,19 +6,24 @@ updates/deletes rewrite only the chunk containing the victim row. This makes
 whole-table snapshots O(#chunks) reference copies — the property the
 branched transaction manager (paper Sec. 6.2) relies on for cheap forks.
 
-Each chunk also memoizes, lazily and per column position, the two views
-the columnar engine reads: the column's value tuple and its dtype-uniform
-numpy mirror (:func:`numeric_mirror`; ``None`` for columns that are not
-all-``int`` or all-``float``). Because a chunk never changes, its memo is
-valid by construction: a write replaces only the chunk it touched (whose
-memo is rebuilt on the next scan), and forks, snapshots and restores share
-the memos of every chunk they share. Only positions a scan has read are
-memoized; a memoized numeric column costs about 17 bytes per value (a
-tuple slot plus an 8-byte mirror slot), 1.4 MB for a 20,000-row table of
-four numeric columns. The memo is not part of a chunk's
-value — equality and the pickled form cover ``row_ids`` and ``rows``
-only — so WAL records and catalog snapshots keep their formats, and a
-chunk arriving by pickle rebuilds its memo on first read.
+A table's state — chunk list, next row id, data version — is one
+immutable :class:`TableSnapshot` value, which the table caches until its
+next mutation. What readers derive from it is memoized on the state,
+lazily, on first read: each column position a reader asks for becomes a
+:class:`Segment` (the whole column's value list plus its dtype-uniform
+numpy mirror, :func:`numeric_mirror`; ``None`` for columns that are not
+all-``int`` or all-``float``), and the table statistics
+(:func:`repro.storage.statistics.table_stats`) sit beside the segments.
+Scans and statistics read the same segments, so each column is derived
+once per table state, not once per read. Because a state never changes,
+its memo is valid by construction: a write makes a new state whose memo
+starts cold, and forks, restores and catalog snapshots adopt the same
+state object, so they share its segments until one side writes. A
+numeric segment costs about 16 bytes per value (a list slot plus an
+8-byte mirror slot). The memo is not part of the state's value —
+equality and the pickled form cover its four fields only — so WAL
+records and catalog snapshots keep their formats, and a state arriving
+by pickle (a recovered or shipped catalog) starts cold.
 
 Every row carries a stable ``row_id`` assigned at insert; row ids survive
 updates and are never reused, which gives the merge machinery a stable
@@ -27,15 +32,20 @@ identity for conflict detection.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import threading
+from dataclasses import dataclass, field
+from itertools import chain
 from operator import itemgetter
-from typing import Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from repro.errors import ExecutionError
 from repro.storage.schema import TableSchema
 from repro.storage.types import Row, Value, coerce_value
+
+if TYPE_CHECKING:
+    from repro.storage.statistics import TableStats
 
 #: Rows per chunk. Small enough that chunk rewrites stay cheap, large enough
 #: that snapshot fan-out stays small.
@@ -52,28 +62,26 @@ def numeric_mirror(values: Sequence[Value]) -> np.ndarray | None:
     """
     if not values:
         return None
-    mirror = None
-    if all(type(v) is int for v in values):
-        try:
-            candidate = np.asarray(values)
-        except (OverflowError, ValueError, TypeError):
-            return None
-        if candidate.dtype.kind == "i":
-            mirror = candidate
-    elif all(type(v) is float for v in values):
-        mirror = np.asarray(values, dtype=np.float64)
-    if mirror is not None:
-        mirror.flags.writeable = False
+    kind = type(values[0])
+    if kind is int:
+        dtype = np.int64
+    elif kind is float:
+        dtype = np.float64
+    else:
+        return None
+    if len(set(map(type, values))) != 1:
+        return None
+    try:
+        mirror = np.array(values, dtype=dtype)
+    except OverflowError:
+        return None
+    mirror.flags.writeable = False
     return mirror
 
 
 @dataclass(frozen=True)
 class Chunk:
-    """An immutable run of rows with their stable row ids.
-
-    :meth:`column` and :meth:`mirror` memoize column views on the instance
-    (outside the dataclass fields, so equality and pickling ignore them).
-    """
+    """An immutable run of rows with their stable row ids."""
 
     row_ids: tuple[int, ...]
     rows: tuple[Row, ...]
@@ -81,29 +89,42 @@ class Chunk:
     def __len__(self) -> int:
         return len(self.rows)
 
-    def column(self, position: int) -> tuple[Value, ...]:
-        """The values at ``position``, extracted once per chunk."""
-        columns = self.__dict__.get("_columns")
-        if columns is None:
-            columns = {}
-            object.__setattr__(self, "_columns", columns)
-        values = columns.get(position)
-        if values is None:
-            values = columns[position] = tuple(map(itemgetter(position), self.rows))
-        return values
 
-    def mirror(self, position: int) -> np.ndarray | None:
-        """The numpy mirror of the values at ``position`` (or ``None``)."""
-        mirrors = self.__dict__.get("_mirrors")
-        if mirrors is None:
-            mirrors = {}
-            object.__setattr__(self, "_mirrors", mirrors)
-        if position not in mirrors:
-            mirrors[position] = numeric_mirror(self.column(position))
-        return mirrors[position]
+class Segment(NamedTuple):
+    """One column of one table state: its values in row order and their
+    numpy mirror (:func:`numeric_mirror`; ``None`` when the column is not
+    dtype-uniform numeric). Every reader of the state shares one segment,
+    so nothing may mutate either part."""
 
-    def __getstate__(self) -> dict:
-        return {"row_ids": self.row_ids, "rows": self.rows}
+    values: list[Value]
+    mirror: np.ndarray | None
+
+
+@dataclass
+class StorageCounters:
+    """What a catalog's readers had to rebuild. Bumped only when derived
+    state is built, never per read; ``system.metrics()`` publishes them
+    as ``repro_storage_*`` series."""
+
+    segment_builds: int = 0
+    stats_recomputes: int = 0
+    stats_recompute_ms: float = 0.0
+    _lock: threading.Lock = field(
+        default_factory=threading.Lock, repr=False, compare=False
+    )
+
+    def count_segment(self) -> None:
+        with self._lock:
+            self.segment_builds += 1
+
+    def count_stats(self, elapsed_ms: float) -> None:
+        with self._lock:
+            self.stats_recomputes += 1
+            self.stats_recompute_ms += elapsed_ms
+
+
+#: The fields that make up a table state's value (and its pickled form).
+_STATE_FIELDS = ("schema", "chunks", "next_row_id", "data_version")
 
 
 @dataclass(frozen=True)
@@ -116,6 +137,10 @@ class TableSnapshot:
     baselines. Within one process,
     restoring shares all chunk storage with the source table (chunks are
     immutable); across processes, pickling copies it exactly once.
+
+    Besides its four fields a state carries ``num_rows`` and a memo of
+    what is derived from it — column segments (:class:`Segment`) and the
+    table statistics — which are neither compared nor pickled.
     """
 
     schema: TableSchema
@@ -123,53 +148,55 @@ class TableSnapshot:
     next_row_id: int
     data_version: int
 
-    @property
-    def num_rows(self) -> int:
-        return sum(len(chunk) for chunk in self.chunks)
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "num_rows", sum(len(chunk) for chunk in self.chunks))
+        object.__setattr__(self, "_segments", {})
 
-    def extract_columns(self, positions: Sequence[int]) -> list[list[Value]]:
-        """Materialise the requested columns, one value list per position."""
-        return _extract_columns(self.chunks, positions)
+    def __getstate__(self) -> dict:
+        return {name: self.__dict__[name] for name in _STATE_FIELDS}
 
-    def column_mirrors(self, positions: Sequence[int]) -> list[np.ndarray | None]:
-        """The whole-table numpy mirror of each requested column, or ``None``."""
-        return [_concat_mirror(self.chunks, position) for position in positions]
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self.__post_init__()
+
+    def stats(self, build: Callable[[], TableStats]) -> TableStats:
+        """This state's table statistics, built by the first reader and
+        shared by every later one (racing first readers may each build;
+        the first result stored wins)."""
+        stats = self.__dict__.get("_stats")
+        if stats is None:
+            stats = self.__dict__.setdefault("_stats", build())
+        return stats
+
+    def segment(
+        self, position: int, counters: StorageCounters | None = None
+    ) -> Segment:
+        """The whole column at ``position``, built once per state (racing
+        first readers may each build; the first result stored wins)."""
+        segment = self._segments.get(position)
+        if segment is None:
+            values = _column_values(self.chunks, position)
+            built = Segment(values, numeric_mirror(values))
+            segment = self._segments.setdefault(position, built)
+            if counters is not None:
+                counters.count_segment()
+        return segment
 
 
-def _extract_columns(
-    chunks: Iterable[Chunk], positions: Sequence[int]
-) -> list[list[Value]]:
-    """Concatenate the chunks' memoized column tuples into fresh lists."""
-    columns: list[list[Value]] = [[] for _ in positions]
-    for chunk in chunks:
-        for out, position in zip(columns, positions):
-            out.extend(chunk.column(position))
-    return columns
-
-
-def _concat_mirror(chunks: Sequence[Chunk], position: int) -> np.ndarray | None:
-    """Concatenate the chunks' mirrors of one column; ``None`` unless every
-    chunk has one and all share a dtype (an all-int chunk next to an
-    all-float one fails the whole-column sweep, so it fails here too)."""
-    parts = []
-    for chunk in chunks:
-        mirror = chunk.mirror(position)
-        if mirror is None or (parts and mirror.dtype != parts[0].dtype):
-            return None
-        parts.append(mirror)
-    if len(parts) < 2:
-        return parts[0] if parts else None
-    whole = np.concatenate(parts)
-    whole.flags.writeable = False
-    return whole
+def _column_values(chunks: Sequence[Chunk], position: int) -> list[Value]:
+    rows = chain.from_iterable(chunk.rows for chunk in chunks)
+    return list(map(itemgetter(position), rows))
 
 
 class Table:
     """A mutable table facade over immutable chunks.
 
     The chunk list plus the next-row-id counter form the table's complete
-    state; :meth:`snapshot` / :meth:`from_snapshot` round-trip it without
-    copying row data.
+    state; :meth:`snapshot_state` / :meth:`restore` round-trip it without
+    copying row data. The table caches its current :class:`TableSnapshot`
+    (and with it every segment and statistic derived from it) until the
+    next mutation; a lock makes each mutation and each state build
+    atomic with respect to the other, so a cached state is never torn.
     """
 
     def __init__(self, schema: TableSchema) -> None:
@@ -178,28 +205,41 @@ class Table:
         self._next_row_id = 0
         #: bumped on every mutation; consumed by staleness detection.
         self.data_version = 0
+        self._state: TableSnapshot | None = None
+        self._lock = threading.Lock()
 
     # -- snapshots (used by the branched transaction manager) --------------
 
     def snapshot(self) -> tuple[Chunk, ...]:
         """Return the current chunk list; shares all row storage."""
-        return tuple(self._chunks)
+        return self.snapshot_state().chunks
 
     def snapshot_state(self) -> TableSnapshot:
-        """The table's complete state as one immutable, picklable value."""
-        return TableSnapshot(
-            schema=self.schema,
-            chunks=tuple(self._chunks),
-            next_row_id=self._next_row_id,
-            data_version=self.data_version,
-        )
+        """The table's complete state as one immutable, picklable value:
+        the same object until the next mutation."""
+        state = self._state
+        if state is None:
+            with self._lock:
+                state = self._state
+                if state is None:
+                    state = TableSnapshot(
+                        schema=self.schema,
+                        chunks=tuple(self._chunks),
+                        next_row_id=self._next_row_id,
+                        data_version=self.data_version,
+                    )
+                    self._state = state
+        return state
 
     @classmethod
     def restore(cls, state: TableSnapshot) -> "Table":
-        """Rebuild a table from :meth:`snapshot_state` output."""
-        return cls.from_snapshot(
+        """Rebuild a table from :meth:`snapshot_state` output; the table
+        adopts ``state`` itself, so both share its derived state."""
+        table = cls.from_snapshot(
             state.schema, state.chunks, state.next_row_id, state.data_version
         )
+        table._state = state
+        return table
 
     @classmethod
     def from_snapshot(
@@ -223,7 +263,7 @@ class Table:
 
     @property
     def num_rows(self) -> int:
-        return sum(len(chunk) for chunk in self._chunks)
+        return self.snapshot_state().num_rows
 
     @property
     def num_chunks(self) -> int:
@@ -238,10 +278,7 @@ class Table:
             yield from zip(chunk.row_ids, chunk.rows)
 
     def get(self, row_id: int) -> Row:
-        location = self._locate(row_id)
-        if location is None:
-            raise ExecutionError(f"table {self.schema.name!r} has no row id {row_id}")
-        chunk_index, offset = location
+        chunk_index, offset = self._locate_or_raise(row_id)
         return self._chunks[chunk_index].rows[offset]
 
     def rows(self) -> list[Row]:
@@ -249,22 +286,25 @@ class Table:
         return list(self.scan())
 
     def extract_columns(self, positions: Sequence[int]) -> list[list[Value]]:
-        """Materialise the requested columns, one value list per position."""
-        return _extract_columns(self._chunks, positions)
+        """The requested columns of the current state, one value list per
+        position: the state's shared segment lists, so read-only."""
+        state = self.snapshot_state()
+        return [state.segment(position).values for position in positions]
 
     # -- writes ---------------------------------------------------------------
 
     def insert(self, values: Iterable[Value]) -> int:
         """Validate, coerce and append one row; returns its row id."""
         row = self._coerce_row(tuple(values))
-        row_id = self._next_row_id
-        self._next_row_id += 1
-        if self._chunks and len(self._chunks[-1]) < CHUNK_SIZE:
-            tail = self._chunks[-1]
-            self._chunks[-1] = Chunk(tail.row_ids + (row_id,), tail.rows + (row,))
-        else:
-            self._chunks.append(Chunk((row_id,), (row,)))
-        self.data_version += 1
+        with self._lock:
+            row_id = self._next_row_id
+            self._next_row_id += 1
+            if self._chunks and len(self._chunks[-1]) < CHUNK_SIZE:
+                tail = self._chunks[-1]
+                self._chunks[-1] = Chunk(tail.row_ids + (row_id,), tail.rows + (row,))
+            else:
+                self._chunks.append(Chunk((row_id,), (row,)))
+            self._changed()
         return row_id
 
     def insert_many(self, rows: Iterable[Iterable[Value]]) -> list[int]:
@@ -272,50 +312,47 @@ class Table:
         coerced = [self._coerce_row(tuple(r)) for r in rows]
         if not coerced:
             return []
-        row_ids = list(range(self._next_row_id, self._next_row_id + len(coerced)))
-        self._next_row_id += len(coerced)
-        pending_ids: list[int] = list(row_ids)
-        pending_rows: list[Row] = coerced
-        if self._chunks and len(self._chunks[-1]) < CHUNK_SIZE:
-            tail = self._chunks.pop()
-            pending_ids = list(tail.row_ids) + pending_ids
-            pending_rows = list(tail.rows) + pending_rows
-        for start in range(0, len(pending_rows), CHUNK_SIZE):
-            self._chunks.append(
-                Chunk(
-                    tuple(pending_ids[start : start + CHUNK_SIZE]),
-                    tuple(pending_rows[start : start + CHUNK_SIZE]),
+        with self._lock:
+            row_ids = list(range(self._next_row_id, self._next_row_id + len(coerced)))
+            self._next_row_id += len(coerced)
+            pending_ids: list[int] = list(row_ids)
+            pending_rows: list[Row] = coerced
+            if self._chunks and len(self._chunks[-1]) < CHUNK_SIZE:
+                tail = self._chunks.pop()
+                pending_ids = list(tail.row_ids) + pending_ids
+                pending_rows = list(tail.rows) + pending_rows
+            for start in range(0, len(pending_rows), CHUNK_SIZE):
+                self._chunks.append(
+                    Chunk(
+                        tuple(pending_ids[start : start + CHUNK_SIZE]),
+                        tuple(pending_rows[start : start + CHUNK_SIZE]),
+                    )
                 )
-            )
-        self.data_version += 1
+            self._changed()
         return row_ids
 
     def update(self, row_id: int, values: Iterable[Value]) -> None:
         """Replace the row with ``row_id``; rewrites only its chunk."""
-        location = self._locate(row_id)
-        if location is None:
-            raise ExecutionError(f"table {self.schema.name!r} has no row id {row_id}")
-        chunk_index, offset = location
-        chunk = self._chunks[chunk_index]
-        new_rows = list(chunk.rows)
-        new_rows[offset] = self._coerce_row(tuple(values))
-        self._chunks[chunk_index] = Chunk(chunk.row_ids, tuple(new_rows))
-        self.data_version += 1
+        with self._lock:
+            chunk_index, offset = self._locate_or_raise(row_id)
+            chunk = self._chunks[chunk_index]
+            new_rows = list(chunk.rows)
+            new_rows[offset] = self._coerce_row(tuple(values))
+            self._chunks[chunk_index] = Chunk(chunk.row_ids, tuple(new_rows))
+            self._changed()
 
     def delete(self, row_id: int) -> None:
         """Remove the row with ``row_id``; rewrites only its chunk."""
-        location = self._locate(row_id)
-        if location is None:
-            raise ExecutionError(f"table {self.schema.name!r} has no row id {row_id}")
-        chunk_index, offset = location
-        chunk = self._chunks[chunk_index]
-        new_ids = chunk.row_ids[:offset] + chunk.row_ids[offset + 1 :]
-        new_rows = chunk.rows[:offset] + chunk.rows[offset + 1 :]
-        if new_rows:
-            self._chunks[chunk_index] = Chunk(new_ids, new_rows)
-        else:
-            del self._chunks[chunk_index]
-        self.data_version += 1
+        with self._lock:
+            chunk_index, offset = self._locate_or_raise(row_id)
+            chunk = self._chunks[chunk_index]
+            new_ids = chunk.row_ids[:offset] + chunk.row_ids[offset + 1 :]
+            new_rows = chunk.rows[:offset] + chunk.rows[offset + 1 :]
+            if new_rows:
+                self._chunks[chunk_index] = Chunk(new_ids, new_rows)
+            else:
+                del self._chunks[chunk_index]
+            self._changed()
 
     # -- internals -------------------------------------------------------------
 
@@ -333,6 +370,18 @@ class Table:
                 )
             coerced.append(coerce_value(value, column.data_type))
         return tuple(coerced)
+
+    def _changed(self) -> None:
+        """Close a mutation (caller holds the lock): bump the version and
+        drop the cached state, whose derived state described the old rows."""
+        self.data_version += 1
+        self._state = None
+
+    def _locate_or_raise(self, row_id: int) -> tuple[int, int]:
+        location = self._locate(row_id)
+        if location is None:
+            raise ExecutionError(f"table {self.schema.name!r} has no row id {row_id}")
+        return location
 
     def _locate(self, row_id: int) -> tuple[int, int] | None:
         for chunk_index, chunk in enumerate(self._chunks):

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict
 
+import numpy as np
 import pytest
 
 from repro.core import AgentFirstDataSystem, Brief, Probe
@@ -33,6 +34,7 @@ from repro.engine.executor import (
     subplan_cache_key,
 )
 from repro.plan import logical
+from repro.storage.table import Table
 
 
 def build_db() -> Database:
@@ -356,6 +358,49 @@ ADVERSARIAL_ERRORS = [
 ]
 
 
+#: One list-path kernel run each: columns without a usable mirror.
+LIST_PATH_SHAPES = [
+    "SELECT SUM(nul) FROM adv",
+    "SELECT id FROM adv WHERE nul > 1.0",
+    "SELECT MIN(nan_mid) FROM adv",
+    "SELECT id FROM adv ORDER BY huge",
+]
+
+
+def assert_corpus_leaves_segments_unchanged(db: Database, corpus: list) -> None:
+    """Run ``corpus`` through the columnar engine over warm segments and
+    check that every segment is the same object holding the same values
+    (identical objects) and the same read-only mirror afterwards."""
+    before = {}
+    for name in db.table_names():
+        state = db.catalog.table(name).snapshot_state()
+        for position in range(len(state.schema.columns)):
+            segment = state.segment(position)
+            mirror = segment.mirror
+            before[name, position] = (
+                state,
+                segment,
+                list(segment.values),
+                None if mirror is None else mirror.copy(),
+            )
+    for sql in corpus:
+        plan = db.plan_select(sql)
+        try:
+            ColumnarExecutor(db.catalog, ExecContext()).run(plan)
+        except Exception:  # noqa: BLE001 - the error corpus raises
+            pass
+    for (name, position), (state, segment, values, mirror) in before.items():
+        assert db.catalog.table(name).snapshot_state() is state
+        assert state.segment(position) is segment
+        assert len(segment.values) == len(values), (name, position)
+        assert all(
+            now is then for now, then in zip(segment.values, values)
+        ), (name, position)
+        if mirror is not None:
+            assert not segment.mirror.flags.writeable
+            assert np.array_equal(segment.mirror, mirror, equal_nan=True)
+
+
 class TestAdversarialCorpus:
     """The numpy mirror kernels against the row engine, value for value
     and type for type."""
@@ -384,15 +429,30 @@ class TestAdversarialCorpus:
         assert KERNEL_MEMO_STATS.list_path_runs == 0
         assert KERNEL_MEMO_STATS.fallbacks == 0
 
-    @pytest.mark.parametrize(
-        "sql",
-        [
-            "SELECT SUM(nul) FROM adv",
-            "SELECT id FROM adv WHERE nul > 1.0",
-            "SELECT MIN(nan_mid) FROM adv",
-            "SELECT id FROM adv ORDER BY huge",
-        ],
-    )
+    def test_text_and_column_comparisons_count_list_path_runs(self, adversarial_db):
+        """A comparison with no numpy path at all runs on value lists, and
+        each execution is counted like a run-time fallback."""
+        for sql in (
+            "SELECT COUNT(*) FROM t WHERE grp = 'g1'",
+            "SELECT COUNT(*) FROM adv WHERE g < k",
+        ):
+            db = adversarial_db if "adv" in sql else build_db()
+            plan = db.plan_select(sql)
+            KERNEL_MEMO_STATS.reset()
+            for _ in range(2):
+                ColumnarExecutor(db.catalog, ExecContext()).run(plan)
+            assert KERNEL_MEMO_STATS.list_path_runs == 2, sql
+
+    def test_corpus_leaves_every_segment_unchanged(self, diff_db, adversarial_db):
+        """Scans hand out the table states' segments zero-copy; no kernel
+        may write through them."""
+        assert_corpus_leaves_segments_unchanged(diff_db, CORPUS)
+        assert_corpus_leaves_segments_unchanged(
+            adversarial_db,
+            ADVERSARIAL_CORPUS + ADVERSARIAL_ERRORS + LIST_PATH_SHAPES,
+        )
+
+    @pytest.mark.parametrize("sql", LIST_PATH_SHAPES)
     def test_columns_without_mirrors_count_list_path_runs(
         self, adversarial_db, sql
     ):
@@ -400,6 +460,36 @@ class TestAdversarialCorpus:
         KERNEL_MEMO_STATS.reset()
         ColumnarExecutor(adversarial_db.catalog, ExecContext()).run(plan)
         assert KERNEL_MEMO_STATS.list_path_runs == 1
+
+
+class TestScanCountsItsState:
+    """A scan counts the rows of the one table state it reads, so a write
+    landing while it runs cannot make ``rows_scanned`` disagree with the
+    rows it returned."""
+
+    @pytest.mark.parametrize("engine", [Executor, ColumnarExecutor])
+    @pytest.mark.parametrize("sample_rate", [1.0, 0.999])
+    def test_write_landing_on_a_row_count(self, monkeypatch, engine, sample_rate):
+        db = Database("scan-count")
+        db.execute("CREATE TABLE c (id INT)")
+        db.insert_rows("c", [(i,) for i in range(600)])
+        table = db.catalog.table("c")
+        plan = db.plan_select("SELECT id FROM c")
+        count = Table.num_rows.fget
+
+        def racing_count(self):
+            rows = count(self)
+            if self is table:
+                self.insert((10_000 + rows,))  # a write lands right after
+            return rows
+
+        monkeypatch.setattr(Table, "num_rows", property(racing_count))
+        context = ExecContext(sample_rate=sample_rate)
+        rows = engine(db.catalog, context).run(plan).rows
+        assert context.stats.rows_scanned == 600
+        assert len(rows) <= 600
+        if sample_rate == 1.0:
+            assert rows == [(i,) for i in range(600)]
 
 
 class TestCrossEngineCache:

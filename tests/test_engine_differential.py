@@ -6,11 +6,12 @@ reference evaluate them over the same rows; results must agree. This is
 the strongest correctness net over the whole parse→plan→optimize→execute
 pipeline.
 
-The columnar engine's numpy kernels read column mirrors that storage
-chunks memoize; a second property checks them against the row
-``Executor`` on NULL-free numeric tables spanning several chunks, and the
-memo tests check that every write path — and every way a table is
-forked, merged, discarded or recovered — is seen by the next scan.
+The columnar engine's numpy kernels read the column segments (value
+lists and numpy mirrors) each table state memoizes; a second property
+checks them against the row ``Executor`` on NULL-free numeric tables
+spanning several chunks, and the memo tests check that every write path
+— and every way a table is forked, merged, discarded or recovered — is
+seen by the next scan and by the table statistics.
 """
 
 from __future__ import annotations
@@ -27,7 +28,8 @@ from hypothesis import strategies as st
 from repro.db import Database
 from repro.engine.columnar import ColumnarExecutor
 from repro.engine.executor import ExecContext, Executor
-from repro.storage.table import CHUNK_SIZE
+from repro.storage.statistics import compute_table_stats
+from repro.storage.table import CHUNK_SIZE, Table
 from repro.txn.branches import BranchManager
 
 COLUMNS = ["id", "grp", "val", "flag"]
@@ -290,7 +292,7 @@ class TestColumnarMirrorKernels:
         assert_engines_agree(db, sql)
 
 
-# -- chunk memo validity -----------------------------------------------------------
+# -- table-state memo validity: segments and statistics ---------------------
 
 MEMO_SQL = (
     "SELECT COUNT(*), SUM(v), MIN(v), MAX(v) FROM m WHERE v > -1.0",
@@ -308,19 +310,26 @@ def memo_db(name: str = "memo", **kwargs) -> Database:
 
 def served(db: Database) -> list:
     """Every memo query through the columnar engine, checked against the
-    row engine on the same state."""
+    row engine on the same state; the table statistics are checked
+    against a cold computation over the same rows."""
     answers = []
     for sql in MEMO_SQL:
         row, col = both_engines(db, sql)
         assert repr(col) == repr(row), sql
         answers.append(col)
+    table = db.catalog.table("m")
+    state = table.snapshot_state()
+    cold = Table.from_snapshot(
+        state.schema, state.chunks, state.next_row_id, state.data_version
+    )
+    assert repr(db.catalog.stats("m")) == repr(compute_table_stats(cold))
     return answers
 
 
 class TestChunkMemoValidity:
-    """A scan warms every chunk's memo; the next scan after a write must
-    see the write (only the rewritten chunk is new, so only its memo is
-    rebuilt)."""
+    """A scan warms the table state's column segments and the planner its
+    statistics; the next scan after a write must see the write (the write
+    made a new state, whose segments and statistics start cold)."""
 
     def test_insert(self):
         db = memo_db()
@@ -364,6 +373,27 @@ class TestChunkMemoValidity:
         )
         child.execute("UPDATE m SET v = 7777.5 WHERE id = 5")
         assert served(child.db)[0][0][3] == 7777.5
+        assert served(main) == before
+
+    def test_fork_shares_segments_and_stats(self):
+        manager = BranchManager(memo_db())
+        main = manager.main.db
+        before = served(main)
+        main_state = main.catalog.table("m").snapshot_state()
+        main_stats = main.catalog.stats("m")
+        child = manager.fork("main", "child")
+        child_catalog = child.db.catalog
+        assert child_catalog.table("m").snapshot_state() is main_state
+        assert child_catalog.stats("m") is main_stats
+        served(child.db)
+        assert child_catalog.storage_counters.segment_builds == 0
+        assert child_catalog.storage_counters.stats_recomputes == 0
+        child.execute("UPDATE m SET v = 7777.5 WHERE id = 5")
+        assert child_catalog.stats("m").column("v").max_value == 7777.5
+        assert child_catalog.storage_counters.stats_recomputes == 1
+        assert main.catalog.table("m").snapshot_state() is main_state
+        assert main.catalog.stats("m") is main_stats
+        assert main_stats.column("v").max_value == (2 * CHUNK_SIZE + 87) * 0.5
         assert served(main) == before
 
     def test_merge(self):
@@ -410,7 +440,7 @@ class TestChunkMemoValidity:
         assert served(db) == served(db)
 
     def test_concurrent_cold_scans_agree(self):
-        """Scans racing to fill the same chunks' memos (more threads than
+        """Scans racing to build the same state's segments (more threads than
         cores, a tiny switch interval) all see one consistent table."""
         db = memo_db()
         expected = [

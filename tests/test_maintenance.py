@@ -412,11 +412,13 @@ class TestStatsAndCachePrewarm:
         system.db.execute("INSERT INTO sales VALUES (9005, 1, 'tea', 3.0)")
         report = system.maintenance.run_pending()
         assert "sales" in report.stats_refreshed
-        # The refreshed stats are cached at the table's current version:
+        # The refreshed stats are memoized on the table's current state:
         # the next cost estimate pays nothing.
-        key_version, stats = system.db.catalog._stats_cache["sales"]
-        assert key_version == system.db.catalog.table("sales").data_version
-        assert stats.row_count == system.db.catalog.table("sales").num_rows
+        catalog = system.db.catalog
+        recomputes = catalog.storage_counters.stats_recomputes
+        stats = catalog.stats("sales")
+        assert catalog.storage_counters.stats_recomputes == recomputes
+        assert stats.row_count == catalog.table("sales").num_rows
 
     def test_evicted_hot_entries_reinstalled_from_views(self):
         system = make_system(True, workers=1)

@@ -657,6 +657,63 @@ class TestMetricsSurface:
         # Filter and aggregate each read the mirror-less column once.
         assert system.metrics().get("repro_engine_kernel_memo_list_path_runs") == 2
 
+    def test_text_filter_moves_list_path_runs(self):
+        """A text comparison has no numpy path; each run is counted."""
+        from repro.engine.columnar import KERNEL_MEMO_STATS
+
+        system = AgentFirstDataSystem(build_db())
+        KERNEL_MEMO_STATS.reset()
+        system.submit(Probe.sql("SELECT COUNT(*) FROM sales WHERE product = 'tea'"))
+        assert system.metrics().get("repro_engine_kernel_memo_list_path_runs") == 1
+
+    def test_storage_series_move_once_per_write(self):
+        """One write and one probe rebuild one table state's segment and
+        statistics, so each storage series moves once; a probe over an
+        unchanged state moves none."""
+        names = (
+            "repro_storage_stats_recomputes_total",
+            "repro_storage_stats_recompute_ms_total",
+            "repro_storage_segment_builds_total",
+        )
+        db = build_db()
+        db.execute("CREATE TABLE readings (v FLOAT)")
+        db.insert_rows("readings", [(i * 0.5,) for i in range(40)])
+        system = AgentFirstDataSystem(db)
+        sql = "SELECT COUNT(*) FROM readings WHERE v > {lit}"
+
+        def series() -> list:
+            snap = system.metrics()
+            return [snap.get(name) for name in names]
+
+        system.submit(Probe.sql(sql.format(lit=3.0)))
+        before = series()
+        system.submit(Probe.sql(sql.format(lit=4.0)))
+        assert series() == before
+        db.execute("INSERT INTO readings VALUES (99.5)")
+        system.submit(Probe.sql(sql.format(lit=5.0)))
+        recomputes, recompute_ms, builds = series()
+        assert recomputes == before[0] + 1
+        assert recompute_ms > before[1]
+        assert builds == before[2] + 1
+
+    def test_sharded_metrics_carry_storage_series_per_shard(self):
+        sharded = ShardedSystem(build_tenant_db(), shards=2, partition=PARTITION)
+        try:
+            sharded.submit(Probe.sql("SELECT COUNT(*) FROM sales WHERE qty > 3"))
+            snap = sharded.metrics()
+            for handle in sharded.shards:
+                built = handle.system.db.catalog.storage_counters
+                assert built.segment_builds > 0  # the scatter read every shard
+                shard = str(handle.shard_id)
+                assert snap.get(
+                    "repro_storage_stats_recomputes_total", shard=shard
+                ) == built.stats_recomputes
+                assert snap.get(
+                    "repro_storage_segment_builds_total", shard=shard
+                ) == built.segment_builds
+        finally:
+            sharded.close()
+
     def test_sharded_metrics_merge_with_shard_labels(self):
         sharded = ShardedSystem(build_tenant_db(), shards=2, partition=PARTITION)
         try:

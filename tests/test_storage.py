@@ -3,6 +3,11 @@ indexes."""
 
 from __future__ import annotations
 
+import sys
+import threading
+from collections import Counter
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,7 +23,13 @@ from repro.storage import (
     compute_table_stats,
     infer_type,
 )
-from repro.storage.table import CHUNK_SIZE
+from repro.storage.statistics import (
+    HISTOGRAM_BUCKETS,
+    MCV_SIZE,
+    ColumnStats,
+    compute_column_stats,
+)
+from repro.storage.table import CHUNK_SIZE, Chunk, TableSnapshot
 from repro.storage.types import compare_values
 
 
@@ -172,6 +183,43 @@ class TestTable:
         v0 = table.data_version
         table.insert((1, "a", None))
         assert table.data_version > v0
+
+    def test_cached_state_is_never_torn_by_a_concurrent_write(self):
+        """Readers take the cached state while writers insert (more
+        threads than cores, a tiny switch interval). One row and one
+        version bump per insert, so every state a reader sees has exactly
+        ``data_version`` rows, and its segment as many values."""
+        table = Table(TableSchema("c", (Column("v", DataType.INTEGER),)))
+        seen: list[tuple[int, int, int]] = []
+        lock = threading.Lock()
+
+        def write() -> None:
+            for k in range(300):
+                table.insert((k,))
+
+        def read() -> None:
+            for _ in range(300):
+                state = table.snapshot_state()
+                observed = (state.data_version, state.num_rows, len(state.segment(0).values))
+                with lock:
+                    seen.append(observed)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=write) for _ in range(2)]
+            threads += [threading.Thread(target=read) for _ in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(seen) == 6 * 300
+        assert all(version == rows == values for version, rows, values in seen)
+        state = table.snapshot_state()
+        assert state.num_rows == state.data_version == 600
 
     @given(st.lists(st.integers(0, 1000), min_size=1, max_size=60, unique=True))
     @settings(max_examples=25, deadline=None)
@@ -452,3 +500,224 @@ class TestStatistics:
         column = stats.column("id")
         assert column.row_count == 0
         assert column.selectivity_equals(1) == 0.0
+
+
+# -- column segments -------------------------------------------------------------
+
+class TestSegments:
+    """A write makes a new state, whose segments are built from its own
+    rows; the previous state's segments stay as they were."""
+
+    def test_each_write_builds_the_next_segment_from_its_rows(self):
+        table = Table(TableSchema("seg", (Column("v", DataType.INTEGER),)))
+        table.insert_many([(k,) for k in range(CHUNK_SIZE)] + [(None,)])
+        ids = [row_id for row_id, _ in table.scan_with_ids()]
+        first = table.snapshot_state().segment(0)
+        assert first.mirror is None  # the NULL keeps the column off numpy
+        table.update(ids[-1], (7,))
+        second = table.snapshot_state().segment(0)
+        assert second.values == list(range(CHUNK_SIZE)) + [7]
+        assert second.mirror.dtype == np.int64
+        assert second.mirror.tolist() == second.values
+        assert not second.mirror.flags.writeable
+        table.insert((2**63,))  # past int64: no mirror
+        third = table.snapshot_state().segment(0)
+        assert third.values == second.values + [2**63]
+        assert third.mirror is None
+        assert first.values == list(range(CHUNK_SIZE)) + [None]
+        assert second.values == list(range(CHUNK_SIZE)) + [7]
+
+
+# -- numpy statistics vs the per-value loop --------------------------------------
+
+
+def oracle_column_stats(state: TableSnapshot, position: int) -> ColumnStats:
+    """The single-pass per-value loop statistics were computed with before
+    they read column segments, kept verbatim as the reference."""
+    schema = state.schema
+    data_type = schema.columns[position].data_type
+    counter: Counter = Counter()
+    null_count = 0
+    min_value = None
+    max_value = None
+    numeric_values: list[float] = []
+    for chunk in state.chunks:
+        for row in chunk.rows:
+            value = row[position]
+            if value is None:
+                null_count += 1
+                continue
+            counter[value] += 1
+            if min_value is None or _oracle_less_than(value, min_value):
+                min_value = value
+            if max_value is None or _oracle_less_than(max_value, value):
+                max_value = value
+            if isinstance(value, (int, float)) and not isinstance(value, bool):
+                numeric_values.append(float(value))
+
+    histogram: tuple[int, ...] = ()
+    if numeric_values and min_value is not None and max_value is not None:
+        histogram = _oracle_histogram(
+            numeric_values, float(min_value), float(max_value)
+        )
+
+    return ColumnStats(
+        column=schema.columns[position].name,
+        data_type=data_type,
+        row_count=state.num_rows,
+        null_count=null_count,
+        distinct_count=len(counter),
+        min_value=min_value,
+        max_value=max_value,
+        most_common=tuple(counter.most_common(MCV_SIZE)),
+        histogram=histogram,
+    )
+
+
+def _oracle_less_than(left, right) -> bool:
+    try:
+        return left < right
+    except TypeError:
+        return str(left) < str(right)
+
+
+def _oracle_histogram(values: list[float], low: float, high: float) -> tuple[int, ...]:
+    buckets = [0] * HISTOGRAM_BUCKETS
+    span = high - low
+    if span <= 0:
+        buckets[0] = len(values)
+        return tuple(buckets)
+    for value in values:
+        index = min(int((value - low) / span * HISTOGRAM_BUCKETS), HISTOGRAM_BUCKETS - 1)
+        buckets[index] += 1
+    return tuple(buckets)
+
+
+def column_state(values: list) -> TableSnapshot:
+    """A one-column table state holding ``values`` exactly as given —
+    built from chunks, so no coercion unifies their types — spread over
+    several chunks."""
+    schema = TableSchema("adv", (Column("v", DataType.FLOAT),))
+    chunks = tuple(
+        Chunk(
+            tuple(range(start, start + len(values[start : start + 7]))),
+            tuple((value,) for value in values[start : start + 7]),
+        )
+        for start in range(0, len(values), 7)
+    )
+    return TableSnapshot(schema, chunks, len(values), 0)
+
+
+def outcome(compute, state: TableSnapshot) -> str:
+    """``repr`` of the statistics, or of the error computing them raised."""
+    try:
+        return repr(compute(state, 0))
+    except Exception as exc:  # noqa: BLE001 - the error is the outcome
+        return f"{type(exc).__name__}: {exc}"
+
+
+NAN = float("nan")
+
+ADVERSARIAL_COLUMNS = {
+    # count ties: more than MCV_SIZE distinct values, cut by first appearance
+    "mcv_ties_int": [5, 3, 5, 3, 9, 1, 1, 9] + list(range(20, 34)) * 2 + [7],
+    "mcv_ties_float": [0.5 * (i % 14) for i in range(41)][::-1],
+    "signed_zero_neg_first": [-0.0, 0.0, 1.5, 0.0, -0.0, -2.5, -2.5, 1.5],
+    "signed_zero_pos_first": [0.0, -0.0, -0.0, 3.0, 0.0],
+    "signed_zero_max_neg_first": [-0.0, -1.0, 0.0, -2.5, 0.0],
+    "signed_zero_max_pos_first": [-3.0, 0.0, -0.0, -0.0],
+    "signed_zero_min_pos_first": [0.0, 1.0, -0.0, 2.0],
+    "signed_zero_min_neg_first": [4.0, -0.0, 0.0, 1.0, -0.0],
+    "nan_first": [NAN, 1.0, 2.0, 1.0],
+    "nan_mid": [1.0, 2.0, NAN, NAN, 0.5],
+    "nan_only": [NAN, NAN],
+    "infinity": [1.0, float("inf"), -2.0],
+    "infinite_span": [1e308, -1e308, 0.0],
+    "beyond_int64": [2**63, 1, -5, 2**63, 2**70],
+    "beyond_2_53": [2**53 + 1, 2**53, 2**60 + 3, -(2**62), 2**53 + 1, 2**62 + 1],
+    "int64_extremes": [2**63 - 1, -(2**63), 0, 2**63 - 1],
+    "bools": [True, False, True, True, False],
+    "mixed_int_float": [1, 2.5, 1.0, 3, 2.5, 1],
+    "mixed_with_null": [None, 4, 4.0, None, -1.5],
+    "all_null": [None, None, None],
+    "empty": [],
+    "single_value_int": [7, 7, 7],
+    "single_value_float": [2.5] * 9,
+    "single_row": [-0.0],
+    "text": ["b", "a", "b", None, "c"],
+}
+
+
+class TestMirrorStatistics:
+    """Statistics read from column segments take a numpy path for
+    NULL-free numeric mirrors; their ``repr`` must be the per-value
+    loop's, value types, signs and tie order included."""
+
+    @pytest.mark.parametrize("name", sorted(ADVERSARIAL_COLUMNS))
+    def test_adversarial_columns_match_the_loop(self, name):
+        values = ADVERSARIAL_COLUMNS[name]
+        assert outcome(compute_column_stats, column_state(values)) == outcome(
+            oracle_column_stats, column_state(values)
+        )
+
+    def test_numpy_path_is_taken(self):
+        """The fast path really runs: mirrored columns exist for the
+        columns it claims, and the loop answers for the rest."""
+        for name in ("mcv_ties_int", "signed_zero_neg_first", "beyond_2_53"):
+            assert column_state(ADVERSARIAL_COLUMNS[name]).segment(0).mirror is not None
+        for name in ("beyond_int64", "bools", "mixed_int_float", "all_null"):
+            assert column_state(ADVERSARIAL_COLUMNS[name]).segment(0).mirror is None
+
+    @given(
+        st.one_of(
+            st.lists(st.integers(-4, 4), max_size=60),
+            st.lists(st.integers(-(2**63), 2**63 - 1), max_size=30),
+            st.lists(
+                st.one_of(
+                    st.sampled_from([0.0, -0.0, 0.1, 0.2, 0.3, -0.7, 1e16, 2.5]),
+                    st.floats(-1e6, 1e6, allow_nan=False),
+                ),
+                max_size=60,
+            ),
+            st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=20),
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_random_columns_match_the_loop(self, values):
+        assert outcome(compute_column_stats, column_state(values)) == outcome(
+            oracle_column_stats, column_state(values)
+        )
+
+    def test_table_stats_match_the_loop_per_column(self):
+        catalog = Catalog()
+        catalog.create_table(make_schema("t"))
+        catalog.insert_rows(
+            "t",
+            [
+                (i, None if i % 5 == 0 else f"n{i % 7}", (i % 9) * 0.5)
+                for i in range(600)
+            ],
+        )
+        state = catalog.table("t").snapshot_state()
+        stats = catalog.stats("t")
+        for position, column in enumerate(state.schema.columns):
+            assert repr(stats.column(column.name)) == repr(
+                oracle_column_stats(state, position)
+            )
+
+    def test_stats_are_memoized_on_the_state(self):
+        catalog = Catalog()
+        catalog.create_table(make_schema("t"))
+        catalog.insert_rows("t", [(i, "x", float(i)) for i in range(40)])
+        counters = catalog.storage_counters
+        stats = catalog.stats("t")
+        assert (counters.stats_recomputes, counters.segment_builds) == (1, 3)
+        assert catalog.stats("t") is stats
+        # A scan of the same state reads the segments statistics built.
+        state = catalog.table("t").snapshot_state()
+        assert state.segment(2, counters) is state.segment(2)
+        assert (counters.stats_recomputes, counters.segment_builds) == (1, 3)
+        assert counters.stats_recompute_ms > 0
+        catalog.insert_rows("t", [(40, "y", 40.0)])
+        assert catalog.stats("t").row_count == 41
+        assert (counters.stats_recomputes, counters.segment_builds) == (2, 6)
