@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.storage.table import numeric_mirror
+from repro.storage.table import Segment, TextCodes, numeric_mirror, text_codes
 from repro.storage.types import Row, Value
 
 _MISSING = object()
@@ -28,7 +28,7 @@ class ColumnBatch:
     produced to every later execution of the same subplan, so nothing may
     mutate a column, a mirror or a row view after construction.
 
-    Two caches ride along and are stripped from the pickle state — the
+    Three caches ride along and are stripped from the pickle state — the
     same contract as ``PlanNode.__getstate__`` dropping its fingerprint
     memo, keeping pickles lean:
 
@@ -44,25 +44,36 @@ class ColumnBatch:
       sort and limit carry mirrors through by gathering or slicing them;
       only batches built from rows (views, joins, fallbacks, cache
       entries installed as rows) pay the type sweep, once per column, on
-      first use.
+      first use;
+    * ``_codes`` — per-column :class:`~repro.storage.table.TextCodes` for
+      all-``str`` columns (``None`` marks ineligible columns), the same
+      way: a scan batch reads them from the segments it shares its
+      columns with (``_segments``), so they are built once per table
+      state; gather and limit carry them alongside the mirrors; any other
+      batch encodes a column on first use.
 
-    Both memos fill lazily, and a cached batch is shared by concurrent
+    The memos fill lazily, and a cached batch is shared by concurrent
     executions: filling is idempotent, and code that iterates ``_numpy``
     iterates a snapshot of it.
     """
 
-    __slots__ = ("columns", "length", "_rows", "_numpy")
+    __slots__ = ("columns", "length", "_rows", "_numpy", "_codes", "_segments")
 
     def __init__(
         self,
         columns: list[list[Value]],
         length: int,
         mirrors: dict[int, object] | None = None,
+        codes: dict[int, object] | None = None,
+        segments: list[Segment] | None = None,
     ) -> None:
         self.columns = columns
         self.length = length
         self._rows: list[Row] | None = None
         self._numpy: dict[int, object] = {} if mirrors is None else mirrors
+        self._codes: dict[int, object] = {} if codes is None else codes
+        #: the table-state segments whose value lists are ``columns``
+        self._segments = segments
 
     @classmethod
     def from_rows(cls, rows: list[Row], width: int) -> "ColumnBatch":
@@ -93,7 +104,7 @@ class ColumnBatch:
 
     def gather(self, indices) -> "ColumnBatch":
         """The rows at ``indices`` (a sequence of row positions), with
-        every known mirror gathered alongside its column.
+        every known mirror and text encoding gathered alongside its column.
 
         A mirrored column is rebuilt from its gathered mirror (``tolist``
         restores the exact ``int``/``float`` values) unless it holds NaN:
@@ -118,13 +129,28 @@ class ColumnBatch:
                 if positions is None:
                     positions = indices.tolist()
                 columns.append([column[i] for i in positions])
-        return ColumnBatch(columns, len(indices), mirrors)
+        codes = {
+            index: None if encoded is None else encoded.take(indices)
+            for index, encoded in list(self._codes.items())
+        }
+        return ColumnBatch(columns, len(indices), mirrors, codes)
 
     def numpy_column(self, index: int):
         """A numpy mirror of one column, or ``None`` when ineligible."""
         cached = self._numpy.get(index, _MISSING)
         if cached is _MISSING:
             cached = self._numpy[index] = numeric_mirror(self.columns[index])
+        return cached
+
+    def text_codes(self, index: int) -> TextCodes | None:
+        """The text codes of one column, or ``None`` when ineligible."""
+        cached = self._codes.get(index, _MISSING)
+        if cached is _MISSING:
+            if self._segments is not None:
+                cached = self._segments[index].text_codes()
+            else:
+                cached = text_codes(self.columns[index])
+            self._codes[index] = cached
         return cached
 
     def __len__(self) -> int:
@@ -137,3 +163,5 @@ class ColumnBatch:
         self.columns, self.length = state
         self._rows = None
         self._numpy = {}
+        self._codes = {}
+        self._segments = None

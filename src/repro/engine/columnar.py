@@ -19,12 +19,17 @@ sharing safe. The numeric kernels then stay in numpy:
 * numeric ``column OP literal`` comparisons produce bool masks, combined
   by ``&``/``|``/``~`` (a mirror holds no NULLs, so three-valued logic is
   two-valued there), and a filter gathers mirrors by ``np.flatnonzero``;
+* text ``column OP literal`` comparisons and ``IN``/``NOT IN`` lists of
+  text literals produce the same masks from the column's sorted-dictionary
+  codes (:class:`~repro.storage.table.TextCodes`, memoized on the segment
+  beside the mirror): one ``bisect`` of the literal, then an integer
+  compare;
 * COUNT, SUM and AVG (grouped or not) and ungrouped MIN/MAX of a bare
   mirrored column reduce in numpy, as does a bare mirrored GROUP BY key;
 * ORDER BY over bare mirrored keys without NaN is a stable ``np.lexsort``.
 
 Everything else — NULL-bearing, mixed-type, boolean or beyond-int64 columns, computed
-expressions — runs the per-value list path.
+expressions, column-vs-column comparisons — runs the per-value list path.
 
 Byte-identity is the contract, not a goal: the columnar engine must
 produce exactly the row engine's rows, ordering, value types, statuses,
@@ -68,6 +73,7 @@ the reference oracle the differential tests compare against.
 from __future__ import annotations
 
 import threading
+from bisect import bisect_left, bisect_right
 from collections import OrderedDict
 from dataclasses import dataclass
 from itertools import compress
@@ -98,6 +104,7 @@ from repro.obs import trace as obs_trace
 from repro.plan import logical
 from repro.plan.fingerprint import fingerprints
 from repro.sql import nodes
+from repro.storage.table import TextCodes
 from repro.storage.types import Row, Value, compare_values
 
 #: Nested-loop pair expansions beyond this bail to the row engine, which
@@ -137,13 +144,39 @@ _FLIPPED_OP = {"=": "=", "<>": "<>", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
 
 def _yields_masks(expr: nodes.Expr) -> bool:
     """Whether ``expr``'s specialized kernel may return a numpy bool mask:
-    comparisons, AND/OR and NOT. A mask is two-valued — it only ever comes
-    from mirrors, which hold no NULLs — so the connectives combine masks
-    with ``&``/``|``/``~`` exactly and fall back to three-valued logic on
-    lists when either side is one."""
+    comparisons, IN-lists, AND/OR and NOT. A mask is two-valued — it only
+    ever comes from mirrors or text codes, which hold no NULLs — so the
+    connectives combine masks with ``&``/``|``/``~`` exactly and fall back
+    to three-valued logic on lists when either side is one."""
     if isinstance(expr, nodes.Binary):
         return expr.op in _TRUE_CHECKS or expr.op in ("AND", "OR")
+    if isinstance(expr, nodes.InList):
+        return True
     return isinstance(expr, nodes.Unary) and expr.op == "NOT"
+
+
+def _code_mask(encoded: TextCodes, op: str, literal: str) -> np.ndarray:
+    """``value OP literal`` for every value of a text-coded column.
+
+    The dictionary is in ``str`` order, so a value compares with the
+    literal as its code compares with the literal's insertion points:
+    ``bisect_left`` counts the values below it, ``bisect_right`` those not
+    above it. A literal absent from the dictionary equals no value.
+    """
+    dictionary, codes = encoded
+    low = bisect_left(dictionary, literal)
+    if op in ("=", "<>"):
+        if low < len(dictionary) and dictionary[low] == literal:
+            equal = codes == low
+        else:
+            equal = np.zeros(len(codes), dtype=bool)
+        return equal if op == "=" else ~equal
+    if op == "<":
+        return codes < low
+    if op == ">=":
+        return codes >= low
+    high = bisect_right(dictionary, literal)
+    return codes < high if op == "<=" else codes >= high
 
 
 class _BatchCompiler:
@@ -365,8 +398,9 @@ class _BatchCompiler:
     def _numpy_comparison(
         self, expr: nodes.Binary
     ) -> Callable[[ColumnBatch], "np.ndarray | None"] | None:
-        """Mask kernel for ``column OP numeric-literal``, or ``None``. At
-        run time it returns ``None`` when the column has no mirror.
+        """Mask kernel for ``column OP literal``, or ``None``. At run time
+        it returns ``None`` when the column has no mirror (numeric
+        literal) or no text codes (text literal, :func:`_code_mask`).
 
         Derives every operator from a ``<``/``>`` mask pair so the result
         reproduces ``compare_values``'s three-way semantics exactly (NaN
@@ -383,11 +417,22 @@ class _BatchCompiler:
         ):
             return None
         literal = right.value
+        index = resolve_column(left, self._output)
+        if type(literal) is str:
+
+            def coded(batch: ColumnBatch):
+                if not batch.length:
+                    return np.zeros(0, dtype=bool)
+                encoded = batch.text_codes(index)
+                if encoded is None:
+                    return None
+                return _code_mask(encoded, op, literal)
+
+            return coded
         if isinstance(literal, bool) or not isinstance(literal, (int, float)):
             return None
         if isinstance(literal, int) and abs(literal) > _NUMPY_INT_LIMIT:
             return None
-        index = resolve_column(left, self._output)
 
         def fast(batch: ColumnBatch):
             if not batch.length:
@@ -479,11 +524,27 @@ class _BatchCompiler:
         return like
 
     def _specialize_in_list(self, expr: nodes.InList) -> BatchCompiled:
+        """IN-list membership; a bare column against text literals only
+        (no NULL item, which makes misses NULL) is a mask over its text
+        codes whenever the column has them."""
         operand = self._compile(expr.operand)
         items = [self._compile(item) for item in expr.items]
         negated = expr.negated
+        index = None
+        if isinstance(expr.operand, nodes.ColumnRef) and all(
+            isinstance(item, nodes.Literal) and type(item.value) is str
+            for item in expr.items
+        ):
+            index = resolve_column(expr.operand, self._output)
+            literals = [item.value for item in expr.items]
 
         def in_list(batch: ColumnBatch) -> list:
+            encoded = None if index is None else batch.text_codes(index)
+            if encoded is not None:
+                mask = np.zeros(batch.length, dtype=bool)
+                for literal in literals:
+                    mask |= _code_mask(encoded, "=", literal)
+                return ~mask if negated else mask
             values = operand(batch)
             item_columns = [item(batch) for item in items]
             out = []
@@ -792,13 +853,15 @@ def _scan_kernel(ex, node: logical.Scan, batches: tuple) -> ColumnBatch:
     stats.rows_scanned += state.num_rows
     stats.rows_processed += state.num_rows
     if sampler is None:
-        # Zero-copy: the batch shares the state's segment lists and mirrors.
+        # Zero-copy: the batch shares the state's segment lists and mirrors,
+        # and reads text codes from the segments.
         counters = ex._catalog.storage_counters
         segments = [state.segment(position, counters) for position in positions]
         return ColumnBatch(
             [segment.values for segment in segments],
             state.num_rows,
             {index: segment.mirror for index, segment in enumerate(segments)},
+            segments=segments,
         )
     # Sampled: one bernoulli draw per row in scan order — the identical
     # draw sequence the row engine consumes from the identical stream.
@@ -848,7 +911,7 @@ def _make_filter_kernel(predicate: BatchCompiled) -> NodeKernel:
 def _make_project_kernel(
     fns: list[BatchCompiled], refs: list[int | None]
 ) -> NodeKernel:
-    """Bare column references keep their mirror."""
+    """Bare column references keep their mirror and text codes."""
 
     def kernel(ex, node, batches: tuple) -> ColumnBatch:
         (batch,) = batches
@@ -858,7 +921,12 @@ def _make_project_kernel(
             for position, ref in enumerate(refs)
             if ref is not None and ref in batch._numpy
         }
-        return ColumnBatch([fn(batch) for fn in fns], batch.length, mirrors)
+        codes = {
+            position: batch._codes[ref]
+            for position, ref in enumerate(refs)
+            if ref is not None and ref in batch._codes
+        }
+        return ColumnBatch([fn(batch) for fn in fns], batch.length, mirrors, codes)
 
     return kernel
 
@@ -1286,8 +1354,12 @@ def _limit_kernel(ex, node: logical.Limit, batches: tuple) -> ColumnBatch:
         index: None if mirror is None else mirror[start:stop]
         for index, mirror in list(batch._numpy.items())
     }
+    codes = {
+        index: None if encoded is None else encoded.take(slice(start, stop))
+        for index, encoded in list(batch._codes.items())
+    }
     return ColumnBatch(
-        [column[start:stop] for column in batch.columns], length, mirrors
+        [column[start:stop] for column in batch.columns], length, mirrors, codes
     )
 
 

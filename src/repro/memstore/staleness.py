@@ -29,8 +29,9 @@ def affected_by(event: ChangeEvent, depends_on: tuple[str, ...], data_sensitive:
     """Does ``event`` invalidate an artifact with these dependencies?"""
     table = event.table.lower()
     touched = table in {d.lower() for d in depends_on}
-    if not touched:
-        return False
-    if event.kind in ("create", "drop"):
-        return True
-    return data_sensitive
+    return touched and reaches_dependent(event, data_sensitive)
+
+
+def reaches_dependent(event: ChangeEvent, data_sensitive: bool) -> bool:
+    """Does ``event`` invalidate an artifact that depends on its table?"""
+    return event.kind in ("create", "drop") or data_sensitive

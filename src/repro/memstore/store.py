@@ -7,7 +7,9 @@ A hybrid store over grounding artifacts:
 * **structured lookup** — exact retrieval by kind and subject
   ``(table[, column])`` serves targeted probes;
 * **staleness** — subscribes to database change events and applies an
-  :class:`~repro.memstore.staleness.StalenessPolicy`;
+  :class:`~repro.memstore.staleness.StalenessPolicy`; artifacts are
+  indexed by the tables they depend on, so an event visits only its
+  table's dependents that it can still change;
 * **access control** — artifacts live in per-principal namespaces; lookups
   see the caller's own artifacts plus explicitly ``shared`` ones. The
   ``share_across_principals`` knob models the paper's privacy trade-off:
@@ -21,7 +23,7 @@ from collections import defaultdict
 from repro.db.database import ChangeEvent, Database
 from repro.errors import MemoryStoreError
 from repro.memstore.artifacts import Artifact, ArtifactKind
-from repro.memstore.staleness import StalenessPolicy, affected_by
+from repro.memstore.staleness import StalenessPolicy, reaches_dependent
 from repro.memstore.vector_index import VectorIndex
 from repro.semantic.embedding import HashedEmbedder
 
@@ -39,6 +41,12 @@ class AgenticMemoryStore:
         self.share_across_principals = share_across_principals
         self._artifacts: dict[int, Artifact] = {}
         self._by_subject: dict[tuple, list[int]] = defaultdict(list)
+        #: table -> id -> artifact, for every artifact depending on the
+        #: table: not yet stale in ``_fresh``, stale (which only an EAGER
+        #: event still removes) in ``_stale``. Read from ``depends_on`` at
+        #: put; ``on_change`` and ``refresh`` move artifacts between them.
+        self._fresh: dict[str, dict[int, Artifact]] = defaultdict(dict)
+        self._stale: dict[str, dict[int, Artifact]] = defaultdict(dict)
         self._vectors = VectorIndex(embedder)
         self.invalidations = 0
         self.stale_marks = 0
@@ -63,6 +71,7 @@ class AgenticMemoryStore:
         self._by_subject[(artifact.kind, artifact.subject_key())].append(
             artifact.artifact_id
         )
+        self._index_dependencies(artifact)
         self._vectors.add(artifact.artifact_id, artifact.text)
         return artifact.artifact_id
 
@@ -99,7 +108,20 @@ class AgenticMemoryStore:
         key = (artifact.kind, artifact.subject_key())
         if artifact_id in self._by_subject.get(key, []):
             self._by_subject[key].remove(artifact_id)
+        self._unindex_dependencies(artifact)
         self._vectors.remove(artifact_id)
+
+    def _index_dependencies(self, artifact: Artifact) -> None:
+        index = self._stale if artifact.stale else self._fresh
+        for table in {table.lower() for table in artifact.depends_on}:
+            index[table][artifact.artifact_id] = artifact
+
+    def _unindex_dependencies(self, artifact: Artifact) -> None:
+        for table in {table.lower() for table in artifact.depends_on}:
+            for index in (self._fresh, self._stale):
+                dependents = index.get(table)
+                if dependents is not None:
+                    dependents.pop(artifact.artifact_id, None)
 
     # -- reads ------------------------------------------------------------------
 
@@ -180,27 +202,37 @@ class AgenticMemoryStore:
     # -- staleness ----------------------------------------------------------------
 
     def on_change(self, event: ChangeEvent) -> None:
-        """Apply the staleness policy to artifacts affected by ``event``."""
-        victims = [
-            artifact
-            for artifact in self._artifacts.values()
-            if affected_by(event, artifact.depends_on, artifact.data_sensitive)
-        ]
-        for artifact in victims:
-            if self.policy is StalenessPolicy.EAGER:
+        """Apply the staleness policy to artifacts affected by ``event``.
+
+        Only the event table's dependents are visited: under LAZY the ones
+        not yet stale (marking a stale one again changes nothing), under
+        EAGER the stale ones too, since EAGER removes them.
+        """
+        table = event.table.lower()
+        eager = self.policy is StalenessPolicy.EAGER
+        candidates = list(self._fresh.get(table, {}).values())
+        if eager:
+            candidates += self._stale.get(table, {}).values()
+        for artifact in candidates:
+            if not reaches_dependent(event, artifact.data_sensitive):
+                continue
+            if eager:
                 self._remove(artifact.artifact_id)
                 self.invalidations += 1
             else:
-                if not artifact.stale:
-                    artifact.stale = True
-                    self.stale_marks += 1
+                self._unindex_dependencies(artifact)
+                artifact.stale = True
+                self._index_dependencies(artifact)
+                self.stale_marks += 1
 
     def refresh(self, artifact_id: int, new_text: str | None = None, **content) -> None:
         """Mark an artifact fresh again after re-verification."""
         artifact = self._artifacts.get(artifact_id)
         if artifact is None:
             raise MemoryStoreError(f"no artifact {artifact_id}")
+        self._unindex_dependencies(artifact)
         artifact.stale = False
+        self._index_dependencies(artifact)
         if new_text is not None:
             artifact.text = new_text
             self._vectors.remove(artifact_id)

@@ -17,6 +17,22 @@ from repro.semantic.embedding import HashedEmbedder
 _INITIAL_CAPACITY = 64
 
 
+def top_k(scores: np.ndarray, k: int) -> np.ndarray:
+    """Positions of the ``k`` highest scores, highest first, ties in
+    position order: ``np.argsort(-scores, kind="stable")[:k]`` without
+    sorting every score. Partitioning finds the k-th highest score; only
+    the scores at or above it (ties included) are then stably sorted.
+    """
+    negated = -scores
+    if not 0 < k < len(negated):
+        return np.argsort(negated, kind="stable")[:k]
+    kth = np.partition(negated, k - 1)[k - 1]
+    if np.isnan(kth):  # NaN sorts last; fewer than k scores are numbers
+        return np.argsort(negated, kind="stable")[:k]
+    candidates = np.flatnonzero(negated <= kth)
+    return candidates[np.argsort(negated[candidates], kind="stable")][:k]
+
+
 class VectorIndex:
     """Maps integer ids to embedded texts; answers top-k cosine queries."""
 
@@ -49,7 +65,7 @@ class VectorIndex:
             return []
         query_vector = self._embedder.embed(text)
         scores = self._matrix[: len(self._ids)] @ query_vector
-        order = np.argsort(-scores, kind="stable")[:k]
+        order = top_k(scores, k)
         return [(self._ids[int(i)], float(scores[int(i)])) for i in order]
 
     def __len__(self) -> int:

@@ -12,7 +12,9 @@ next mutation. What readers derive from it is memoized on the state,
 lazily, on first read: each column position a reader asks for becomes a
 :class:`Segment` (the whole column's value list plus its dtype-uniform
 numpy mirror, :func:`numeric_mirror`; ``None`` for columns that are not
-all-``int`` or all-``float``), and the table statistics
+all-``int`` or all-``float``; plus, for an all-``str`` column, its
+sorted-dictionary :class:`TextCodes`, built on first request), and the
+table statistics
 (:func:`repro.storage.statistics.table_stats`) sit beside the segments.
 Scans and statistics read the same segments, so each column is derived
 once per table state, not once per read. Because a state never changes,
@@ -50,6 +52,8 @@ if TYPE_CHECKING:
 #: Rows per chunk. Small enough that chunk rewrites stay cheap, large enough
 #: that snapshot fan-out stays small.
 CHUNK_SIZE = 256
+
+_UNBUILT = object()
 
 
 def numeric_mirror(values: Sequence[Value]) -> np.ndarray | None:
@@ -90,14 +94,63 @@ class Chunk:
         return len(self.rows)
 
 
-class Segment(NamedTuple):
-    """One column of one table state: its values in row order and their
-    numpy mirror (:func:`numeric_mirror`; ``None`` when the column is not
-    dtype-uniform numeric). Every reader of the state shares one segment,
-    so nothing may mutate either part."""
+class TextCodes(NamedTuple):
+    """A sorted-dictionary encoding of an all-``str`` column.
 
-    values: list[Value]
-    mirror: np.ndarray | None
+    ``dictionary`` holds the distinct values in ``str`` order and
+    ``codes`` (int32, read-only) each value's rank in it, so every
+    comparison of a value with a text literal is an integer comparison of
+    its code with the literal's ``bisect`` position. A gathered or sliced
+    encoding keeps the whole dictionary: it stays sorted and may hold
+    values no longer present, which no comparison can tell apart.
+    """
+
+    dictionary: list[str]
+    codes: np.ndarray
+
+    def take(self, positions) -> TextCodes:
+        """The encoding of the values at ``positions`` (an index array or
+        a slice), over the same dictionary."""
+        return TextCodes(self.dictionary, self.codes[positions])
+
+
+def text_codes(values: Sequence[Value]) -> TextCodes | None:
+    """The :class:`TextCodes` of ``values``, or ``None`` unless every value
+    is a ``str`` (a NULL or any other type keeps the column on the
+    per-value path). An empty sequence has no codes."""
+    distinct = set(values)
+    if not distinct or any(type(value) is not str for value in distinct):
+        return None
+    dictionary = sorted(distinct)
+    rank = {value: code for code, value in enumerate(dictionary)}
+    codes = np.fromiter(
+        map(rank.__getitem__, values), dtype=np.int32, count=len(values)
+    )
+    codes.flags.writeable = False
+    return TextCodes(dictionary, codes)
+
+
+class Segment:
+    """One column of one table state: its values in row order, their
+    numpy mirror (:func:`numeric_mirror`; ``None`` when the column is not
+    dtype-uniform numeric) and, built on first request, their
+    :class:`TextCodes`. Every reader of the state shares one segment, so
+    nothing may mutate any part."""
+
+    __slots__ = ("values", "mirror", "_codes")
+
+    def __init__(self, values: list[Value], mirror: np.ndarray | None) -> None:
+        self.values = values
+        self.mirror = mirror
+        self._codes: TextCodes | None | object = _UNBUILT
+
+    def text_codes(self) -> TextCodes | None:
+        """The column's text codes, built once (racing first readers may
+        each build an equal encoding; one of them is kept)."""
+        codes = self._codes
+        if codes is _UNBUILT:
+            codes = self._codes = text_codes(self.values)
+        return codes
 
 
 @dataclass

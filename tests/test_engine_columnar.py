@@ -370,18 +370,24 @@ LIST_PATH_SHAPES = [
 def assert_corpus_leaves_segments_unchanged(db: Database, corpus: list) -> None:
     """Run ``corpus`` through the columnar engine over warm segments and
     check that every segment is the same object holding the same values
-    (identical objects) and the same read-only mirror afterwards."""
+    (identical objects), the same read-only mirror and the same read-only
+    text codes afterwards."""
     before = {}
     for name in db.table_names():
         state = db.catalog.table(name).snapshot_state()
         for position in range(len(state.schema.columns)):
             segment = state.segment(position)
             mirror = segment.mirror
+            encoded = segment.text_codes()
             before[name, position] = (
                 state,
                 segment,
                 list(segment.values),
                 None if mirror is None else mirror.copy(),
+                encoded,
+                None if encoded is None else (
+                    list(encoded.dictionary), encoded.codes.copy()
+                ),
             )
     for sql in corpus:
         plan = db.plan_select(sql)
@@ -389,7 +395,9 @@ def assert_corpus_leaves_segments_unchanged(db: Database, corpus: list) -> None:
             ColumnarExecutor(db.catalog, ExecContext()).run(plan)
         except Exception:  # noqa: BLE001 - the error corpus raises
             pass
-    for (name, position), (state, segment, values, mirror) in before.items():
+    for (name, position), (
+        state, segment, values, mirror, encoded, encoding
+    ) in before.items():
         assert db.catalog.table(name).snapshot_state() is state
         assert state.segment(position) is segment
         assert len(segment.values) == len(values), (name, position)
@@ -399,6 +407,12 @@ def assert_corpus_leaves_segments_unchanged(db: Database, corpus: list) -> None:
         if mirror is not None:
             assert not segment.mirror.flags.writeable
             assert np.array_equal(segment.mirror, mirror, equal_nan=True)
+        assert segment.text_codes() is encoded, (name, position)
+        if encoding is not None:
+            dictionary, codes = encoding
+            assert encoded.dictionary == dictionary, (name, position)
+            assert not encoded.codes.flags.writeable
+            assert np.array_equal(encoded.codes, codes), (name, position)
 
 
 class TestAdversarialCorpus:
@@ -430,18 +444,27 @@ class TestAdversarialCorpus:
         assert KERNEL_MEMO_STATS.fallbacks == 0
 
     def test_text_and_column_comparisons_count_list_path_runs(self, adversarial_db):
-        """A comparison with no numpy path at all runs on value lists, and
-        each execution is counted like a run-time fallback."""
-        for sql in (
-            "SELECT COUNT(*) FROM t WHERE grp = 'g1'",
-            "SELECT COUNT(*) FROM adv WHERE g < k",
+        """A comparison with no numpy path at all — a text column holding a
+        NULL, column vs column — runs on value lists, and each execution
+        is counted like a run-time fallback. A text comparison over an
+        all-``str`` column runs on its text codes and counts none."""
+        text_db = build_db()
+        text_db.execute("CREATE TABLE words (id INT, w TEXT)")
+        text_db.insert_rows("words", [(i, f"w{i % 5}") for i in range(40)])
+        for sql, runs in (
+            ("SELECT COUNT(*) FROM t WHERE grp = 'g1'", 2),
+            ("SELECT COUNT(*) FROM adv WHERE g < k", 2),
+            ("SELECT COUNT(*) FROM words WHERE w = 'w1'", 0),
+            ("SELECT COUNT(*) FROM words WHERE w >= 'w3' AND id > 5", 0),
+            ("SELECT COUNT(*) FROM words WHERE w NOT IN ('w0', 'w9')", 0),
         ):
-            db = adversarial_db if "adv" in sql else build_db()
+            db = adversarial_db if "adv" in sql else text_db
             plan = db.plan_select(sql)
             KERNEL_MEMO_STATS.reset()
             for _ in range(2):
                 ColumnarExecutor(db.catalog, ExecContext()).run(plan)
-            assert KERNEL_MEMO_STATS.list_path_runs == 2, sql
+            assert KERNEL_MEMO_STATS.list_path_runs == runs, sql
+            assert KERNEL_MEMO_STATS.fallbacks == 0, sql
 
     def test_corpus_leaves_every_segment_unchanged(self, diff_db, adversarial_db):
         """Scans hand out the table states' segments zero-copy; no kernel

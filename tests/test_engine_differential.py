@@ -7,11 +7,13 @@ the strongest correctness net over the whole parse→plan→optimize→execute
 pipeline.
 
 The columnar engine's numpy kernels read the column segments (value
-lists and numpy mirrors) each table state memoizes; a second property
-checks them against the row ``Executor`` on NULL-free numeric tables
-spanning several chunks, and the memo tests check that every write path
-— and every way a table is forked, merged, discarded or recovered — is
-seen by the next scan and by the table statistics.
+lists, numpy mirrors and text codes) each table state memoizes; a second
+property checks them against the row ``Executor`` on NULL-free numeric
+tables spanning several chunks, an adversarial corpus and a third
+property check the text-code kernels on text tables, and the memo tests
+check that every write path — and every way a table is forked, merged,
+discarded or recovered — is seen by the next scan and by the table
+statistics.
 """
 
 from __future__ import annotations
@@ -26,11 +28,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.db import Database
-from repro.engine.columnar import ColumnarExecutor
+from repro.engine.columnar import KERNEL_MEMO_STATS, ColumnarExecutor
 from repro.engine.executor import ExecContext, Executor
 from repro.storage.statistics import compute_table_stats
-from repro.storage.table import CHUNK_SIZE, Table
+from repro.storage.table import CHUNK_SIZE, Table, text_codes
 from repro.txn.branches import BranchManager
+from test_engine_columnar import assert_corpus_leaves_segments_unchanged
 
 COLUMNS = ["id", "grp", "val", "flag"]
 
@@ -290,6 +293,167 @@ class TestColumnarMirrorKernels:
         )
         assert db.catalog.table("n").num_chunks > 1
         assert_engines_agree(db, sql)
+
+
+# -- the text-code kernels vs the row engine ----------------------------------
+
+#: Text that ``str`` order and a sorted dictionary must agree on: case
+#: pairs, a trailing space, non-ASCII, a prefix of another value. The empty
+#: string lives only in ``u``, so ``''`` is absent from and below every
+#: value of ``s``; ``'😀'`` is above every value of both.
+TEXT_POOL = ["a", "A", "ab", "a ", "b", "B", "Zeta", "zeta", "é", "É", "ñandú", "日本"]
+TEXT_LITERALS = ["", "a", "A", "ab", "aa", "b", "c", "zeta", "É", "ñ", "日本", "😀"]
+TEXT_OPS = ["=", "<>", "<", "<=", ">", ">="]
+
+
+def text_db() -> Database:
+    """``s`` and ``u`` are all-``str`` (text codes), ``n`` holds NULLs (no
+    codes), over three storage chunks."""
+    db = Database("text-diff")
+    db.execute("CREATE TABLE tx (id INT, s TEXT, u TEXT, n TEXT)")
+    size = 2 * CHUNK_SIZE + 40
+    db.insert_rows(
+        "tx",
+        [
+            (
+                i,
+                TEXT_POOL[(i * 7) % len(TEXT_POOL)],
+                "" if i % 5 == 0 else TEXT_POOL[(i * 3) % len(TEXT_POOL)],
+                None if i % 4 == 0 else TEXT_POOL[i % len(TEXT_POOL)],
+            )
+            for i in range(size)
+        ],
+    )
+    return db
+
+
+TEXT_CORPUS = (
+    [
+        f"SELECT id, s FROM tx WHERE s {op} '{literal}'"
+        for op in TEXT_OPS
+        for literal in TEXT_LITERALS
+    ]
+    + [
+        f"SELECT id, u FROM tx WHERE '{literal}' {op} u"
+        for op in TEXT_OPS
+        for literal in TEXT_LITERALS
+    ]
+    + [
+        "SELECT id FROM tx WHERE s IN ('a', 'É', 'zz')",
+        "SELECT id FROM tx WHERE s NOT IN ('a', 'b', '日本')",
+        "SELECT id FROM tx WHERE s IN ('', '😀')",
+        "SELECT id FROM tx WHERE s NOT IN ('', '😀')",
+        "SELECT id FROM tx WHERE s IN ('a', NULL)",
+        "SELECT id FROM tx WHERE s NOT IN ('a', NULL)",
+        "SELECT id FROM tx WHERE NOT (s NOT IN ('b', NULL))",
+        "SELECT id FROM tx WHERE u IN ('') AND id > 100",
+        "SELECT id FROM tx WHERE n IN ('a', 'b')",
+        "SELECT id FROM tx WHERE NOT (n = 'a')",
+        "SELECT id FROM tx WHERE NOT (n <> 'b') OR s = 'ab'",
+        "SELECT id FROM tx WHERE n = 'a' OR s < 'B'",
+        "SELECT id FROM tx WHERE NOT (s = 'a' OR n >= 'b')",
+        "SELECT id FROM tx WHERE NOT (n IN ('a', 'É')) AND u > ''",
+        "SELECT id FROM tx WHERE s = 'a' AND id >= 40 AND id <> 77",
+        "SELECT id FROM tx WHERE NOT (s >= 'b') AND NOT (u = '')",
+        "SELECT id FROM tx WHERE s < u",
+        "SELECT id, s = 'a', s IN ('a', 'b'), NOT (u < 'b'), n = 'a' FROM tx",
+        # Codes built by a filter ride the gather, project and limit above it.
+        "SELECT id, s = 'b', s IN ('ab', 'b'), u > 'b' FROM tx"
+        " WHERE s >= 'ab' AND u <> ''",
+        "SELECT id FROM (SELECT id, s FROM tx WHERE s <> 'a' LIMIT 50) AS q"
+        " WHERE s = 'b'",
+        "SELECT id FROM (SELECT id, s, u FROM tx WHERE s > 'a' LIMIT 300 OFFSET 7) AS q"
+        " WHERE s IN ('b', 'é') OR u < 'b'",
+        "SELECT s, COUNT(*) FROM tx WHERE s >= 'a' GROUP BY s",
+        "SELECT s, COUNT(*) FROM tx GROUP BY s HAVING s > 'a' AND s <> 'é'",
+        "SELECT id, s FROM tx WHERE s > 'A' ORDER BY s, id LIMIT 30",
+        "SELECT id FROM tx WHERE CASE WHEN s = 'a' THEN u >= 'b' ELSE n = 'b' END",
+        "SELECT a.id FROM tx a JOIN tx b ON a.id = b.id WHERE a.s = 'b' AND b.u <> ''",
+        "SELECT COUNT(*), MIN(s), MAX(u) FROM tx WHERE s <= 'ab' AND u > 'A'",
+    ]
+)
+
+#: Text against a number raises in the row engine; the text-code path
+#: must not answer these.
+TEXT_ERRORS = [
+    "SELECT id FROM tx WHERE s = 5",
+    "SELECT id FROM tx WHERE 5 < s",
+    "SELECT id FROM tx WHERE s IN (5, 'a')",
+    "SELECT id FROM tx WHERE s IN ('a', 5)",
+    "SELECT id FROM tx WHERE id = 'a'",
+    "SELECT id FROM tx WHERE s = 'a' AND u > 2.5",
+]
+
+
+class TestColumnarTextCodes:
+    """The text-code comparison and IN-list masks against the row engine,
+    ``repr`` for ``repr``."""
+
+    @pytest.fixture(scope="class")
+    def tdb(self) -> Database:
+        db = text_db()
+        assert db.catalog.table("tx").num_chunks > 1
+        return db
+
+    @pytest.mark.parametrize("sql", TEXT_CORPUS)
+    def test_exact(self, tdb, sql):
+        KERNEL_MEMO_STATS.reset()
+        assert_engines_agree(tdb, sql)
+        # A kernel error would be absorbed by the row fallback.
+        assert KERNEL_MEMO_STATS.fallbacks == 0, sql
+
+    @pytest.mark.parametrize("sql", TEXT_ERRORS)
+    def test_error_parity(self, tdb, sql):
+        plan = tdb.plan_select(sql)
+        with pytest.raises(Exception) as row_err:
+            Executor(tdb.catalog, ExecContext()).run(plan)
+        with pytest.raises(Exception) as col_err:
+            ColumnarExecutor(tdb.catalog, ExecContext()).run(plan)
+        assert type(col_err.value) is type(row_err.value), sql
+        assert str(col_err.value) == str(row_err.value), sql
+
+    def test_codes_follow_str_order(self, tdb):
+        state = tdb.catalog.table("tx").snapshot_state()
+        s, u, n = (state.segment(position).text_codes() for position in (1, 2, 3))
+        assert n is None
+        for encoded, position in ((s, 1), (u, 2)):
+            assert encoded.dictionary == sorted(set(state.segment(position).values))
+            assert [encoded.dictionary[c] for c in encoded.codes] == list(
+                state.segment(position).values
+            )
+        assert "" not in s.dictionary and "" in u.dictionary
+        assert state.segment(1).text_codes() is s
+
+    def test_text_codes_need_every_value_a_str(self):
+        assert text_codes([]) is None
+        assert text_codes(["a", None]) is None
+        assert text_codes(["a", 1]) is None
+        assert text_codes([True, "a"]) is None
+        encoded = text_codes(["b", "a", "b", ""])
+        assert encoded.dictionary == ["", "a", "b"]
+        assert encoded.codes.tolist() == [2, 1, 2, 0]
+        assert not encoded.codes.flags.writeable
+
+    def test_corpus_leaves_segments_and_codes_unchanged(self, tdb):
+        assert_corpus_leaves_segments_unchanged(tdb, TEXT_CORPUS + TEXT_ERRORS)
+
+    @given(
+        values=st.lists(
+            st.text(alphabet="aAbé日 ", max_size=3), min_size=1, max_size=30
+        ),
+        literal=st.text(alphabet="aAbcé日 ", max_size=3),
+        op=st.sampled_from(TEXT_OPS),
+        flipped=st.booleans(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_random_text_matches_row_engine(self, values, literal, op, flipped):
+        db = Database("text-prop")
+        db.execute("CREATE TABLE r (id INT, s TEXT)")
+        db.insert_rows("r", [(i, value) for i, value in enumerate(values)])
+        predicate = f"'{literal}' {op} s" if flipped else f"s {op} '{literal}'"
+        assert_engines_agree(db, f"SELECT id, s FROM r WHERE {predicate}")
+        assert_engines_agree(db, f"SELECT id FROM r WHERE NOT ({predicate}) OR id = 0")
+        assert_engines_agree(db, f"SELECT id FROM r WHERE s IN ('{literal}', 'a')")
 
 
 # -- table-state memo validity: segments and statistics ---------------------

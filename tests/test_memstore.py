@@ -8,9 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.db import Database
+from repro.db.database import ChangeEvent
 from repro.errors import AccessDenied, MemoryStoreError
 from repro.memstore import AgenticMemoryStore, Artifact, ArtifactKind, StalenessPolicy
-from repro.memstore.vector_index import VectorIndex
+from repro.memstore.staleness import affected_by
+from repro.memstore.vector_index import VectorIndex, top_k
 from repro.semantic.embedding import HashedEmbedder
 
 
@@ -170,6 +172,103 @@ class TestStaleness:
         assert "verified" in artifact.text
 
 
+class BruteForceStore(AgenticMemoryStore):
+    """Staleness by walking every artifact on every event: the reference
+    for the store's dependents index."""
+
+    def on_change(self, event: ChangeEvent) -> None:
+        victims = [
+            artifact
+            for artifact in self._artifacts.values()
+            if affected_by(event, artifact.depends_on, artifact.data_sensitive)
+        ]
+        for artifact in victims:
+            if self.policy is StalenessPolicy.EAGER:
+                self._remove(artifact.artifact_id)
+                self.invalidations += 1
+            elif not artifact.stale:
+                artifact.stale = True
+                self.stale_marks += 1
+
+
+STALENESS_TABLES = ("sales", "Stores", "items")
+
+
+def store_state(store: AgenticMemoryStore) -> tuple:
+    return (
+        sorted((a.artifact_id, a.stale, a.text) for a in store._artifacts.values()),
+        store.stale_marks,
+        store.invalidations,
+        {key: ids for key, ids in store._by_subject.items() if ids},
+        store.search("sales fact", k=50),
+    )
+
+
+class TestStalenessIndex:
+    """The dependents index against the brute-force walk: the same
+    artifacts marked or dropped, the same counters, over seeded streams of
+    puts, removes, refreshes, policy flips and every event kind."""
+
+    @pytest.mark.parametrize("policy", list(StalenessPolicy))
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_brute_force(self, policy, seed):
+        rng = np.random.default_rng(seed)
+        stores = [AgenticMemoryStore(policy=policy), BruteForceStore(policy=policy)]
+        next_id = 10_000_000 * (seed + 1)
+        for step in range(300):
+            roll = rng.random()
+            live = sorted(stores[1]._artifacts)
+            if roll < 0.4:
+                next_id += 1
+                tables = rng.choice(
+                    STALENESS_TABLES, size=int(rng.integers(0, 3)), replace=True
+                )
+                fields = dict(
+                    kind=[ArtifactKind.PROBE_RESULT, ArtifactKind.JOIN_HINT][
+                        int(rng.integers(0, 2))
+                    ],
+                    subject=(
+                        str(rng.choice(STALENESS_TABLES)),
+                        f"c{rng.integers(0, 6)}",
+                    ),
+                    text=f"sales fact {next_id}",
+                    principal=["alice", "bob"][int(rng.integers(0, 2))],
+                    depends_on=tuple(str(t) for t in tables),
+                    data_sensitive=bool(rng.random() < 0.7),
+                    stale=bool(rng.random() < 0.1),
+                    artifact_id=next_id,
+                )
+                for store in stores:
+                    store.put(Artifact(**fields))
+            elif roll < 0.5 and live:
+                victim = int(rng.choice(live))
+                for store in stores:
+                    store._remove(victim)
+            elif roll < 0.6 and live:
+                target = int(rng.choice(live))
+                for store in stores:
+                    store.refresh(target, new_text=f"sales fact refreshed {step}")
+            elif roll < 0.63:
+                for store in stores:
+                    store.policy = (
+                        StalenessPolicy.LAZY
+                        if store.policy is StalenessPolicy.EAGER
+                        else StalenessPolicy.EAGER
+                    )
+            else:
+                kind = ["insert", "update", "delete", "create", "drop"][
+                    int(rng.integers(0, 5))
+                ]
+                table = str(rng.choice(STALENESS_TABLES + ("other",)))
+                if rng.random() < 0.3:
+                    table = table.upper()
+                event = ChangeEvent(kind, table)
+                for store in stores:
+                    store.on_change(event)
+            assert store_state(stores[0]) == store_state(stores[1]), step
+        assert stores[1].stale_marks + stores[1].invalidations > 0
+
+
 class TestAccessControl:
     def test_private_artifact_hidden_from_others(self):
         store = AgenticMemoryStore()
@@ -277,6 +376,24 @@ class TestVectorIndex:
         assert len(index) == len(reference.items)
         for text, k in queries:
             assert index.query(text, k) == reference.query(text, k)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_top_k_matches_full_stable_sort(self, seed):
+        """Random scores, heavily tied scores (few distinct values, signed
+        zeros) and NaN, for every k from 0 past the length."""
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 60))
+        tied = rng.choice([0.5, 0.25, 0.0, -0.0, -0.25], size=n)
+        with_nan = rng.random(n)
+        with_nan[rng.random(n) < 0.3] = np.nan
+        for scores in (rng.random(n), tied, np.round(rng.random(n), 1), with_nan):
+            for k in range(0, n + 3):
+                expected = np.argsort(-scores, kind="stable")[:k]
+                assert top_k(scores, k).tolist() == expected.tolist(), (k, scores)
+
+    def test_top_k_on_an_empty_index(self):
+        assert top_k(np.empty(0), 5).tolist() == []
+        assert VectorIndex().query("anything", k=5) == []
 
     def test_growth_past_initial_capacity_keeps_order(self):
         embedder = HashedEmbedder()

@@ -658,13 +658,61 @@ class TestMetricsSurface:
         assert system.metrics().get("repro_engine_kernel_memo_list_path_runs") == 2
 
     def test_text_filter_moves_list_path_runs(self):
-        """A text comparison has no numpy path; each run is counted."""
+        """An all-``str`` column compares on its text codes and counts no
+        run; a NULL-bearing text column and a column-vs-column comparison
+        have no numpy path, and each of their runs is counted."""
         from repro.engine.columnar import KERNEL_MEMO_STATS
 
-        system = AgentFirstDataSystem(build_db())
+        db = build_db()
+        db.execute("CREATE TABLE notes (id INT, tag TEXT, alt TEXT)")
+        db.insert_rows(
+            "notes",
+            [(i, None if i == 3 else f"k{i % 4}", f"k{i % 3}") for i in range(30)],
+        )
+        system = AgentFirstDataSystem(db)
         KERNEL_MEMO_STATS.reset()
         system.submit(Probe.sql("SELECT COUNT(*) FROM sales WHERE product = 'tea'"))
+        system.submit(Probe.sql("SELECT COUNT(*) FROM notes WHERE alt = 'k1'"))
+        assert system.metrics().get("repro_engine_kernel_memo_list_path_runs") == 0
+        system.submit(Probe.sql("SELECT COUNT(*) FROM notes WHERE tag = 'k1'"))
         assert system.metrics().get("repro_engine_kernel_memo_list_path_runs") == 1
+        system.submit(Probe.sql("SELECT COUNT(*) FROM notes WHERE tag < alt"))
+        assert system.metrics().get("repro_engine_kernel_memo_list_path_runs") == 2
+
+    def test_pinned_text_probes_on_a_shard_count_no_list_path_runs(self):
+        """Tenant-pinned probes (``tenant = '…'`` ANDed with numeric
+        predicates) filter on one numpy mask built from text codes."""
+        from repro.engine.columnar import KERNEL_MEMO_STATS
+
+        sharded = ShardedSystem(build_tenant_db(), shards=2, partition=PARTITION)
+        try:
+            KERNEL_MEMO_STATS.reset()
+            for n, template in enumerate(
+                (
+                    "SELECT COUNT(*), SUM(amount) FROM sales"
+                    " WHERE tenant = 't3' AND qty >= 304 AND qty <> {n}",
+                    "SELECT qty, COUNT(*) FROM sales WHERE tenant = 't3'"
+                    " AND qty <> {n} GROUP BY qty",
+                    "SELECT MIN(amount), MAX(amount) FROM sales"
+                    " WHERE tenant = 't3' AND qty <> {n}",
+                )
+            ):
+                sql = template.format(n=300 + n)
+                response = sharded.submit(
+                    Probe(queries=(sql,), principal="t3", agent_id="pinned")
+                )
+                (outcome,) = response.outcomes
+                assert outcome.status == "ok", sql
+                assert outcome.result.rows == build_tenant_db().execute(sql).rows
+            assert KERNEL_MEMO_STATS.builds > 0
+            snap = sharded.metrics()
+            for handle in sharded.shards:
+                assert snap.get(
+                    "repro_engine_kernel_memo_list_path_runs",
+                    shard=str(handle.shard_id),
+                ) == 0
+        finally:
+            sharded.close()
 
     def test_storage_series_move_once_per_write(self):
         """One write and one probe rebuild one table state's segment and
