@@ -163,13 +163,10 @@ from repro.util.hashing import stable_hash_int
 class SystemConfig:
     """Feature switches; the ablation benches flip these."""
 
-    enable_satisficing: bool = True
     enable_mqo: bool = True
     enable_steering: bool = True
     enable_memory: bool = True
     enable_history: bool = True
-    #: Cost above which the cost advisor warns even without a brief budget.
-    expensive_threshold: float = 50_000.0
     #: Worker threads for the scheduler's speculative execution pool.
     #: ``None`` -> the ``REPRO_SCHEDULER_WORKERS`` env override, else
     #: ``min(8, os.cpu_count())``; ``1`` keeps dispatch fully serial.
@@ -242,7 +239,7 @@ class AgentFirstDataSystem:
         self._slow_probe_ms = resolve_slow_probe_ms(self.config.slow_probe_ms)
         self.search = SemanticSearch(db)
         self.interpreter = ProbeInterpreter(db)
-        self.satisficer = Satisficer(enable_pruning=self.config.enable_satisficing)
+        self.satisficer = Satisficer()
         self.optimizer = ProbeOptimizer(
             db=db,
             satisficer=self.satisficer,
@@ -252,7 +249,7 @@ class AgentFirstDataSystem:
         )
         self.why_not = WhyNotDiagnoser(db)
         self.join_discovery = JoinDiscovery(db)
-        self.cost_advisor = CostAdvisor(db, self.config.expensive_threshold)
+        self.cost_advisor = CostAdvisor(db)
         self.scheduler = ProbeScheduler(
             interpreter=self.interpreter,
             optimizer=self.optimizer,
@@ -770,8 +767,10 @@ class AgentFirstDataSystem:
         if event.kind in ("insert", "update", "delete", "create", "drop"):
             # Journal the history wipe: recovery must clear its shadow
             # history at exactly this point in the replay. (Raw catalog
-            # records cannot stand in — information-schema refreshes drop
-            # and register tables without publishing a change.)
+            # records cannot stand in: index builds, the maintenance
+            # auto-indexer's included, log records without publishing a
+            # change, and a branch merge publishes one event per table
+            # after logging its replayed updates and deletes row by row.)
             wal = self.db.catalog.wal
             if wal is not None:
                 wal.log_invalidation()

@@ -3,7 +3,7 @@
 ``Database`` owns a :class:`~repro.storage.catalog.Catalog` and runs the
 full pipeline: parse → build → optimize → execute. It also
 
-* serves virtual ``information_schema`` tables (rebuilt when stale),
+* serves the ``information_schema`` tables its catalog derives,
 * evaluates DML (INSERT/UPDATE/DELETE) with index maintenance,
 * publishes :class:`ChangeEvent` notifications that the agentic memory
   store's staleness tracker subscribes to (paper Sec. 6.1),
@@ -28,7 +28,6 @@ import weakref
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
-from repro.db import information_schema as info_schema
 from repro.engine.columnar import ColumnarExecutor
 from repro.engine.executor import ExecContext, SubplanCache
 from repro.engine.expressions import compile_expr
@@ -85,7 +84,6 @@ class Database:
             statement_cache if statement_cache is not None else StatementCache()
         )
         self._observers: list[Callable[[ChangeEvent], None]] = []
-        self._info_schema_version = -1
         #: Serve-state recovered alongside the catalog (set by
         #: :meth:`recover`; the serving system consumes it at rebuild).
         self.recovered_serve = None
@@ -139,19 +137,17 @@ class Database:
         wal = self.catalog.wal
         if wal is None:
             return None
-        return wal.write_checkpoint(
-            self.catalog, info_schema_marker=self._info_schema_version
-        )
+        return wal.write_checkpoint(self.catalog)
 
     @classmethod
     def recover(cls, directory: str, name: str = "db", **wal_kwargs) -> "Database":
         """Rebuild a facade from a WAL directory: checkpoint + tail replay.
 
         The recovered catalog sits at the exact pre-crash
-        ``data_version_tuple()`` — row ids, version counters, and the
-        information-schema freshness marker all match, so a recovered run
-        is byte-identical to one that never crashed. The log stays
-        attached and appendable. ``recovered_serve`` carries the serving
+        ``data_version_tuple()`` — row ids and version counters all match,
+        and the information schema derives from the replayed tables — so a
+        recovered run is byte-identical to one that never crashed. The log
+        stays attached and appendable. ``recovered_serve`` carries the serving
         system's state for :meth:`AgentFirstDataSystem.recover`.
         """
         from repro.txn.wal import recover as wal_recover
@@ -159,7 +155,6 @@ class Database:
         state = wal_recover(directory, **wal_kwargs)
         db = cls(name, wal_dir=False)
         db.catalog = state.catalog
-        db._info_schema_version = state.extra.get("info_schema_marker", -1)
         db.recovered_serve = state.serve
         weakref.finalize(db, _release_wal, state.wal, None)
         return db
@@ -194,11 +189,7 @@ class Database:
         return len(row_ids)
 
     def table_names(self) -> list[str]:
-        return [
-            name
-            for name in self.catalog.table_names()
-            if not info_schema.is_information_schema(name)
-        ]
+        return self.catalog.table_names()
 
     # -- query execution -----------------------------------------------------------
 
@@ -235,9 +226,7 @@ class Database:
         compiled.raise_failure()
 
     def _compile(self, sql: str) -> CompiledStatement:
-        return compile_select(
-            sql, self.catalog, self.statement_cache, self._refresh_information_schema
-        )
+        return compile_select(sql, self.catalog, self.statement_cache)
 
     def plan_select(self, sql: str) -> PlanNode:
         """Parse and plan (but do not run) a SELECT; used by analyses.
@@ -262,48 +251,6 @@ class Database:
     def estimate(self, sql: str) -> CostEstimate:
         """Cost-estimate a SELECT without executing it."""
         return compiled_estimate(self.plan_select(sql), self.catalog)
-
-    # -- information schema --------------------------------------------------------
-
-    def _refresh_information_schema(self) -> None:
-        """Rebuild the virtual tables if any user table changed since the
-        last rebuild (the compile pipeline calls this for statements that
-        reference them)."""
-        current = (
-            self.catalog.schema_version,
-            tuple(
-                self.catalog.table(t).data_version
-                for t in sorted(self.catalog.table_names())
-                if not info_schema.is_information_schema(t)
-            ),
-        )
-        marker = hash(current)
-        if marker == self._info_schema_version:
-            return
-        for name in (info_schema.TABLES_NAME, info_schema.COLUMNS_NAME):
-            if self.catalog.has_table(name):
-                self.catalog.drop_table(name)
-        tables, columns = info_schema.build_tables(self.catalog)
-        self.catalog.register_table(tables)
-        self.catalog.register_table(columns)
-        # register_table/drop_table bump schema_version; recompute the marker
-        # so the refresh is stable until a real change happens.
-        current = (
-            self.catalog.schema_version,
-            tuple(
-                self.catalog.table(t).data_version
-                for t in sorted(self.catalog.table_names())
-                if not info_schema.is_information_schema(t)
-            ),
-        )
-        self._info_schema_version = hash(current)
-        # Journal the marker: a recovered facade must consider the
-        # replayed information-schema tables exactly as fresh as the
-        # crashed one did, neither re-registering them (extra
-        # schema_version bumps) nor laundering stale ones fresh.
-        wal = self.catalog.wal
-        if wal is not None:
-            wal.append("info_schema_marker", (self._info_schema_version,))
 
     # -- DDL ------------------------------------------------------------------------
 
@@ -337,9 +284,7 @@ class Database:
         table = self.catalog.table(statement.table)
         schema = table.schema
         if statement.select is not None:
-            select = compile_statement(
-                statement.select, self.catalog, self._refresh_information_schema
-            )
+            select = compile_statement(statement.select, self.catalog)
             if select.plan is None:
                 select.raise_failure()
             executor = ColumnarExecutor(self.catalog, ExecContext())

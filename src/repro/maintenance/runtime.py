@@ -457,18 +457,20 @@ class MaintenanceRuntime:
         """Mined keys the auto-indexer would genuinely build right now.
 
         The single filter both :meth:`_has_work` and the job use — skips
-        already-built keys, dropped/tiny tables, and columns the planner
-        already indexes (those queries were rewritten at plan time and
-        never reach the execution-time rewrite).
+        already-built keys, dropped/tiny tables, the derived (unindexable)
+        information schema, and columns the planner already indexes (those
+        queries were rewritten at plan time and never reach the
+        execution-time rewrite).
         """
         catalog = self.system.db.catalog
         existing = set(catalog.auxiliary_index_keys())
+        stored = {name.lower() for name in catalog.table_names()}
         for candidate in self.miner.candidates(self.config.index_min_occurrences):
             kind = "hash" if candidate.kind == KIND_EQ else "sorted"
             key = (candidate.table, candidate.column, kind)
             if key in existing:
                 continue
-            if not catalog.has_table(candidate.table):
+            if candidate.table not in stored:
                 continue
             if catalog.table(candidate.table).num_rows < self.config.index_min_rows:
                 continue

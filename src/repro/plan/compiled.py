@@ -9,10 +9,9 @@ engine. This module puts the cache in front of the planner:
 
 * :class:`CompiledStatement` — everything the pipeline derives from one
   statement's text under one catalog state: the AST, the optimized plan
-  (shared, so the per-node fingerprint memo — and the cost estimate
-  :func:`compiled_estimate` memoizes beside it — survive across probes),
-  whether it reads the virtual ``information_schema`` — or the error the
-  text fails with;
+  (shared, so the per-node fingerprint memo and the cost estimate
+  :func:`compiled_estimate` memoizes beside it survive across probes), or
+  the error the text fails with;
 * :class:`StatementCache` — a lock-guarded LRU keyed by exact SQL text and
   stamped with ``Catalog.version()``. The stamp is the *only* invalidation
   mechanism: it moves on DDL, DML, direct ``Table`` mutation, table swaps
@@ -35,7 +34,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, NoReturn
+from typing import NoReturn
 
 from repro.errors import PlanError, ReproError
 from repro.obs import trace as obs_trace
@@ -46,7 +45,6 @@ from repro.plan.rules import optimize_plan
 from repro.sql import nodes
 from repro.sql.parser import parse_statement
 from repro.storage.catalog import Catalog
-from repro.storage.schema import is_information_schema
 
 
 @dataclass(frozen=True)
@@ -59,12 +57,10 @@ class CompiledStatement:
     and is never cached.
     """
 
-    #: ``Catalog.version()`` the plan was built under (after any
-    #: information-schema refresh the statement triggered).
+    #: ``Catalog.version()`` the plan was built under.
     version: tuple
     statement: nodes.AnyStatement | None
     plan: logical.PlanNode | None = None
-    uses_information_schema: bool = False
     #: The error compilation raised, traceback stripped; ``str(failure)``
     #: is the interpreter's ``parse_error`` text.
     failure: ReproError | None = None
@@ -154,10 +150,7 @@ class StatementCache:
 
 
 def compile_select(
-    sql: str,
-    catalog: Catalog,
-    cache: StatementCache,
-    refresh_information_schema: Callable[[], None] | None = None,
+    sql: str, catalog: Catalog, cache: StatementCache
 ) -> CompiledStatement:
     """Compile ``sql`` against ``catalog`` through ``cache``.
 
@@ -168,41 +161,25 @@ def compile_select(
     is neither stored nor counted — it is on its way to a write that moves
     the stamp.
 
-    ``refresh_information_schema`` rebuilds the virtual tables when stale
-    — a side effect of planning that bumps the catalog version and
-    journals a WAL marker. It runs for every statement that references
-    them, cached or not.
-
     Under a traced caller the ambient span gets a ``plan:compile`` child
     saying whether the cache answered (``plan_cache=hit|miss``).
     """
     ambient = obs_trace.current_span()
     if ambient is None:
-        return _compile_select(sql, catalog, cache, refresh_information_schema)[0]
+        return _compile_select(sql, catalog, cache)[0]
     span = ambient.child("plan:compile")
-    compiled, hit = _compile_select(sql, catalog, cache, refresh_information_schema)
+    compiled, hit = _compile_select(sql, catalog, cache)
     span.note(plan_cache="hit" if hit else "miss").finish()
     return compiled
 
 
 def _compile_select(
-    sql: str,
-    catalog: Catalog,
-    cache: StatementCache,
-    refresh_information_schema: Callable[[], None] | None,
+    sql: str, catalog: Catalog, cache: StatementCache
 ) -> tuple[CompiledStatement, bool]:
     version = catalog.version()
     compiled = cache.get(sql, version)
     if compiled is not None:
-        if not compiled.uses_information_schema or refresh_information_schema is None:
-            return compiled, True
-        # The entry was stamped after its own refresh, so this one finds
-        # nothing to do — but the uncached pipeline would run it, so it is
-        # never skipped; had it moved the catalog, the entry would
-        # describe the old one.
-        refresh_information_schema()
-        if catalog.version() == version:
-            return compiled, True
+        return compiled, True
     try:
         statement = parse_statement(sql)
     except ReproError as exc:
@@ -214,7 +191,7 @@ def _compile_select(
             cache.discount_miss()
             failure = PlanError("plan_select requires a SELECT statement")
             return CompiledStatement(version, statement, failure=failure), False
-        compiled = compile_statement(statement, catalog, refresh_information_schema)
+        compiled = compile_statement(statement, catalog)
     # A write racing the compile leaves the plan describing neither the
     # old nor the new catalog for certain: serve it once, never cache it.
     if catalog.version() == compiled.version:
@@ -239,64 +216,14 @@ def compiled_estimate(plan: logical.PlanNode, catalog: Catalog) -> CostEstimate:
     return estimate
 
 
-def compile_statement(
-    statement: nodes.Select,
-    catalog: Catalog,
-    refresh_information_schema: Callable[[], None] | None = None,
-) -> CompiledStatement:
+def compile_statement(statement: nodes.Select, catalog: Catalog) -> CompiledStatement:
     """The uncached tail of :func:`compile_select`, for callers that hold
     a SELECT's AST rather than its text (``INSERT ... SELECT``)."""
-    virtual = _references_information_schema(statement)
-    if virtual and refresh_information_schema is not None:
-        refresh_information_schema()
     version = catalog.version()
     try:
         plan = optimize_plan(build_plan(statement, catalog), catalog)
     except ReproError as exc:
         return CompiledStatement(
-            version=version,
-            statement=statement,
-            uses_information_schema=virtual,
-            failure=exc.with_traceback(None),
+            version=version, statement=statement, failure=exc.with_traceback(None)
         )
-    return CompiledStatement(
-        version=version, statement=statement, plan=plan, uses_information_schema=virtual
-    )
-
-
-def _references_information_schema(statement: nodes.Select) -> bool:
-    def ref_tables(ref: nodes.TableRef | None) -> list[str]:
-        if ref is None:
-            return []
-        if isinstance(ref, nodes.TableName):
-            return [ref.name]
-        if isinstance(ref, nodes.SubqueryRef):
-            return collect(ref.select)
-        if isinstance(ref, nodes.Join):
-            return ref_tables(ref.left) + ref_tables(ref.right)
-        return []
-
-    def collect(select: nodes.Select) -> list[str]:
-        found = ref_tables(select.from_clause)
-        for subquery in _subquery_expressions(select):
-            found.extend(collect(subquery))
-        return found
-
-    return any(is_information_schema(name) for name in collect(statement))
-
-
-def _subquery_expressions(select: nodes.Select) -> list[nodes.Select]:
-    """All subquery ASTs appearing in expressions of ``select``."""
-    sources: list[nodes.Expr] = [item.expr for item in select.items]
-    if select.where is not None:
-        sources.append(select.where)
-    if select.having is not None:
-        sources.append(select.having)
-    sources.extend(select.group_by)
-    sources.extend(order.expr for order in select.order_by)
-    out: list[nodes.Select] = []
-    for expr in sources:
-        for node in nodes.walk(expr):
-            if isinstance(node, (nodes.InSubquery, nodes.ScalarSubquery, nodes.Exists)):
-                out.append(node.subquery)
-    return out
+    return CompiledStatement(version=version, statement=statement, plan=plan)

@@ -44,7 +44,6 @@ from repro.core.gateway import AgentSession, ProbeTicket
 from repro.core.probe import Probe, ProbeResponse, QueryOutcome
 from repro.core.system import AgentFirstDataSystem, SystemConfig, shared_serving_system
 from repro.db import Database
-from repro.db.information_schema import is_information_schema
 from repro.obs import trace as obs_trace
 from repro.obs.metrics import MetricsRegistry, MetricsSnapshot, merge_snapshots
 from repro.plan.compiled import StatementCache
@@ -128,6 +127,9 @@ class ShardedSystem:
         self._source = db
         self._closed = False
         self._close_lock = threading.Lock()
+        #: Serves the extra shard groups of a multi-shard window; started
+        #: on first need, shut down by :meth:`close`.
+        self._group_pool: ThreadPoolExecutor | None = None
         if self.count == 1:
             # Passthrough: one shard over the source database itself.
             # Writes land where a bare system would put them, and the
@@ -183,8 +185,10 @@ class ShardedSystem:
         """Serve a caller-assembled window across the tier.
 
         Probes group by home shard and the groups serve concurrently (one
-        admission window per shard); scatter-eligible cross-partition
-        probes fan out and merge. Responses come back in input order.
+        admission window per shard; the caller's thread serves the first
+        group, so a window that routes to one shard starts no thread);
+        scatter-eligible cross-partition probes fan out and merge.
+        Responses come back in input order.
         """
         probes = list(probes)
         if not probes:
@@ -210,22 +214,35 @@ class ShardedSystem:
                 [probe for _, probe, _ in members]
             )
 
-        if groups:
-            with ThreadPoolExecutor(max_workers=len(groups)) as pool:
-                futures = {
-                    pool.submit(serve_group, shard_id, members): (shard_id, members)
-                    for shard_id, members in groups.items()
-                }
-                for future, (shard_id, members) in futures.items():
-                    for (position, _probe, warn), response in zip(
-                        members, future.result()
-                    ):
-                        if warn is not None:
-                            self._note_partial_coverage(warn, shard_id, response)
-                        responses[position] = response
+        ordered = list(groups.items())
+        pool = self._pool() if len(ordered) > 1 else None
+        if pool is None:
+            served = [serve_group(*group) for group in ordered]
+        else:
+            futures = [pool.submit(serve_group, *group) for group in ordered[1:]]
+            served = [serve_group(*ordered[0])]
+            served += [future.result() for future in futures]
+        for (shard_id, members), group_responses in zip(ordered, served):
+            for (position, _probe, warn), response in zip(members, group_responses):
+                if warn is not None:
+                    self._note_partial_coverage(warn, shard_id, response)
+                responses[position] = response
         for position, ticket in scatters:
             responses[position] = ticket.result()
         return responses  # type: ignore[return-value]
+
+    def _pool(self) -> ThreadPoolExecutor | None:
+        """The group pool, or ``None`` once closed (groups then serve in
+        the caller's thread, so a closed tier leaves no thread behind)."""
+        with self._close_lock:
+            if self._closed:
+                return None
+            if self._group_pool is None:
+                self._group_pool = ThreadPoolExecutor(
+                    max_workers=self.count - 1,
+                    thread_name_prefix="shard-group",
+                )
+            return self._group_pool
 
     # -- routing ---------------------------------------------------------------
 
@@ -386,6 +403,9 @@ class ShardedSystem:
             if self._closed:
                 return
             self._closed = True
+            group_pool, self._group_pool = self._group_pool, None
+        if group_pool is not None:
+            group_pool.shutdown(wait=True)
         with ThreadPoolExecutor(max_workers=self.count) as pool:
             list(pool.map(lambda h: h.system.close(), self.shards))
 
@@ -776,8 +796,6 @@ def _build_shard_db(
     db = Database(f"{source_name}-shard{shard_id}", wal_dir=False)
     for state in snapshot.tables:
         name = state.schema.name
-        if is_information_schema(name):
-            continue  # each shard derives its own information schema
         column = router.partition_column(name)
         if column is None:
             db.catalog.register_table(Table.restore(state))

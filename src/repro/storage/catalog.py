@@ -14,6 +14,14 @@ cache stamped with it (compiled statements, materialized views):
 :meth:`version` folds all three into one comparable value, so a snapshot
 consumer can detect *any* change — schema, catalog-mediated DML, table
 swaps, or direct table mutation — with a single equality check.
+
+The catalog also derives ``information_schema.tables``/``.columns`` from
+its stored tables. They are never stored: :meth:`Catalog.table` resolves
+the two names on its miss path to tables built from the stored ones and
+memoized on :meth:`Catalog.data_version_tuple`, so they are fresh by
+construction, a read of them writes nothing, and they stay out of
+:meth:`Catalog.version`, snapshots, checkpoints and the write-ahead log.
+Every write path refuses the ``information_schema`` namespace.
 """
 
 from __future__ import annotations
@@ -23,10 +31,16 @@ from typing import Iterable
 
 from repro.errors import CatalogError
 from repro.storage.indexes import HashIndex, SortedIndex
-from repro.storage.schema import TableSchema
+from repro.storage.schema import (
+    COLUMNS_NAME,
+    TABLES_NAME,
+    Column,
+    TableSchema,
+    is_information_schema,
+)
 from repro.storage.statistics import TableStats, table_stats
 from repro.storage.table import StorageCounters, Table, TableSnapshot
-from repro.storage.types import Value
+from repro.storage.types import DataType, Value
 from repro.util.text import normalize_identifier
 
 
@@ -54,6 +68,59 @@ class CatalogSnapshot:
     @property
     def num_rows(self) -> int:
         return sum(table.num_rows for table in self.tables)
+
+
+_INFO_TABLES_SCHEMA = TableSchema(
+    name=TABLES_NAME,
+    columns=(
+        Column("table_name", DataType.TEXT, nullable=False),
+        Column("row_count", DataType.INTEGER, nullable=False),
+        Column("description", DataType.TEXT),
+    ),
+    description="catalog of user tables",
+)
+
+_INFO_COLUMNS_SCHEMA = TableSchema(
+    name=COLUMNS_NAME,
+    columns=(
+        Column("table_name", DataType.TEXT, nullable=False),
+        Column("column_name", DataType.TEXT, nullable=False),
+        Column("ordinal_position", DataType.INTEGER, nullable=False),
+        Column("data_type", DataType.TEXT, nullable=False),
+        Column("is_nullable", DataType.BOOLEAN, nullable=False),
+        Column("is_primary_key", DataType.BOOLEAN, nullable=False),
+        Column("description", DataType.TEXT),
+    ),
+    description="catalog of user table columns",
+)
+
+
+def _build_information_schema(stored: list[Table]) -> dict[str, Table]:
+    """Both ``information_schema`` tables, keyed by name, built from the
+    stored tables. ``row_count`` is in the tables view because exploring
+    table sizes is one of the paper's canonical metadata probes."""
+    table_rows = []
+    column_rows = []
+    for table in sorted(stored, key=lambda t: t.schema.name.lower()):
+        schema = table.schema
+        table_rows.append((schema.name, table.num_rows, schema.description))
+        column_rows.extend(
+            (
+                schema.name,
+                column.name,
+                position,
+                column.data_type.value,
+                column.nullable,
+                column.primary_key,
+                column.description,
+            )
+            for position, column in enumerate(schema.columns, start=1)
+        )
+    tables = Table(_INFO_TABLES_SCHEMA)
+    tables.insert_many(table_rows)
+    columns = Table(_INFO_COLUMNS_SCHEMA)
+    columns.insert_many(column_rows)
+    return {TABLES_NAME: tables, COLUMNS_NAME: columns}
 
 
 @dataclass
@@ -101,6 +168,10 @@ class Catalog:
         #: When attached, every write method appends a record *before*
         #: mutating state, and aborts it if the mutation raises.
         self.wal = None
+        #: ``(data_version_tuple(), {name: Table})`` of the last-built
+        #: information schema; replaced whole, never mutated, so readers
+        #: on any thread see one consistent pair.
+        self._information_schema: tuple[tuple, dict[str, Table]] | None = None
 
     # -- write-ahead logging ---------------------------------------------------
 
@@ -129,7 +200,9 @@ class Catalog:
         return (
             self.schema_version,
             self.data_epoch,
-            tuple(sorted((key, t.data_version) for key, t in self._tables.items())),
+            tuple(
+                sorted((key, t.data_version) for key, t in list(self._tables.items()))
+            ),
         )
 
     def version(self) -> tuple:
@@ -211,9 +284,7 @@ class Catalog:
     # -- table lifecycle -----------------------------------------------------
 
     def create_table(self, schema: TableSchema) -> Table:
-        key = normalize_identifier(schema.name)
-        if key in self._tables:
-            raise CatalogError(f"table {schema.name!r} already exists")
+        key = self._new_key(schema.name)
         token = self._wal_log("create_table", schema)
         try:
             table = Table(schema)
@@ -226,9 +297,7 @@ class Catalog:
 
     def register_table(self, table: Table) -> None:
         """Adopt an externally built table (used by the branch manager)."""
-        key = normalize_identifier(table.schema.name)
-        if key in self._tables:
-            raise CatalogError(f"table {table.schema.name!r} already exists")
+        key = self._new_key(table.schema.name)
         token = self._wal_log("register_table", table.snapshot_state())
         try:
             self._tables[key] = table
@@ -238,9 +307,8 @@ class Catalog:
             raise
 
     def drop_table(self, name: str) -> None:
+        self._stored(name)
         key = normalize_identifier(name)
-        if key not in self._tables:
-            raise CatalogError(f"table {name!r} does not exist")
         token = self._wal_log("drop_table", name)
         try:
             del self._tables[key]
@@ -264,7 +332,7 @@ class Catalog:
         ``data_version``, so per-table counters alone cannot signal this
         change to snapshot consumers.
         """
-        key = normalize_identifier(table.schema.name)
+        key = self._writable_key(table.schema.name)
         token = self._wal_log("replace_table", table.snapshot_state())
         try:
             self._tables[key] = table
@@ -277,24 +345,65 @@ class Catalog:
     # -- lookups ---------------------------------------------------------------
 
     def has_table(self, name: str) -> bool:
-        return normalize_identifier(name) in self._tables
+        key = normalize_identifier(name)
+        return key in self._tables or key in self._derived_tables()
 
     def table(self, name: str) -> Table:
+        """The stored table ``name``, else the derived information-schema
+        table of that name (read-only: write paths never resolve it)."""
         key = normalize_identifier(name)
-        if key not in self._tables:
-            raise CatalogError(f"table {name!r} does not exist")
-        return self._tables[key]
+        table = self._tables.get(key)
+        if table is None:
+            table = self._derived_tables().get(key)
+            if table is None:
+                raise CatalogError(f"table {name!r} does not exist")
+        return table
 
     def table_names(self) -> list[str]:
+        """Stored tables only; the information schema is derived."""
         return [table.schema.name for table in self._tables.values()]
 
     def schemas(self) -> list[TableSchema]:
         return [table.schema for table in self._tables.values()]
 
+    def _derived_tables(self) -> dict[str, Table]:
+        """The information schema of the current stored state, rebuilt
+        only when :meth:`data_version_tuple` has moved since the last
+        build. Two readers racing a rebuild each build an equal copy; the
+        stamp is read before the build, so a write landing mid-build
+        leaves the entry stale-stamped, and the next read rebuilds it."""
+        stamp = self.data_version_tuple()
+        built = self._information_schema
+        if built is None or built[0] != stamp:
+            built = (stamp, _build_information_schema(list(self._tables.values())))
+            self._information_schema = built
+        return built[1]
+
+    @staticmethod
+    def _writable_key(name: str) -> str:
+        """``name``'s key for a write path; the information schema is
+        derived, so no write may create, change or index a table there."""
+        if is_information_schema(name):
+            raise CatalogError(f"table {name!r} is read-only: information_schema")
+        return normalize_identifier(name)
+
+    def _new_key(self, name: str) -> str:
+        key = self._writable_key(name)
+        if key in self._tables:
+            raise CatalogError(f"table {name!r} already exists")
+        return key
+
+    def _stored(self, name: str) -> Table:
+        """The stored table a write path mutates or indexes."""
+        table = self._tables.get(self._writable_key(name))
+        if table is None:
+            raise CatalogError(f"table {name!r} does not exist")
+        return table
+
     # -- DML with index maintenance ---------------------------------------------
 
     def insert_rows(self, name: str, rows: Iterable[Iterable[Value]]) -> list[int]:
-        table = self.table(name)
+        table = self._stored(name)
         rows = [tuple(row) for row in rows]  # materialize: logged then consumed
         token = self._wal_log("insert", name, tuple(rows))
         try:
@@ -312,7 +421,7 @@ class Catalog:
         return row_ids
 
     def update_row(self, name: str, row_id: int, values: Iterable[Value]) -> None:
-        table = self.table(name)
+        table = self._stored(name)
         values = tuple(values)  # materialize: logged then consumed
         token = self._wal_log("update", name, row_id, values)
         try:
@@ -330,7 +439,7 @@ class Catalog:
             raise
 
     def delete_row(self, name: str, row_id: int) -> None:
-        table = self.table(name)
+        table = self._stored(name)
         token = self._wal_log("delete", name, row_id)
         try:
             before_version = table.data_version
@@ -347,7 +456,7 @@ class Catalog:
     # -- indexes -----------------------------------------------------------------
 
     def create_hash_index(self, table_name: str, column: str) -> HashIndex:
-        table = self.table(table_name)
+        table = self._stored(table_name)
         key = (normalize_identifier(table_name), normalize_identifier(column))
         if key in self._hash_indexes:
             raise CatalogError(f"hash index on {table_name}.{column} already exists")
@@ -365,7 +474,7 @@ class Catalog:
         return index
 
     def create_sorted_index(self, table_name: str, column: str) -> SortedIndex:
-        table = self.table(table_name)
+        table = self._stored(table_name)
         key = (normalize_identifier(table_name), normalize_identifier(column))
         if key in self._sorted_indexes:
             raise CatalogError(f"sorted index on {table_name}.{column} already exists")
@@ -402,7 +511,7 @@ class Catalog:
     # run while the scan paths get faster.
 
     def create_auxiliary_hash_index(self, table_name: str, column: str) -> HashIndex:
-        table = self.table(table_name)
+        table = self._stored(table_name)
         key = (normalize_identifier(table_name), normalize_identifier(column))
         if key in self._aux_hash_indexes:
             raise CatalogError(
@@ -427,7 +536,7 @@ class Catalog:
         return index
 
     def create_auxiliary_sorted_index(self, table_name: str, column: str) -> SortedIndex:
-        table = self.table(table_name)
+        table = self._stored(table_name)
         key = (normalize_identifier(table_name), normalize_identifier(column))
         if key in self._aux_sorted_indexes:
             raise CatalogError(

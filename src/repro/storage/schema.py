@@ -9,10 +9,16 @@ from repro.storage.types import DataType
 from repro.util.text import normalize_identifier
 
 
+#: The two ``information_schema`` tables every catalog derives from its
+#: stored tables (see :meth:`repro.storage.catalog.Catalog.table`).
+TABLES_NAME = "information_schema.tables"
+COLUMNS_NAME = "information_schema.columns"
+
+
 def is_information_schema(name: str) -> bool:
-    """Whether ``name`` is one of the virtual ``information_schema.*``
-    tables (built by :mod:`repro.db.information_schema`). The naming rule
-    lives here, below the planner and the facade that both apply it."""
+    """Whether ``name`` lies in the ``information_schema`` namespace, which
+    the catalog derives and keeps read-only: no stored table may take such
+    a name, and only :data:`TABLES_NAME`/:data:`COLUMNS_NAME` resolve."""
     return name.lower().startswith("information_schema.")
 
 

@@ -13,16 +13,17 @@ whose brief declares a ``max_staleness`` tolerance (paper Sec. 4 — the
 brief is where agents state what quality they need; a bounded-staleness
 read is a quality statement like any sampling tolerance). Everything else
 — DML-adjacent machinery, semantic search, memory recall, termination
-criteria, information-schema reads — falls through to the primary.
+criteria — falls through to the primary. Information-schema reads are
+plain reads here: the replica's catalog derives those tables from the
+records it has applied, so it answers them as the primary did at the
+same log position.
 Responses are tagged with an explicit staleness hint rather than
 pretending to be fresh, following the agent-interface principle that
 degraded service must be legible to the caller.
 
 Execution deliberately bypasses the :class:`~repro.db.Database` facade:
-a facade would refresh information-schema tables *into the replica's
-catalog* (local mutations that would then collide with replayed primary
-records). The replica plans and executes directly against its catalog,
-which is also what guarantees serving never writes.
+the replica plans and executes directly against its catalog and only
+ever compiles SELECTs, which is what guarantees serving never writes.
 """
 
 from __future__ import annotations
@@ -155,10 +156,7 @@ class ReadReplica:
         plans = []
         for sql in probe.queries:
             compiled = compile_select(sql, catalog, self.statement_cache)
-            # Information-schema reads defer too: the virtual tables are
-            # facade-maintained; serving them here would require mutating
-            # this catalog.
-            if compiled.plan is None or compiled.uses_information_schema:
+            if compiled.plan is None:
                 return None
             plans.append(compiled.plan)
         try:

@@ -20,14 +20,20 @@ Record taxonomy
   through :func:`apply_record` reproduces the catalog *exactly*: row ids,
   per-table ``data_version`` counters, ``schema_version``/``data_epoch``,
   even ``aux_index_version`` — recovery lands on the same
-  ``data_version_tuple()`` the crashed process had.
+  ``data_version_tuple()`` the crashed process had. Only writes append
+  them: the ``information_schema`` tables are derived by each catalog
+  from its stored tables, so reading them logs nothing, and a recovered
+  or replica catalog derives the same rows from the same records.
 * **serve-state records** — the serving system brackets each admission
   window with ``window_begin`` / a ``serve_state`` commit record carrying
   the window's surviving history additions, advisor deltas, and the turn
-  counter. ``invalidate`` records mark the points where writes cleared
-  the answered-before history. Replaying these alongside the catalog
-  records lets history *attribution* ("identical query answered at turn
-  3 (agent a1)") survive recovery byte-identically.
+  counter. ``invalidate`` records mark the points where published change
+  events cleared the answered-before history; catalog records cannot
+  stand in for them, because index builds log catalog records without
+  clearing it and a branch merge clears it once after many row records.
+  Replaying these alongside the catalog records lets history
+  *attribution* ("identical query answered at turn 3 (agent a1)")
+  survive recovery byte-identically.
 * **window atomicity** — a trailing ``window_begin`` without its
   ``serve_state`` commit marks a window that was being served at the
   crash; recovery truncates it (its responses never reached callers), so
@@ -107,16 +113,13 @@ class Checkpoint:
     ``last_lsn``/``data_seq`` position the checkpoint in the log: replay
     starts after ``last_lsn``, and absolute staleness counters continue
     from ``data_seq``. ``serve`` is the serving system's state payload
-    (turn, history, advisor) or ``None`` for a bare database; ``extra``
-    carries facade-level oddments (the information-schema freshness
-    marker).
+    (turn, history, advisor) or ``None`` for a bare database.
     """
 
     last_lsn: int
     data_seq: int
     snapshot: object  # CatalogSnapshot; typed loosely to keep pickling simple
     serve: dict | None = None
-    extra: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -505,7 +508,7 @@ class WriteAheadLog:
                 and self._records_since_checkpoint >= self.checkpoint_every
             )
 
-    def write_checkpoint(self, catalog: Catalog, **extra) -> str | None:
+    def write_checkpoint(self, catalog: Catalog) -> str | None:
         """Write a durable base image and prune the segments it covers.
 
         Returns the checkpoint path, or ``None`` when a window is open
@@ -521,7 +524,6 @@ class WriteAheadLog:
                 data_seq=self.data_seq,
                 snapshot=catalog.snapshot(),
                 serve=serve,
-                extra=dict(extra),
             )
             path = os.path.join(
                 self.directory,
@@ -597,12 +599,11 @@ class WriteAheadLog:
 @dataclass
 class RecoveredState:
     """What :func:`recover` hands back: the rebuilt catalog, the serving
-    system's state, the reopened (appendable) log, and facade extras."""
+    system's state, and the reopened (appendable) log."""
 
     catalog: Catalog
     serve: ServeState
     wal: WriteAheadLog
-    extra: dict = field(default_factory=dict)
 
 
 def recover(directory: str, **wal_kwargs) -> RecoveredState:
@@ -620,11 +621,9 @@ def recover(directory: str, **wal_kwargs) -> RecoveredState:
     if checkpoint is not None:
         catalog = Catalog.restore_exact(checkpoint.snapshot)
         serve = ServeState.from_payload(checkpoint.serve)
-        extra = dict(checkpoint.extra)
     else:
         catalog = Catalog()
         serve = ServeState()
-        extra = {}
     for record in wal.replay_records():
         if record.kind in CATALOG_KINDS:
             apply_record(catalog, record)
@@ -632,7 +631,5 @@ def recover(directory: str, **wal_kwargs) -> RecoveredState:
             serve.clear_history()
         elif record.kind == "serve_state":
             serve.merge(record.payload[0])
-        elif record.kind == "info_schema_marker":
-            extra["info_schema_marker"] = record.payload[0]
     catalog.wal = wal
-    return RecoveredState(catalog=catalog, serve=serve, wal=wal, extra=extra)
+    return RecoveredState(catalog=catalog, serve=serve, wal=wal)

@@ -410,8 +410,8 @@ class TestInvalidation:
             seen.append(db.execute(INFO_SCHEMA).rows)
             seen.append(db.catalog.version())
             observed.append(seen)
-        # The refresh is a side effect with its own version bumps: cached
-        # and uncached facades walk through identical rows *and* versions.
+        # Cached and uncached facades walk through identical rows *and*
+        # versions.
         assert observed[0] == observed[1]
         assert dict(observed[0][-2]) == {"sales": 401, "stores": 5}
         hits = cached.statement_cache.counters()[0]
@@ -419,8 +419,8 @@ class TestInvalidation:
         assert cached.statement_cache.counters()[0] == hits + 1
 
     def test_information_schema_marker_journaled_identically(self, tmp_path):
-        """Trap: the refresh journals a WAL marker; a cache hit must not
-        skip (or repeat) it."""
+        """Cached and uncached facades journal identically, and a
+        recovered facade answers the same."""
         lsns = []
         for name, db in (
             ("cached", build_db(wal_dir=str(tmp_path / "cached"))),
@@ -681,8 +681,16 @@ class TestReplica:
             db, config=SystemConfig(read_replicas=1)
         ) as system:
             replica = system.replicas.replicas[0]
-            db.execute(INFO_SCHEMA)  # the virtual tables reach the replica's log
-            for sql in (INFO_SCHEMA, "SELEC 1", "DELETE FROM sales"):
+            db.execute("INSERT INTO sales VALUES (9001, 2, 'tea', 1.0)")
+            probe = Probe(queries=(INFO_SCHEMA,), brief=Brief(max_staleness=5))
+            for _ in range(2):  # cold, then from the replica's cache
+                response = replica.serve(probe, 5, system._next_replica_turn)
+                # Derived from the records the replica applied: the
+                # primary's rows at the same log position.
+                assert replica.applied_lsn == db.wal.last_lsn
+                assert response.outcomes[0].result.rows == db.execute(INFO_SCHEMA).rows
+            assert replica.statement_cache.counters()[:2] == (1, 1)
+            for sql in ("SELEC 1", "DELETE FROM sales"):
                 probe = Probe(queries=(sql,), brief=Brief(max_staleness=5))
                 for _ in range(2):  # cold, then from the replica's cache
                     assert replica.serve(probe, 5, system._next_replica_turn) is None

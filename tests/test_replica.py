@@ -5,8 +5,9 @@ staleness tolerance, never exceeds it (checked after catching up on the
 log), and every replica-served response carries an explicit "served by
 read replica ...: staleness N ≤ M versions" steering hint — degraded
 service must be legible to the caller. Everything else (DML, beyond-SQL
-requests, information-schema reads, termination criteria) falls through
-to the primary untouched.
+requests, termination criteria) falls through to the primary untouched.
+Information-schema reads are plain reads: each replica derives those
+tables from the records it applied.
 """
 
 from __future__ import annotations
@@ -165,11 +166,20 @@ class TestEligibility:
         system = make_system(tmp_path)
         try:
             pool = system.replicas
-            info = bounded("SELECT * FROM information_schema_tables")
-            assert pool.eligible(info)  # looks like a plain read...
-            assert pool.try_serve(info) is None  # ...but needs the facade
+            system.db.execute("INSERT INTO sales VALUES (9001, 2, 'tea', 1.0)")
+            info = bounded("SELECT * FROM information_schema.tables")
+            assert pool.eligible(info)
+            # The replica derives the information schema from the records
+            # it applied: the primary's rows at the same log position.
+            response = pool.try_serve(info)
+            assert response is not None
+            assert pool.replicas[0].applied_lsn == system.db.wal.last_lsn
+            assert response.outcomes[0].result.rows == system.db.execute(
+                info.queries[0]
+            ).rows
             dml = bounded("INSERT INTO sales VALUES (1, 1, 'x', 0.0)")
             assert pool.try_serve(dml) is None
+            assert pool.try_serve(bounded("SELEC 1")) is None
             assert pool.stats()["probes_declined"] == 2
         finally:
             system.close()

@@ -475,6 +475,39 @@ class TestClose:
         sharded.close()
         sharded.close()
 
+    @staticmethod
+    def group_threads() -> list[threading.Thread]:
+        return [t for t in threading.enumerate() if t.name.startswith("shard-group")]
+
+    @staticmethod
+    def pinned(tenants) -> list[Probe]:
+        return [
+            Probe.sql(f"SELECT COUNT(*) FROM sales WHERE tenant = '{t}' AND qty > {i}")
+            for i, t in enumerate(tenants)
+        ]
+
+    def test_one_shard_window_starts_no_thread(self):
+        sharded = ShardedSystem(build_tenant_db(2), shards=4, partition=PARTITION)
+        try:
+            responses = sharded.submit_many(self.pinned([TENANTS[3]] * 3))
+            assert [r.outcomes[0].status for r in responses] == ["ok"] * 3
+            assert self.group_threads() == []
+        finally:
+            sharded.close()
+
+    def test_multi_shard_window_leaves_no_thread_after_close(self):
+        sharded = ShardedSystem(build_tenant_db(2), shards=4, partition=PARTITION)
+        owners = {sharded.router.owner_of_value(t) for t in TENANTS}
+        assert len(owners) > 1
+        responses = sharded.submit_many(self.pinned(TENANTS))
+        assert [r.outcomes[0].status for r in responses] == ["ok"] * len(TENANTS)
+        assert self.group_threads()  # the extra groups served on the pool
+        sharded.close()
+        assert self.group_threads() == []
+        # A closed tier serves in the caller's thread and starts none.
+        sharded.submit_many(self.pinned(TENANTS))
+        assert self.group_threads() == []
+
 
 # -- stats + cached tier ------------------------------------------------------
 
