@@ -315,9 +315,9 @@ class AgentFirstDataSystem:
         db.on_change(self._on_change)
 
     def _register_engine_collectors(self) -> None:
-        """Publish engine-level metrics (plus the memory store's size and
-        what storage rebuilt for new table states) as snapshot-time
-        collectors.
+        """Publish engine-level metrics (plus the memory store's size, the
+        grounding lookups' memo counters and what storage rebuilt for new
+        table states) as snapshot-time collectors.
 
         Occupancies and hit ratios are derived from live structures when
         ``metrics()`` is called — zero hot-path bookkeeping, which is how
@@ -377,6 +377,21 @@ class AgentFirstDataSystem:
         memstore_artifacts = registry.gauge(
             "repro_memstore_artifacts", "Artifacts held by the agentic memory store"
         )
+        search = self.search
+        semantic_memo = [
+            registry.counter(f"repro_semantic_search_memo_{name}_total", help)
+            for name, help in (
+                ("hits", "Semantic searches answered from the index build's memo"),
+                ("misses", "Semantic searches ranked against the index"),
+            )
+        ]
+        recall_memo = [
+            registry.counter(f"repro_memstore_recall_memo_{name}_total", help)
+            for name, help in (
+                ("hits", "Memory recalls answered from the vector index's memo"),
+                ("misses", "Memory recalls scored against every stored artifact"),
+            )
+        ]
 
         def collect() -> None:
             if cache is not None:
@@ -395,6 +410,12 @@ class AgentFirstDataSystem:
             for name, counter in storage_counters.items():
                 counter.set(getattr(built, name))
             memstore_artifacts.set(len(memory))
+            for counter, value in zip(
+                semantic_memo, (search.memo_hits, search.memo_misses)
+            ):
+                counter.set(value)
+            for counter, value in zip(recall_memo, memory.recall_memo_counters()):
+                counter.set(value)
             gauges["expr_memo_entries"].set(expr_memo_occupancy())
             gauges["expr_memo_compilations"].set(EXPR_MEMO_STATS.compilations)
             gauges["expr_memo_hits"].set(EXPR_MEMO_STATS.hits)

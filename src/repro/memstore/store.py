@@ -193,6 +193,10 @@ class AgenticMemoryStore:
                     out.append(artifact)
         return sorted(out, key=lambda a: a.artifact_id)
 
+    def recall_memo_counters(self) -> tuple[int, int]:
+        """(hits, misses) of the vector index's recall memo."""
+        return self._vectors.memo_hits, self._vectors.memo_misses
+
     def __len__(self) -> int:
         return len(self._artifacts)
 

@@ -6,12 +6,22 @@ callers. Vectors live in the leading rows of a capacity-doubling matrix,
 in insertion order: an add writes one row in place (amortised O(dims)),
 and a remove shifts the rows behind it up by one, so query order and
 tie-breaking stay those of a matrix rebuilt from scratch.
+
+Agents recall with the same goal text again and again, so ``query``
+memoizes ``(text, k)`` -> ranked ``(id, score)`` pairs. Every ``add`` and
+``remove`` replaces the memo with an empty one, so a memoized ranking is
+always the one the current rows give. The memo holds at most
+:data:`~repro.semantic.embedding.MAX_CACHED_TEXTS` rankings (the
+embedder's bound on memoized text embeddings) and drops the oldest first.
+Rankings are never patched for new rows: a product over a slice of the
+matrix can differ in the last bit from the full ``matrix @ q``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.semantic import embedding
 from repro.semantic.embedding import HashedEmbedder
 
 _INITIAL_CAPACITY = 64
@@ -40,6 +50,10 @@ class VectorIndex:
         self._embedder = embedder or HashedEmbedder()
         self._ids: list[int] = []
         self._matrix = np.empty((_INITIAL_CAPACITY, self._embedder.dims))
+        #: {(text, k): ranking} for the rows as they stand.
+        self._memo: dict[tuple[str, int], list[tuple[int, float]]] = {}
+        self.memo_hits = 0
+        self.memo_misses = 0
 
     def add(self, item_id: int, text: str) -> None:
         count = len(self._ids)
@@ -49,6 +63,7 @@ class VectorIndex:
             self._matrix = grown
         self._matrix[count] = self._embedder.embed(text)
         self._ids.append(item_id)
+        self._memo = {}
 
     def remove(self, item_id: int) -> None:
         """Drop every row stored under ``item_id``, keeping the others'
@@ -58,15 +73,26 @@ class VectorIndex:
             count = len(self._ids)
             self._matrix[position : count - 1] = self._matrix[position + 1 : count]
             del self._ids[position]
+        self._memo = {}
 
     def query(self, text: str, k: int = 5) -> list[tuple[int, float]]:
         """Top-k (id, cosine score) for ``text``; embeddings are unit-norm."""
         if not self._ids:
             return []
+        memo = self._memo
+        ranking = memo.get((text, k))
+        if ranking is not None:
+            self.memo_hits += 1
+            return list(ranking)
+        self.memo_misses += 1
         query_vector = self._embedder.embed(text)
         scores = self._matrix[: len(self._ids)] @ query_vector
         order = top_k(scores, k)
-        return [(self._ids[int(i)], float(scores[int(i)])) for i in order]
+        ranking = [(self._ids[int(i)], float(scores[int(i)])) for i in order]
+        if len(memo) >= embedding.MAX_CACHED_TEXTS:
+            memo.pop(next(iter(memo)), None)
+        memo[(text, k)] = ranking
+        return list(ranking)
 
     def __len__(self) -> int:
         return len(self._ids)

@@ -11,6 +11,16 @@ Ranking blends exact token overlap (from the inverted index) with hashed-
 embedding cosine similarity of the location's description string, so
 ``electronics`` surfaces a table named ``electronic_goods`` even without a
 shared exact token.
+
+A swarm asks the same phrases again and again, so ranked hits are
+memoized by ``(phrase, limit, kinds)``. The memo shares one attribute with
+the stamp of the index build that computed it, and ``refresh`` replaces
+both together when it rebuilds: a memoized ranking is only ever served
+from the build it was computed on, so it equals a fresh search. Phrases
+come from agents, so the memo holds at most
+:data:`~repro.semantic.embedding.MAX_CACHED_TEXTS` rankings (the
+embedder's bound on memoized phrase embeddings) and drops the oldest
+first.
 """
 
 from __future__ import annotations
@@ -21,6 +31,7 @@ from itertools import chain
 import numpy as np
 
 from repro.db.database import Database
+from repro.semantic import embedding
 from repro.semantic.embedding import HashedEmbedder
 from repro.semantic.inverted import InvertedIndex, Location
 
@@ -62,8 +73,12 @@ class SemanticSearch:
         #: that vector's norm. Each search scores all of them, so they are
         #: derived once per index build, not once per probe.
         self._metadata: list[tuple[Location, np.ndarray, float]] = []
-        #: ``Catalog.version()`` the index was built at.
-        self._version: tuple | None = None
+        #: (``Catalog.version()`` the index was built at, {(phrase, limit,
+        #: kinds): ranked hits}). One attribute, so a reader never pairs
+        #: one build's stamp with another build's answers.
+        self._memo: tuple[tuple | None, dict] = (None, {})
+        self.memo_hits = 0
+        self.memo_misses = 0
 
     # -- indexing ------------------------------------------------------------
 
@@ -71,7 +86,7 @@ class SemanticSearch:
         # Stamp read before the scan: a write racing the rebuild leaves the
         # index behind the catalog, so the next search rebuilds again.
         version = self._db.catalog.version()
-        if version == self._version:
+        if version == self._memo[0]:
             return
         self._index.clear()
         self._texts.clear()
@@ -94,7 +109,7 @@ class SemanticSearch:
             if location.kind != "cell":
                 vector = self._embedder.embed(text)
                 self._metadata.append((location, vector, float(np.linalg.norm(vector))))
-        self._version = version
+        self._memo = (version, {})
 
     def _index_cells(self, table_name: str) -> None:
         table = self._db.catalog.table(table_name)
@@ -132,6 +147,22 @@ class SemanticSearch:
     ) -> list[SearchHit]:
         """Ranked locations matching ``phrase`` anywhere in the database."""
         self.refresh()
+        memo = self._memo[1]
+        key = (phrase, limit, kinds)
+        hits = memo.get(key)
+        if hits is not None:
+            self.memo_hits += 1
+            return list(hits)
+        self.memo_misses += 1
+        hits = self._rank(phrase, limit, kinds)
+        if len(memo) >= embedding.MAX_CACHED_TEXTS:
+            memo.pop(next(iter(memo)), None)
+        memo[key] = hits
+        return list(hits)
+
+    def _rank(
+        self, phrase: str, limit: int, kinds: tuple[str, ...] | None
+    ) -> list[SearchHit]:
         token_hits = self._index.lookup_phrase(phrase)
         query_vector = self._embedder.embed(phrase)
         query_norm = float(np.linalg.norm(query_vector))

@@ -13,6 +13,7 @@ from repro.errors import AccessDenied, MemoryStoreError
 from repro.memstore import AgenticMemoryStore, Artifact, ArtifactKind, StalenessPolicy
 from repro.memstore.staleness import affected_by
 from repro.memstore.vector_index import VectorIndex, top_k
+from repro.semantic import embedding as embedding_module
 from repro.semantic.embedding import HashedEmbedder
 
 
@@ -94,6 +95,47 @@ class TestBasicStore:
         store.get(artifact_id)
         store.get(artifact_id)
         assert store.get(artifact_id).hits == 3
+
+    def test_recall_memo_serves_repeats_and_is_dropped_by_a_put(self):
+        """A repeated recall is answered from the memo and still counts a
+        hit on each artifact it returns; a put between two recalls of the
+        same text makes the second one see the new artifact."""
+        store = AgenticMemoryStore()
+        first_id = store.remember(
+            ArtifactKind.COLUMN_ENCODING, ("sales", "state"), "state codes in sales"
+        )
+        assert [a.artifact_id for a, _ in store.search("sales state codes")] == [
+            first_id
+        ]
+        assert [a.artifact_id for a, _ in store.search("sales state codes")] == [
+            first_id
+        ]
+        assert store.recall_memo_counters() == (1, 1)
+        assert store.get(first_id).hits == 3  # two recalls, one get
+        second_id = store.remember(
+            ArtifactKind.MISSING_VALUES, ("sales", "state"), "sales state codes"
+        )
+        recalled = [a.artifact_id for a, _ in store.search("sales state codes")]
+        assert recalled[0] == second_id and first_id in recalled
+        assert store.recall_memo_counters() == (1, 2)
+
+    def test_recall_memo_applies_visibility_and_staleness_per_call(self):
+        """A write marks an artifact stale without touching the vector
+        index, so the next recall is a memo hit that must still filter."""
+        db = Database()
+        db.execute("CREATE TABLE sales (id INT, state TEXT)")
+        store = AgenticMemoryStore(share_across_principals=False)
+        store.attach(db)
+        store.put(note(principal="alice"))
+        assert store.search("two-letter codes", principal="alice")
+        assert store.search("two-letter codes", principal="bob") == []
+        db.execute("INSERT INTO sales VALUES (1, 'CA')")
+        assert store.search("two-letter codes", principal="alice")
+        assert (
+            store.search("two-letter codes", principal="alice", include_stale=False)
+            == []
+        )
+        assert store.recall_memo_counters() == (3, 1)
 
 
 class TestStaleness:
@@ -363,8 +405,11 @@ class TestVectorIndex:
             min_size=1,
             max_size=4,
         ),
+        repeats=st.integers(min_value=1, max_value=3),
     )
-    def test_queries_match_brute_force_reference(self, ops, queries):
+    def test_queries_match_brute_force_reference(self, ops, queries, repeats):
+        """``repeats`` > 1 asks each checkpoint's query again, so repeats
+        are answered from the recall memo of the rows as they stand."""
         embedder = HashedEmbedder()
         index, reference = VectorIndex(embedder), ReferenceIndex(embedder)
         for step, op in enumerate(ops):
@@ -372,10 +417,12 @@ class TestVectorIndex:
             apply(reference, op)
             if step % 7 == 0:
                 text, k = queries[step % len(queries)]
-                assert index.query(text, k) == reference.query(text, k)
+                for _ in range(repeats):
+                    assert index.query(text, k) == reference.query(text, k)
         assert len(index) == len(reference.items)
-        for text, k in queries:
-            assert index.query(text, k) == reference.query(text, k)
+        for _ in range(repeats):
+            for text, k in queries:
+                assert index.query(text, k) == reference.query(text, k)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_top_k_matches_full_stable_sort(self, seed):
@@ -390,6 +437,31 @@ class TestVectorIndex:
             for k in range(0, n + 3):
                 expected = np.argsort(-scores, kind="stable")[:k]
                 assert top_k(scores, k).tolist() == expected.tolist(), (k, scores)
+
+    def test_add_and_remove_drop_the_recall_memo(self):
+        embedder = HashedEmbedder()
+        index, reference = VectorIndex(embedder), ReferenceIndex(embedder)
+        for op in [("add", i, text) for i, text in enumerate(INDEX_TEXTS)] + [
+            ("remove", 1, ""),
+            ("add", 7, "coffee"),
+            ("remove", 0, ""),
+        ]:
+            apply(index, op)
+            apply(reference, op)
+            for _ in range(2):
+                assert index.query("coffee", 3) == reference.query("coffee", 3)
+        assert (index.memo_hits, index.memo_misses) == (8, 8)
+
+    def test_recall_memo_is_bounded_by_the_embedder_text_bound(self, monkeypatch):
+        monkeypatch.setattr(embedding_module, "MAX_CACHED_TEXTS", 2)
+        embedder = HashedEmbedder()
+        index, reference = VectorIndex(embedder), ReferenceIndex(embedder)
+        for item_id, text in enumerate(INDEX_TEXTS):
+            apply(index, ("add", item_id, text))
+            apply(reference, ("add", item_id, text))
+        for text in INDEX_TEXTS * 2:
+            assert index.query(text, 3) == reference.query(text, 3)
+            assert len(index._memo) <= 2
 
     def test_top_k_on_an_empty_index(self):
         assert top_k(np.empty(0), 5).tolist() == []

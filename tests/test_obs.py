@@ -744,6 +744,66 @@ class TestMetricsSurface:
         assert recompute_ms > before[1]
         assert builds == before[2] + 1
 
+    def test_grounding_memo_series_count_repeated_lookups(self):
+        """A repeated phrase and goal against unchanged data are answered
+        from the semantic and recall memos; a write rebuilds the semantic
+        index, so the phrase's next search ranks again."""
+        names = (
+            "repro_semantic_search_memo_hits_total",
+            "repro_semantic_search_memo_misses_total",
+            "repro_memstore_recall_memo_hits_total",
+            "repro_memstore_recall_memo_misses_total",
+        )
+        db = build_db()
+        system = AgentFirstDataSystem(db)
+        probe = Probe(
+            queries=("SELECT COUNT(*) FROM sales",),
+            semantic_search="sales region",
+            brief=Brief(goal="sales totals"),
+        )
+
+        def series() -> list:
+            snap = system.metrics()
+            return [snap.get(name) for name in names]
+
+        system.submit(probe)  # executes, and remembers its answer
+        system.submit(probe)  # from history: remembers nothing
+        before = series()
+        system.submit(probe)
+        assert series() == [before[0] + 1, before[1], before[2] + 1, before[3]]
+        db.execute("CREATE TABLE regions (id INT, name TEXT)")
+        system.submit(probe)
+        after = series()
+        assert after[:2] == [before[0] + 1, before[1] + 1]
+
+    def test_sharded_metrics_carry_grounding_memo_series_per_shard(self):
+        sharded = ShardedSystem(build_tenant_db(), shards=2, partition=PARTITION)
+        try:
+            probe = Probe(
+                queries=("SELECT COUNT(*) FROM sales",),
+                semantic_search="sales tenant",
+                brief=Brief(goal="sales totals"),
+            )
+            for _ in range(3):
+                sharded.submit(probe)
+            snap = sharded.metrics()
+            searched = 0
+            for handle in sharded.shards:
+                shard, system = str(handle.shard_id), handle.system
+                memo = (system.search.memo_hits, system.search.memo_misses)
+                assert (
+                    snap.get("repro_semantic_search_memo_hits_total", shard=shard),
+                    snap.get("repro_semantic_search_memo_misses_total", shard=shard),
+                ) == memo
+                assert (
+                    snap.get("repro_memstore_recall_memo_hits_total", shard=shard),
+                    snap.get("repro_memstore_recall_memo_misses_total", shard=shard),
+                ) == system.memory.recall_memo_counters()
+                searched += sum(memo)
+            assert searched == 3
+        finally:
+            sharded.close()
+
     def test_sharded_metrics_carry_storage_series_per_shard(self):
         sharded = ShardedSystem(build_tenant_db(), shards=2, partition=PARTITION)
         try:

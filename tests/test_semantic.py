@@ -228,18 +228,84 @@ class TestSemanticSearch:
         assert all(h.location.kind == "table_name" for h in hits)
 
     def test_refresh_after_ddl(self, shop_db):
+        """The same phrase before and after the write: the answer memoized
+        on the old index build is not served from the new one."""
         search = SemanticSearch(shop_db)
-        assert "tariff" not in " ".join(search.find_tables("spice inventory"))
+        assert "spice_inventory" not in search.find_tables("spice inventory")
         shop_db.execute("CREATE TABLE spice_inventory (id INT, spice TEXT)")
         tables = search.find_tables("spice inventory")
         assert tables[0] == "spice_inventory"
 
     def test_refresh_after_dml(self, shop_db):
         search = SemanticSearch(shop_db)
-        search.refresh()
+        assert not any(h.location.kind == "cell" for h in search.search("Zanzibar"))
         shop_db.execute("INSERT INTO coffee_sales VALUES (3, 'Zanzibar', 10.0)")
         hits = search.search("Zanzibar")
         assert any(h.location.kind == "cell" for h in hits)
+
+    def test_repeated_phrase_is_answered_from_the_memo(self, shop_db):
+        search = SemanticSearch(shop_db)
+        first = search.search("coffee", limit=4)
+        assert (search.memo_hits, search.memo_misses) == (0, 1)
+        assert search.search("coffee", limit=4) == first
+        search.search("coffee", limit=3)  # another limit is another ranking
+        assert (search.memo_hits, search.memo_misses) == (1, 2)
+
+    def test_mutating_a_returned_list_leaves_the_next_answer_unchanged(
+        self, shop_db
+    ):
+        search = SemanticSearch(shop_db)
+        expected = list(search.search("coffee"))
+        assert expected
+        for _ in range(3):  # a miss's list, then the memo's
+            answer = search.search("coffee")
+            assert answer == expected
+            answer.clear()
+            answer.append("junk")
+
+    def test_memo_is_bounded_by_the_embedder_text_bound(self, shop_db, monkeypatch):
+        monkeypatch.setattr(embedding_module, "MAX_CACHED_TEXTS", 3)
+        search = SemanticSearch(shop_db)
+        phrases = ["coffee", "laptop", "Berkeley", "roster", "price"]
+        answers = {phrase: search.search(phrase) for phrase in phrases}
+        assert len(search._memo[1]) == 3
+        for phrase in phrases:
+            assert search.search(phrase) == answers[phrase]
+            assert len(search._memo[1]) <= 3
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_memoized_search_matches_a_fresh_instance(self, shop_db, seed):
+        """Phrases interleaved with INSERTs and CREATE TABLEs: every answer
+        of one long-lived (memoizing) instance equals, location, score and
+        snippet, that of an instance built for the question."""
+        rng = np.random.default_rng(seed)
+        phrases = ["coffee", "Zanzibar", "spice", "laptop tariffs", "roster", "id"]
+        kinds_choices = [None, ("cell",), ("table_name", "column_name")]
+        search = SemanticSearch(shop_db)
+        tables = 0
+        for step in range(60):
+            action = rng.random()
+            if action < 0.15:
+                shop_db.execute(
+                    f"INSERT INTO coffee_sales VALUES ({100 + step},"
+                    f" '{rng.choice(phrases)} {step}', 1.0)"
+                )
+            elif action < 0.22:
+                tables += 1
+                shop_db.execute(
+                    f"CREATE TABLE {rng.choice(['spice', 'tea'])}_{tables}"
+                    " (id INT, note TEXT)"
+                )
+            else:
+                phrase = str(rng.choice(phrases))
+                limit = int(rng.choice([3, 8]))
+                kinds = kinds_choices[int(rng.integers(len(kinds_choices)))]
+                got = search.search(phrase, limit=limit, kinds=kinds)
+                fresh = SemanticSearch(shop_db).search(phrase, limit=limit, kinds=kinds)
+                assert [(h.location, h.score, h.snippet) for h in got] == [
+                    (h.location, h.score, h.snippet) for h in fresh
+                ], (step, phrase)
+        assert search.memo_hits > 0
 
     def test_limit_respected(self, shop_db):
         search = SemanticSearch(shop_db)
