@@ -156,6 +156,7 @@ from repro.obs.slowlog import SlowProbeEntry, SlowProbeLog, resolve_slow_probe_m
 from repro.qos import QosConfig, QosController, resolve_qos_enabled
 from repro.plan import logical
 from repro.semantic.search import SemanticSearch
+from repro.sql.parser import template_counters
 from repro.util.hashing import stable_hash_int
 
 
@@ -312,6 +313,7 @@ class AgentFirstDataSystem:
             labelnames=("node",),
         )
         self._register_engine_collectors()
+        register_template_collector(self.metrics_registry)
         db.on_change(self._on_change)
 
     def _register_engine_collectors(self) -> None:
@@ -872,6 +874,28 @@ class AgentFirstDataSystem:
             )
             for candidate in self.optimizer.advisor.candidates()
         ]
+
+
+def register_template_collector(registry: MetricsRegistry) -> frozenset[str]:
+    """Publish the parser's process-wide statement-template counters
+    (:func:`repro.sql.parser.template_counters`) in ``registry`` as
+    ``repro_sql_template_{hits,misses,unliftable}_total``; return their
+    names."""
+    counters = [
+        registry.counter(f"repro_sql_template_{name}_total", help)
+        for name, help in (
+            ("hits", "Statements bound from the template of their token shape"),
+            ("misses", "Statements parsed in full: their shape had no template"),
+            ("unliftable", "Statements parsed in full: their shape cannot be bound"),
+        )
+    ]
+
+    def collect() -> None:
+        for counter, value in zip(counters, template_counters()):
+            counter.set(value)
+
+    registry.add_collector(collect)
+    return frozenset(counter.name for counter in counters)
 
 
 def shared_serving_system(db: Database) -> AgentFirstDataSystem:

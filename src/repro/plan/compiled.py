@@ -12,11 +12,11 @@ engine. This module puts the cache in front of the planner:
   (shared, so the per-node fingerprint memo and the cost estimate
   :func:`compiled_estimate` memoizes beside it survive across probes), or
   the error the text fails with;
-* :class:`StatementCache` — a lock-guarded LRU keyed by exact SQL text and
-  stamped with ``Catalog.version()``. The stamp is the *only* invalidation
-  mechanism: it moves on DDL, DML, direct ``Table`` mutation, table swaps
-  (branch checkout) and auxiliary-index builds, so nothing here listens
-  to change events;
+* :class:`~repro.util.cache.StatementCache` — a lock-guarded LRU, here
+  keyed by exact SQL text and stamped with ``Catalog.version()``. The
+  stamp is the *only* invalidation mechanism: it moves on DDL, DML,
+  direct ``Table`` mutation, table swaps (branch checkout) and
+  auxiliary-index builds, so nothing here listens to change events;
 * :func:`compile_select` — the one parse → build → optimize sequence
   behind the database facade (and so the probe interpreter) and the read
   replicas. Only text that compiles to a plan, or fails trying, is cached:
@@ -31,8 +31,6 @@ nodes; the fingerprint and estimate memos are idempotent).
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import NoReturn
 
@@ -45,6 +43,7 @@ from repro.plan.rules import optimize_plan
 from repro.sql import nodes
 from repro.sql.parser import parse_statement
 from repro.storage.catalog import Catalog
+from repro.util.cache import StatementCache
 
 
 @dataclass(frozen=True)
@@ -75,78 +74,6 @@ class CompiledStatement:
         error.args = template.args
         error.__dict__.update(template.__dict__)
         raise error
-
-
-class StatementCache:
-    """Text-keyed LRU of compiled statements under one version stamp.
-
-    ``get``/``put`` carry the caller's stamp; when it differs from the
-    cache's, every entry is dropped first (one *invalidation*), so an
-    entry is only ever served at the exact stamp it was stored under.
-    Values are opaque to the cache (the shard router reuses it for
-    scatter analyses under a constant stamp). ``max_entries=0`` disables
-    caching — the differential tests' always-miss baseline.
-
-    Lock discipline follows :class:`~repro.engine.executor.SubplanCache`:
-    every accessor takes ``_lock``; none calls another while holding it.
-    """
-
-    def __init__(self, max_entries: int = 4096) -> None:
-        self._entries: OrderedDict[str, object] = OrderedDict()
-        self._max_entries = max_entries
-        self._stamp: tuple | None = None
-        self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self.invalidations = 0
-
-    def _restamp(self, stamp: tuple) -> None:
-        # Caller holds the lock.
-        if stamp != self._stamp:
-            if self._entries:
-                self._entries.clear()
-                self.invalidations += 1
-            self._stamp = stamp
-
-    def get(self, sql: str, stamp: tuple):
-        with self._lock:
-            self._restamp(stamp)
-            entry = self._entries.get(sql)
-            if entry is None:
-                self.misses += 1
-                return None
-            self._entries.move_to_end(sql)
-            self.hits += 1
-            return entry
-
-    def discount_miss(self) -> None:
-        """Take back the miss the last :meth:`get` counted: the text turned
-        out to be something this cache never holds (DML, DDL), so it is not
-        a compilation the hit ratio should see."""
-        with self._lock:
-            self.misses -= 1
-
-    def put(self, sql: str, stamp: tuple, entry) -> None:
-        if self._max_entries <= 0:
-            return
-        with self._lock:
-            self._restamp(stamp)
-            if sql in self._entries:
-                self._entries.move_to_end(sql)
-            elif len(self._entries) >= self._max_entries:
-                self._entries.popitem(last=False)
-                self.evictions += 1
-            self._entries[sql] = entry
-
-    def counters(self) -> tuple[int, int, int, int]:
-        """A consistent (hits, misses, evictions, invalidations) snapshot."""
-        with self._lock:
-            return (self.hits, self.misses, self.evictions, self.invalidations)
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
 
 
 def compile_select(

@@ -19,24 +19,34 @@ Canonicalisation performed:
 * projection output order is ignored (sorted), since a permutation of
   columns is the same work.
 
+Merkle digests
+--------------
+
+A node's digest hashes its own canonical fields plus its children's
+*digests* — never their canonical tuples — so each node is hashed once, over
+its own expressions only, and an ancestor's cost does not grow with the
+subtree below it. Order-insensitive comparisons (inner-join sides,
+cross-join operands) sort child digests, so the equivalences above hold.
+
 Memoization
 -----------
 
 The serving path fingerprints the *same* plan many times: the executor
 keys its cache by the strict fingerprint of every node it materialises,
 the probe optimizer needs strict+lenient digests per executed query, and
-the scheduler/census walk whole batches of plans. Recomputing the binding
-map and re-canonicalising the full subtree on every call is O(depth²) per
-plan. Instead, :func:`fingerprints` computes strict and lenient digests
-(and the subtree size) for **all** subtrees in one bottom-up pass and
-caches them on each (immutable-after-optimize) :class:`PlanNode`, so every
-later call — on the root or any descendant — is a dict lookup.
+the scheduler/census walk whole batches of plans. Instead of recomputing
+per call, :func:`fingerprints` computes strict and lenient digests (and
+the subtree size) for **all** subtrees in one bottom-up pass and caches
+them on each (immutable-after-optimize) :class:`PlanNode`, so every later
+call — on the root or any descendant — is a dict lookup. The memo keeps
+digests only.
 
 The bottom-up pass is byte-identical to the per-call path whenever no
 binding name is shadowed (two scans/aliases mapping one name to different
 relations), which a pre-pass verifies; the rare shadowed plan falls back
-to the original per-call computation (kept as :func:`fingerprint_uncached`,
-which also serves as the differential baseline in tests and benchmarks).
+to the per-call computation, which recurses the same Merkle way against
+the root's binding map (kept as :func:`fingerprint_uncached`, which also
+serves as the differential baseline in tests and benchmarks).
 """
 
 from __future__ import annotations
@@ -103,7 +113,7 @@ def fingerprints(plan: logical.PlanNode) -> NodeFingerprints:
     if memo is not None:
         FINGERPRINT_STATS.memo_hits += 1
         return memo[0]
-    return _memoize_tree(plan)[0]
+    return _memoize_tree(plan)
 
 
 def fingerprint(plan: logical.PlanNode, strict: bool = False) -> str:
@@ -122,13 +132,19 @@ def fingerprint(plan: logical.PlanNode, strict: bool = False) -> str:
 
 def fingerprint_uncached(plan: logical.PlanNode, strict: bool = False) -> str:
     """The per-call (non-memoized) fingerprint: rebuilds the binding map
-    and re-canonicalises the whole subtree.
+    and re-digests the whole subtree.
 
     Kept as the differential baseline for the memoization layer and as the
     fallback for binding-shadowed plans; produces identical digests to
     :func:`fingerprint` by construction.
     """
-    return stable_hash(_canonical(plan, _binding_map(plan), strict))
+    return _digest(plan, _binding_map(plan), strict)
+
+
+def _digest(node: logical.PlanNode, bindings: dict[str, str], strict: bool) -> str:
+    """Per-call Merkle digest: recurses over children itself."""
+    child_digests = tuple(_digest(child, bindings, strict) for child in node.children())
+    return stable_hash(_canonical_node(node, bindings, strict, child_digests))
 
 
 @dataclass(frozen=True)
@@ -142,10 +158,9 @@ class SubExpression:
 
 def subexpressions(plan: logical.PlanNode) -> list[SubExpression]:
     """Every subtree of ``plan`` with its fingerprint, size, and root code."""
-    memo = plan.__dict__.get(_MEMO_ATTR)
-    if memo is None:
-        memo = _memoize_tree(plan)
-    if memo[1] is None:
+    if plan.__dict__.get(_MEMO_ATTR) is None:
+        _memoize_tree(plan)
+    if not plan.__dict__[_MEMO_ATTR][1]:
         # Shadowed bindings: per-subtree maps diverge from the root's, so
         # keep the original one-map-for-all-subtrees semantics.
         return _subexpressions_uncached(plan)
@@ -169,7 +184,7 @@ def _subexpressions_uncached(plan: logical.PlanNode) -> list[SubExpression]:
     for node in plan.walk():
         out.append(
             SubExpression(
-                fingerprint=stable_hash(_canonical(node, binding_map, False)),
+                fingerprint=_digest(node, binding_map, False),
                 size=node.node_count(),
                 root_code=logical.root_operator_code(node),
             )
@@ -182,37 +197,30 @@ def _subexpressions_uncached(plan: logical.PlanNode) -> list[SubExpression]:
 # ---------------------------------------------------------------------------
 
 
-def _memoize_tree(root: logical.PlanNode) -> tuple:
-    """Memoize every node of ``root``'s tree; return the root's memo.
+def _memoize_tree(root: logical.PlanNode) -> NodeFingerprints:
+    """Memoize every node of ``root``'s tree; return the root's digests.
 
-    A memo is ``(NodeFingerprints, lenient_tuple, strict_tuple)``. The
-    canonical tuples are kept so parents can embed them without
-    re-canonicalising; fallback memos (shadowed bindings) carry ``None``
-    tuples, which also marks that descendants were *not* memoized.
+    A memo is ``(NodeFingerprints, consistent)``. ``consistent`` is False
+    only on the root of a shadowed tree, whose descendants are *not*
+    memoized.
     """
     bindings: dict[str, str] = {}
     if _collect_bindings(root, bindings):
-        memo = _memoize_consistent(root, bindings)
+        memoized = _memoize_consistent(root, bindings)
     else:
         # A binding name maps to two different relations somewhere in this
         # tree: subtree-local maps diverge, so only the root digest (always
         # computed against its own map) can be cached safely.
         FINGERPRINT_STATS.shadowed_fallbacks += 1
         root_map = _binding_map(root)
-        lenient_tuple = _canonical(root, root_map, False)
-        strict_tuple = _canonical(root, root_map, True)
-        memo = (
-            NodeFingerprints(
-                lenient=stable_hash(lenient_tuple),
-                strict=stable_hash(strict_tuple),
-                size=root.node_count(),
-            ),
-            None,
-            None,
+        memoized = NodeFingerprints(
+            lenient=_digest(root, root_map, False),
+            strict=_digest(root, root_map, True),
+            size=root.node_count(),
         )
-        object.__setattr__(root, _MEMO_ATTR, memo)
+        object.__setattr__(root, _MEMO_ATTR, (memoized, False))
     FINGERPRINT_STATS.trees_memoized += 1
-    return memo
+    return memoized
 
 
 def _collect_bindings(root: logical.PlanNode, out: dict[str, str]) -> bool:
@@ -234,34 +242,31 @@ def _collect_bindings(root: logical.PlanNode, out: dict[str, str]) -> bool:
     return consistent
 
 
-def _memoize_consistent(node: logical.PlanNode, bindings: dict[str, str]) -> tuple:
+def _memoize_consistent(
+    node: logical.PlanNode, bindings: dict[str, str]
+) -> NodeFingerprints:
     """Bottom-up memoization under a shadow-free binding map.
 
     With no shadowing, each subtree's own binding map agrees with the
-    root's on every name the subtree can reference, so child canonical
-    tuples computed here are exactly what ``fingerprint_uncached`` would
-    produce for the child — parents embed them directly instead of
-    re-canonicalising the whole subtree per level.
+    root's on every name the subtree can reference, so the child digests
+    computed here are exactly what ``fingerprint_uncached`` would produce
+    for the child — parents hash them instead of re-digesting the subtree.
     """
     memo = node.__dict__.get(_MEMO_ATTR)
-    if memo is not None and memo[1] is not None:
-        return memo
-    child_memos = [_memoize_consistent(child, bindings) for child in node.children()]
-    child_lenient = tuple(child[1] for child in child_memos)
-    child_strict = tuple(child[2] for child in child_memos)
-    lenient_tuple = _canonical_node(node, bindings, False, child_lenient)
-    strict_tuple = _canonical_node(node, bindings, True, child_strict)
-    memo = (
-        NodeFingerprints(
-            lenient=stable_hash(lenient_tuple),
-            strict=stable_hash(strict_tuple),
-            size=1 + sum(child[0].size for child in child_memos),
+    if memo is not None and memo[1]:
+        return memo[0]
+    children = [_memoize_consistent(child, bindings) for child in node.children()]
+    memoized = NodeFingerprints(
+        lenient=stable_hash(
+            _canonical_node(node, bindings, False, tuple(c.lenient for c in children))
         ),
-        lenient_tuple,
-        strict_tuple,
+        strict=stable_hash(
+            _canonical_node(node, bindings, True, tuple(c.strict for c in children))
+        ),
+        size=1 + sum(child.size for child in children),
     )
-    object.__setattr__(node, _MEMO_ATTR, memo)
-    return memo
+    object.__setattr__(node, _MEMO_ATTR, (memoized, True))
+    return memoized
 
 
 # ---------------------------------------------------------------------------
@@ -296,23 +301,15 @@ def _stable_sorted(items) -> list:
         return sorted(items, key=repr)
 
 
-def _canonical(node: logical.PlanNode, bindings: dict[str, str], strict: bool) -> tuple:
-    """Per-call canonicalisation: recurses over children itself."""
-    child_tuples = tuple(
-        _canonical(child, bindings, strict) for child in node.children()
-    )
-    return _canonical_node(node, bindings, strict, child_tuples)
-
-
 def _canonical_node(
     node: logical.PlanNode,
     bindings: dict[str, str],
     strict: bool,
-    child_tuples: tuple[tuple, ...],
+    child_digests: tuple[str, ...],
 ) -> tuple:
-    """Canonical tuple of one node given its children's canonical tuples.
+    """Canonical tuple of one node given its children's digests.
 
-    ``child_tuples`` is parallel to ``node.children()``; both the per-call
+    ``child_digests`` is parallel to ``node.children()``; both the per-call
     path and the memoized bottom-up pass funnel through here, so their
     tuples (and therefore digests) are identical by construction.
     """
@@ -350,20 +347,20 @@ def _canonical_node(
     if isinstance(node, logical.OneRow):
         return ("onerow",)
     if isinstance(node, logical.SubqueryScan):
-        return ("subquery", node.alias.lower(), child_tuples[0])
+        return ("subquery", node.alias.lower(), child_digests[0])
     if isinstance(node, logical.Filter):
         return (
             "filter",
             _canonical_predicate(node.predicate, bindings, node.child),
-            child_tuples[0],
+            child_digests[0],
         )
     if isinstance(node, logical.Project):
         exprs = [_canonical_expr(expr, bindings, node.child) for expr in node.exprs]
         if not strict:
             exprs = _stable_sorted(exprs)
-        return ("project", tuple(exprs), child_tuples[0])
+        return ("project", tuple(exprs), child_digests[0])
     if isinstance(node, logical.HashJoin):
-        left, right = child_tuples
+        left, right = child_digests
         pairs = []
         for l, r in zip(node.left_keys, node.right_keys):
             pairs.append(
@@ -391,7 +388,7 @@ def _canonical_node(
             if node.condition is None
             else _canonical_predicate(node.condition, bindings, node)
         )
-        left, right = child_tuples
+        left, right = child_digests
         if node.kind in ("INNER", "CROSS") and not strict:
             first, second = _stable_sorted([left, right])
             return ("nljoin", node.kind, first, second, condition)
@@ -406,18 +403,18 @@ def _canonical_node(
             "aggregate",
             tuple(group_list),
             tuple(agg_list),
-            child_tuples[0],
+            child_digests[0],
         )
     if isinstance(node, logical.Sort):
         keys = tuple(
             (_canonical_expr(expr, bindings, node.child), asc)
             for expr, asc in node.keys
         )
-        return ("sort", keys, child_tuples[0])
+        return ("sort", keys, child_digests[0])
     if isinstance(node, logical.Limit):
-        return ("limit", node.limit, node.offset, child_tuples[0])
+        return ("limit", node.limit, node.offset, child_digests[0])
     if isinstance(node, logical.Distinct):
-        return ("distinct", child_tuples[0])
+        return ("distinct", child_digests[0])
     raise TypeError(f"cannot canonicalise plan node {type(node).__name__}")
 
 

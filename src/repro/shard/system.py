@@ -42,7 +42,12 @@ from dataclasses import dataclass, replace
 from repro.core.brief import Brief
 from repro.core.gateway import AgentSession, ProbeTicket
 from repro.core.probe import Probe, ProbeResponse, QueryOutcome
-from repro.core.system import AgentFirstDataSystem, SystemConfig, shared_serving_system
+from repro.core.system import (
+    AgentFirstDataSystem,
+    SystemConfig,
+    register_template_collector,
+    shared_serving_system,
+)
 from repro.db import Database
 from repro.obs import trace as obs_trace
 from repro.obs.metrics import MetricsRegistry, MetricsSnapshot, merge_snapshots
@@ -120,6 +125,9 @@ class ShardedSystem:
         #: label per series.
         self.metrics_registry = MetricsRegistry()
         self.matchmaker = Matchmaker(registry=self.metrics_registry)
+        #: Process-wide series every shard also publishes: reported once,
+        #: from this registry (see :meth:`metrics`).
+        self._process_metrics = register_template_collector(self.metrics_registry)
         #: ``scatter.analyze`` results by SQL text. The analysis is a pure
         #: function of the text and the (fixed) partition map, so one
         #: constant stamp serves for the tier's lifetime.
@@ -435,9 +443,19 @@ class ShardedSystem:
     def metrics(self) -> MetricsSnapshot:
         """One tier-wide snapshot: every shard's registry, each series
         tagged with a ``shard`` label, plus the tier registry (the
-        matchmaker) under the ``router`` pseudo-shard."""
+        matchmaker) under the ``router`` pseudo-shard.
+
+        The statement-template counters are process-wide, so they appear
+        once, under ``router``, rather than once per shard."""
         parts = {
-            str(handle.shard_id): handle.system.metrics() for handle in self.shards
+            str(handle.shard_id): MetricsSnapshot(
+                {
+                    name: metric
+                    for name, metric in handle.system.metrics().as_dict().items()
+                    if name not in self._process_metrics
+                }
+            )
+            for handle in self.shards
         }
         parts["router"] = self.metrics_registry.snapshot()
         return merge_snapshots(parts)

@@ -3,11 +3,21 @@
 Produces a flat token stream. Keywords are recognised case-insensitively;
 identifiers may be double-quoted to defeat keyword recognition. String
 literals are single-quoted with ``''`` as the escape for a quote.
+
+One compiled regular expression splits the text: each alternative is one
+token class, tried in order at every offset, and a catch-all last
+alternative makes the matches contiguous, so ``finditer`` visits every
+character exactly once. Numbers are ASCII digits only (``12``, ``2.5``,
+``.5``, ``5.``, ``1e3``, ``2.5E-2``); a mantissa followed by ``e``/``E``
+without exponent digits (``1e``, ``1e+``) is a :class:`TokenizeError`,
+as is any character no alternative accepts. Every token's ``position``
+is the offset of its first character.
 """
 
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass
 
 from repro.errors import TokenizeError
@@ -42,102 +52,64 @@ class Token:
         return self.type is TokenType.KEYWORD and self.value in names
 
 
-_OPERATORS = ("<>", "!=", "<=", ">=", "||", "=", "<", ">", "+", "-", "*", "/", "%")
-_PUNCT = "(),.;"
+_TOKEN_RE = re.compile(
+    r"""
+      (?P<skip>[ \t\r\n]+|--[^\n]*|/\*.*?\*/)
+    | (?P<word>[^\W\d]\w*)
+    | (?P<number>(?>[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+|(?![eE])))
+    | (?P<bad_number>(?>[0-9]+(?:\.[0-9]*)?|\.[0-9]+)[eE])
+    | (?P<string>'(?:[^']|'')*+')
+    | (?P<quoted>"[^"]*")
+    | (?P<unterminated>/\*|'|")
+    | (?P<operator><>|!=|<=|>=|\|\||[-=<>+*/%])
+    | (?P<punct>[(),.;])
+    | (?P<error>.)
+    """,
+    re.VERBOSE | re.DOTALL,
+)
+
+_UNTERMINATED = {
+    "'": "unterminated string literal",
+    '"': "unterminated quoted identifier",
+    "/*": "unterminated block comment",
+}
 
 
 def tokenize(sql: str) -> list[Token]:
     """Tokenize ``sql`` into a list ending with an EOF token."""
     tokens: list[Token] = []
-    index = 0
-    length = len(sql)
-    while index < length:
-        char = sql[index]
-        if char in " \t\r\n":
-            index += 1
+    append = tokens.append
+    for match in _TOKEN_RE.finditer(sql):
+        kind = match.lastgroup
+        if kind == "skip":
             continue
-        if sql.startswith("--", index):
-            newline = sql.find("\n", index)
-            index = length if newline == -1 else newline + 1
-            continue
-        if sql.startswith("/*", index):
-            closing = sql.find("*/", index + 2)
-            if closing == -1:
-                raise TokenizeError("unterminated block comment", index)
-            index = closing + 2
-            continue
-        if char == "'":
-            value, index = _read_string(sql, index)
-            tokens.append(Token(TokenType.STRING, value, index))
-            continue
-        if char == '"':
-            closing = sql.find('"', index + 1)
-            if closing == -1:
-                raise TokenizeError("unterminated quoted identifier", index)
-            tokens.append(Token(TokenType.IDENTIFIER, sql[index + 1 : closing], index))
-            index = closing + 1
-            continue
-        if char.isdigit() or (char == "." and index + 1 < length and sql[index + 1].isdigit()):
-            value, index = _read_number(sql, index)
-            tokens.append(Token(TokenType.NUMBER, value, index))
-            continue
-        if char.isalpha() or char == "_":
-            start = index
-            while index < length and (sql[index].isalnum() or sql[index] == "_"):
-                index += 1
-            word = sql[start:index]
-            upper = word.upper()
+        text = match.group()
+        start = match.start()
+        if kind == "word":
+            # ``[^\W\d]`` also admits numeric characters such as "²";
+            # a word starts with a letter or an underscore.
+            if not (text[0].isalpha() or text[0] == "_"):
+                raise TokenizeError(f"unexpected character {text[0]!r}", start)
+            upper = text.upper()
             if upper in KEYWORDS:
-                tokens.append(Token(TokenType.KEYWORD, upper, start))
+                append(Token(TokenType.KEYWORD, upper, start))
             else:
-                tokens.append(Token(TokenType.IDENTIFIER, word, start))
-            continue
-        matched = next((op for op in _OPERATORS if sql.startswith(op, index)), None)
-        if matched is not None:
-            tokens.append(Token(TokenType.OPERATOR, matched, index))
-            index += len(matched)
-            continue
-        if char in _PUNCT:
-            tokens.append(Token(TokenType.PUNCT, char, index))
-            index += 1
-            continue
-        raise TokenizeError(f"unexpected character {char!r}", index)
-    tokens.append(Token(TokenType.EOF, "", length))
-    return tokens
-
-
-def _read_string(sql: str, start: int) -> tuple[str, int]:
-    index = start + 1
-    pieces: list[str] = []
-    while index < len(sql):
-        char = sql[index]
-        if char == "'":
-            if index + 1 < len(sql) and sql[index + 1] == "'":
-                pieces.append("'")
-                index += 2
-                continue
-            return "".join(pieces), index + 1
-        pieces.append(char)
-        index += 1
-    raise TokenizeError("unterminated string literal", start)
-
-
-def _read_number(sql: str, start: int) -> tuple[str, int]:
-    index = start
-    seen_dot = False
-    seen_exp = False
-    while index < len(sql):
-        char = sql[index]
-        if char.isdigit():
-            index += 1
-        elif char == "." and not seen_dot and not seen_exp:
-            seen_dot = True
-            index += 1
-        elif char in "eE" and not seen_exp and index > start:
-            seen_exp = True
-            index += 1
-            if index < len(sql) and sql[index] in "+-":
-                index += 1
+                append(Token(TokenType.IDENTIFIER, text, start))
+        elif kind == "punct":
+            append(Token(TokenType.PUNCT, text, start))
+        elif kind == "operator":
+            append(Token(TokenType.OPERATOR, text, start))
+        elif kind == "number":
+            append(Token(TokenType.NUMBER, text, start))
+        elif kind == "string":
+            append(Token(TokenType.STRING, text[1:-1].replace("''", "'"), start))
+        elif kind == "quoted":
+            append(Token(TokenType.IDENTIFIER, text[1:-1], start))
+        elif kind == "bad_number":
+            raise TokenizeError(f"malformed number {text!r}", start)
+        elif kind == "unterminated":
+            raise TokenizeError(_UNTERMINATED[text], start)
         else:
-            break
-    return sql[start:index], index
+            raise TokenizeError(f"unexpected character {text!r}", start)
+    append(Token(TokenType.EOF, "", len(sql)))
+    return tokens

@@ -13,13 +13,39 @@ Grammar highlights::
 Expression precedence, loosest first:
 OR, AND, NOT, comparison/IN/LIKE/BETWEEN/IS, additive (+ - ||),
 multiplicative (* / %), unary minus, primary.
+
+Statement templates
+-------------------
+
+A swarm's "unique" statements are a handful of shapes with different
+constants, so :func:`parse_statement` parses each *shape* once. The key is
+the token stream with every NUMBER and STRING token replaced by its class
+(``int``, ``float`` — a mantissa with ``.`` or an exponent — or ``str``):
+those tokens are *lifted*. A NUMBER right after ``LIMIT`` or ``OFFSET``
+stays in the key by value, because the parser reads it as structure.
+
+The first text of a shape is parsed in full; its AST becomes the template,
+with the :class:`~repro.sql.nodes.Literal` node built from each lifted
+token recorded by its path from the root. A later text of the same shape
+is bound: each recorded literal is replaced by the new value, and only its
+ancestors are rebuilt — every other subtree is shared with the template,
+which is safe because AST nodes are immutable. A shape in which some
+lifted token does not come back as exactly one ``Literal`` (``-5``, which
+the parser folds into a new node) is *unliftable* and is parsed in full
+every time. Parsing reads no catalog, so the templates carry a constant
+stamp: they survive writes, and one process-wide cache serves every
+database, every shard and the shard router. :func:`template_counters`
+reports its hits, misses and unliftable full parses.
 """
 
 from __future__ import annotations
 
+import dataclasses
+
 from repro.errors import ParseError
 from repro.sql import nodes
 from repro.sql.lexer import Token, TokenType, tokenize
+from repro.util.cache import StatementCache
 
 _COMPARISON_OPS = ("=", "<>", "!=", "<", "<=", ">", ">=")
 
@@ -29,6 +55,8 @@ class _Parser:
         self._tokens = tokens
         self._sql = sql
         self._index = 0
+        #: The literal built from each NUMBER/STRING token, by token index.
+        self.literals: dict[int, nodes.Literal] = {}
 
     # -- token plumbing -----------------------------------------------------
 
@@ -447,15 +475,14 @@ class _Parser:
 
     def _parse_primary(self) -> nodes.Expr:
         token = self._peek()
-        if token.type is TokenType.NUMBER:
+        if token.type is TokenType.NUMBER or token.type is TokenType.STRING:
+            try:
+                literal = nodes.Literal(_literal_value(token))
+            except ValueError as exc:
+                raise self._error("numeric literal out of range") from exc
+            self.literals[self._index] = literal
             self._advance()
-            text = token.value
-            if "." in text or "e" in text or "E" in text:
-                return nodes.Literal(float(text))
-            return nodes.Literal(int(text))
-        if token.type is TokenType.STRING:
-            self._advance()
-            return nodes.Literal(token.value)
+            return literal
         if token.is_keyword("NULL"):
             self._advance()
             return nodes.Literal(None)
@@ -535,8 +562,184 @@ class _Parser:
 
 
 def parse_statement(sql: str) -> nodes.AnyStatement:
-    """Parse one SQL statement (optionally ``;``-terminated)."""
-    return _Parser(tokenize(sql), sql).parse_statement()
+    """Parse one SQL statement (optionally ``;``-terminated).
+
+    Binds the statement's template when its token shape was parsed before
+    (see the module docstring); the result equals a full parse.
+    """
+    tokens = tokenize(sql)
+    key, lifted = _shape(tokens)
+    template = _TEMPLATES.get(key, ())
+    if template is None:
+        parser = _Parser(tokens, sql)
+        statement = parser.parse_statement()
+        _TEMPLATES.put(key, (), _Template.record(statement, lifted, parser.literals))
+        return statement
+    if template.slots is None:
+        _TEMPLATES.note_unliftable()
+        return _Parser(tokens, sql).parse_statement()
+    try:
+        values = [_literal_value(tokens[index]) for index in lifted]
+    except ValueError:
+        # An integer too long to convert: the full parse names the error.
+        return _Parser(tokens, sql).parse_statement()
+    return _bind(template.statement, template.slots, values)
+
+
+def template_counters() -> tuple[int, int, int]:
+    """A consistent (hits, misses, unliftable) snapshot of the process-wide
+    template cache: statements bound from a template, statements parsed
+    in full because their shape was not cached, and statements parsed in
+    full because their cached shape is unliftable."""
+    return _TEMPLATES.template_counters()
+
+
+def _literal_value(token: Token) -> int | float | str:
+    """The value of a NUMBER or STRING token (``ValueError`` only for an
+    integer with more digits than ``int`` converts)."""
+    if token.type is TokenType.STRING:
+        return token.value
+    return _number_class(token.value)(token.value)
+
+
+def _number_class(text: str) -> type:
+    """``float`` for a mantissa with ``.`` or an exponent, else ``int``."""
+    return float if "." in text or "e" in text or "E" in text else int
+
+
+def _shape(tokens: list[Token]) -> tuple[tuple, list[int]]:
+    """The template key of ``tokens`` and the indices of its lifted tokens.
+
+    The key is flat: a keyword, operator or punctuation token (and a
+    structural LIMIT/OFFSET number) contributes its value, an identifier
+    ``None`` followed by its name, and a lifted token its class. Those
+    value sets are disjoint (only a quoted identifier could spell a
+    keyword or a symbol, and it carries the ``None`` tag), so the key
+    names the token stream up to the lifted values without hashing the
+    token-type enum.
+    """
+    key: list = []
+    lifted: list[int] = []
+    structural_number = False
+    for index, token in enumerate(tokens):
+        kind = token.type
+        value = token.value
+        if kind is TokenType.IDENTIFIER:
+            key.append(None)
+            key.append(value)
+        elif kind is TokenType.STRING:
+            key.append(str)
+            lifted.append(index)
+        elif kind is TokenType.NUMBER and not structural_number:
+            key.append(_number_class(value))
+            lifted.append(index)
+        else:
+            key.append(value)
+        structural_number = kind is TokenType.KEYWORD and (
+            value == "LIMIT" or value == "OFFSET"
+        )
+    return tuple(key), lifted
+
+
+@dataclasses.dataclass(frozen=True)
+class _Template:
+    """The AST of a shape's first text, and where its lifted literals sit.
+
+    ``slots`` is a trie over paths from the root: a dataclass node maps
+    field names, a tuple maps indices, and a leaf is the lifted token's
+    position in the shape's lifted-token list. ``None`` marks an
+    unliftable shape.
+    """
+
+    statement: nodes.AnyStatement
+    slots: dict | None
+
+    @classmethod
+    def record(
+        cls,
+        statement: nodes.AnyStatement,
+        lifted: list[int],
+        literals: dict[int, nodes.Literal],
+    ) -> "_Template":
+        slot_of: dict[int, int] = {}
+        for slot, index in enumerate(lifted):
+            literal = literals.get(index)
+            if literal is None:
+                return cls(statement, None)
+            slot_of[id(literal)] = slot
+        found: list[tuple[int, tuple]] = []
+        _find_literals(statement, slot_of, (), found)
+        if sorted(slot for slot, _ in found) != list(range(len(lifted))):
+            return cls(statement, None)
+        slots: dict = {}
+        for slot, path in found:
+            node = slots
+            for step in path[:-1]:
+                node = node.setdefault(step, {})
+            node[path[-1]] = slot
+        return cls(statement, slots)
+
+
+def _find_literals(node, slot_of: dict[int, int], path: tuple, out: list) -> None:
+    """Append ``(slot, path)`` for every recorded literal under ``node``."""
+    if type(node) is nodes.Literal:
+        slot = slot_of.get(id(node))
+        if slot is not None:
+            out.append((slot, path))
+    elif type(node) is tuple:
+        for position, item in enumerate(node):
+            _find_literals(item, slot_of, path + (position,), out)
+    elif dataclasses.is_dataclass(node):
+        for field in dataclasses.fields(node):
+            _find_literals(getattr(node, field.name), slot_of, path + (field.name,), out)
+
+
+def _bind(node, slots: dict, values: list):
+    """``node`` with each slot's literal replaced by its value; only the
+    ancestors of replaced literals are rebuilt."""
+    if type(node) is tuple:
+        items = list(node)
+        for position, sub in slots.items():
+            items[position] = (
+                nodes.Literal(values[sub])
+                if type(sub) is int
+                else _bind(items[position], sub, values)
+            )
+        return tuple(items)
+    # A copy of the node's fields with the changed ones swapped in: AST
+    # nodes are frozen dataclasses whose whole state is their fields, so
+    # this equals ``dataclasses.replace`` without re-running ``__init__``.
+    clone = object.__new__(type(node))
+    fields = clone.__dict__
+    fields.update(node.__dict__)
+    for name, sub in slots.items():
+        fields[name] = (
+            nodes.Literal(values[sub])
+            if type(sub) is int
+            else _bind(fields[name], sub, values)
+        )
+    return clone
+
+
+class _TemplateCache(StatementCache):
+    """The shape-keyed template LRU, plus a tally of unliftable parses."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.unliftable = 0
+
+    def note_unliftable(self) -> None:
+        with self._lock:
+            self.unliftable += 1
+
+    def template_counters(self) -> tuple[int, int, int]:
+        with self._lock:
+            return (self.hits - self.unliftable, self.misses, self.unliftable)
+
+
+#: Templates by token shape, for the whole process (no stamp: parsing
+#: reads no catalog).
+_TEMPLATES = _TemplateCache()
 
 
 def parse_expression(sql: str) -> nodes.Expr:

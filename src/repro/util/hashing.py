@@ -18,9 +18,9 @@ def stable_hash(value: Any) -> str:
     tuples, lists, dicts and frozensets; containers are serialised
     structurally so that e.g. ``("a", 1)`` and ``["a", 1]`` differ.
     """
-    hasher = hashlib.sha1()
-    _feed(hasher, value)
-    return hasher.hexdigest()
+    parts: list[bytes] = []
+    _encode(value, parts)
+    return hashlib.sha1(b"".join(parts)).hexdigest()
 
 
 def stable_hash_int(value: Any, bits: int = 64) -> int:
@@ -29,47 +29,50 @@ def stable_hash_int(value: Any, bits: int = 64) -> int:
     return int(digest, 16) % (1 << bits)
 
 
-def _feed(hasher: "hashlib._Hash", value: Any) -> None:
-    """Recursively feed ``value`` into ``hasher`` with type tags.
+def _encode(value: Any, out: list[bytes]) -> None:
+    """Append ``value``'s type-tagged encoding to ``out``.
 
     Type tags prevent cross-type collisions such as ``1`` vs ``"1"``.
+    Strings and tuples (most of a canonical plan tuple) are tested first;
+    no value is an instance of two of the types below, so the order does
+    not change any encoding.
     """
-    if value is None:
-        hasher.update(b"N")
-    elif isinstance(value, bool):
-        hasher.update(b"B1" if value else b"B0")
-    elif isinstance(value, int):
-        hasher.update(b"I" + str(value).encode())
-    elif isinstance(value, float):
-        hasher.update(b"F" + repr(value).encode())
-    elif isinstance(value, str):
+    if isinstance(value, str):
         encoded = value.encode("utf-8")
-        hasher.update(b"S" + str(len(encoded)).encode() + b":" + encoded)
-    elif isinstance(value, bytes):
-        hasher.update(b"Y" + str(len(value)).encode() + b":" + value)
+        out.append(b"S" + str(len(encoded)).encode() + b":" + encoded)
     elif isinstance(value, tuple):
-        hasher.update(b"T" + str(len(value)).encode() + b"[")
+        out.append(b"T" + str(len(value)).encode() + b"[")
         for item in value:
-            _feed(hasher, item)
-        hasher.update(b"]")
+            _encode(item, out)
+        out.append(b"]")
+    elif value is None:
+        out.append(b"N")
+    elif isinstance(value, bool):
+        out.append(b"B1" if value else b"B0")
+    elif isinstance(value, int):
+        out.append(b"I" + str(value).encode())
+    elif isinstance(value, float):
+        out.append(b"F" + repr(value).encode())
+    elif isinstance(value, bytes):
+        out.append(b"Y" + str(len(value)).encode() + b":" + value)
     elif isinstance(value, list):
-        hasher.update(b"L" + str(len(value)).encode() + b"[")
+        out.append(b"L" + str(len(value)).encode() + b"[")
         for item in value:
-            _feed(hasher, item)
-        hasher.update(b"]")
+            _encode(item, out)
+        out.append(b"]")
     elif isinstance(value, frozenset):
         # Hash members independently and combine order-insensitively.
         member_digests = sorted(stable_hash(item) for item in value)
-        hasher.update(b"E" + str(len(value)).encode() + b"[")
+        out.append(b"E" + str(len(value)).encode() + b"[")
         for digest in member_digests:
-            hasher.update(digest.encode())
-        hasher.update(b"]")
+            out.append(digest.encode())
+        out.append(b"]")
     elif isinstance(value, dict):
         items = sorted((stable_hash(k), v) for k, v in value.items())
-        hasher.update(b"D" + str(len(items)).encode() + b"{")
+        out.append(b"D" + str(len(items)).encode() + b"{")
         for key_digest, item in items:
-            hasher.update(key_digest.encode())
-            _feed(hasher, item)
-        hasher.update(b"}")
+            out.append(key_digest.encode())
+            _encode(item, out)
+        out.append(b"}")
     else:
         raise TypeError(f"stable_hash cannot hash values of type {type(value).__name__}")

@@ -359,6 +359,10 @@ class TestMemoryIntegration:
             " goal='compute the exact answer'))\n"
             "print(sorted(a.subject for a in system.memory._artifacts.values()"
             " if a.kind is ArtifactKind.PROBE_RESULT))\n"
+            "db.execute('CREATE TABLE u (id INT, w TEXT)')\n"
+            "plan = db.plan_select('SELECT x.v, y.w FROM t x JOIN u y"
+            " ON x.id = y.id WHERE y.w <> \\'z\\'')\n"
+            "print(plan.fingerprints().strict, plan.fingerprints().lenient)\n"
         )
         repo_root = Path(__file__).resolve().parents[1]
         outputs = []

@@ -167,6 +167,27 @@ class TestAdmissionWindows:
         # The shim path never starts the admission loop thread.
         assert system.gateway._thread is None
 
+    @pytest.mark.parametrize("bad_sql", ["SELECT 1e FROM sales", "SELECT @"])
+    def test_unlexable_probe_fails_alone_in_its_window(self, bad_sql):
+        """A statement the lexer rejects is that probe's ``error`` outcome;
+        the other session's probe in the same window still answers."""
+        system = AgentFirstDataSystem(
+            build_db(),
+            config=SystemConfig(gateway_max_batch=64, gateway_max_wait=30.0),
+        )
+        good = system.session(agent_id="good").submit(
+            Probe.sql("SELECT COUNT(*) FROM stores")
+        )
+        bad = system.session(agent_id="bad").submit(Probe.sql(bad_sql))
+        system.gateway.flush()
+        good_outcome = good.result(timeout=30.0).outcomes[0]
+        bad_outcome = bad.result(timeout=30.0).outcomes[0]
+        system.gateway.close()
+        assert system.gateway.stats()["windows_streamed"] == 1
+        assert good_outcome.status == "ok"
+        assert bad_outcome.status == "error"
+        assert bad_outcome.reason.endswith("(at offset 7)")
+
     def test_uncoordinated_threads_share_work(self):
         """The tentpole scenario: independently-arriving agents (threads
         that never coordinate) get cross-agent sharing because the

@@ -776,6 +776,43 @@ class TestMetricsSurface:
         after = series()
         assert after[:2] == [before[0] + 1, before[1] + 1]
 
+    def test_template_series_count_binds_misses_and_unliftable_parses(self):
+        """The statement-template counters are process-wide: a repeated
+        shape with a new literal is a hit, and a shape the parser folds
+        (``-n``) is parsed in full every time."""
+        names = (
+            "repro_sql_template_hits_total",
+            "repro_sql_template_misses_total",
+            "repro_sql_template_unliftable_total",
+        )
+        system = AgentFirstDataSystem(build_db())
+
+        def series() -> list:
+            snap = system.metrics()
+            return [snap.get(name) for name in names]
+
+        sql = "SELECT COUNT(*) FROM sales WHERE amount > {lit} AND id <> 424242"
+        # The counters are process-wide, so another live system may add to
+        # them meanwhile: assert lower bounds.
+        system.submit(Probe.sql(sql.format(lit=3.0)))
+        before = series()
+        system.submit(Probe.sql(sql.format(lit=4.0)))
+        assert series()[0] >= before[0] + 1
+        folded = "SELECT COUNT(*) FROM sales WHERE amount > -{lit} AND id <> 424242"
+        system.submit(Probe.sql(folded.format(lit=3.0)))
+        system.submit(Probe.sql(folded.format(lit=4.0)))
+        assert series()[2] >= before[2] + 1
+
+    def test_sharded_metrics_report_template_series_once(self):
+        sharded = ShardedSystem(build_tenant_db(), shards=2, partition=PARTITION)
+        try:
+            sharded.submit(Probe.sql("SELECT COUNT(*) FROM sales WHERE qty > 3"))
+            snap = sharded.metrics()
+            series = snap.as_dict()["repro_sql_template_hits_total"]["series"]
+            assert [entry["labels"] for entry in series] == [{"shard": "router"}]
+        finally:
+            sharded.close()
+
     def test_sharded_metrics_carry_grounding_memo_series_per_shard(self):
         sharded = ShardedSystem(build_tenant_db(), shards=2, partition=PARTITION)
         try:

@@ -7,7 +7,12 @@ import pytest
 from repro.errors import ParseError, TokenizeError
 from repro.sql import nodes
 from repro.sql.lexer import TokenType, tokenize
-from repro.sql.parser import parse_expression, parse_statement
+from repro.sql.parser import (
+    _Parser,
+    parse_expression,
+    parse_statement,
+    template_counters,
+)
 
 
 class TestLexer:
@@ -50,6 +55,34 @@ class TestLexer:
     def test_unexpected_character(self):
         with pytest.raises(TokenizeError):
             tokenize("SELECT @")
+
+    @pytest.mark.parametrize(
+        "sql",
+        ["SELECT 1e", "SELECT 1e FROM t", "SELECT 1e+", "SELECT 2.5E- 1", "SELECT ²", "SELECT ٣"],
+    )
+    def test_malformed_numbers_are_tokenize_errors(self, sql):
+        with pytest.raises(TokenizeError):
+            tokenize(sql)
+        with pytest.raises(TokenizeError):
+            parse_statement(sql)
+
+    def test_numbers_are_ascii_digits(self):
+        values = [t.value for t in tokenize(".5 5. 1.e3 7x")[:-1]]
+        assert values == [".5", "5.", "1.e3", "7", "x"]
+
+    def test_token_positions_are_token_starts(self):
+        sql = "SELECT a FROM t WHERE b = 'xyz' AND c > 12.5"
+        positions = {t.value: t.position for t in tokenize(sql)}
+        assert positions["xyz"] == sql.index("'xyz'") == 26
+        assert positions["12.5"] == sql.index("12.5") == 40
+        assert positions["AND"] == 32
+        assert positions[""] == len(sql)  # EOF
+
+    def test_parse_error_quotes_the_literal_span(self):
+        """The error context is centred on the offending token's start."""
+        with pytest.raises(ParseError) as info:
+            parse_statement("SELECT a FROM t LIMIT '" + "x" * 30 + "' OFFSET 1")
+        assert "LIMIT 'xxx" in str(info.value).split("(...")[1]
 
 
 class TestExpressionParsing:
@@ -260,3 +293,120 @@ class TestOtherStatements:
         )
         statement = parse_statement(text)
         assert parse_statement(statement.sql()) == statement
+
+
+def _fresh_parse(sql: str):
+    return _Parser(tokenize(sql), sql).parse_statement()
+
+
+def _assert_same_ast(bound, fresh):
+    assert bound == fresh
+    assert repr(bound) == repr(fresh)
+    if hasattr(fresh, "sql"):
+        assert bound.sql() == fresh.sql()
+
+
+class TestStatementTemplates:
+    """``parse_statement`` binds a cached template for a known token shape;
+    every bound AST must be indistinguishable from a full parse."""
+
+    #: Pairs of texts with one token shape and different literals.
+    SAME_SHAPE = [
+        ("SELECT 1, 'x', a + 2 FROM t", "SELECT 3, 'y', a + 4 FROM t"),
+        (
+            "SELECT a FROM t WHERE b = 'p' AND c > 1.5 OR d <> 3",
+            "SELECT a FROM t WHERE b = 'q' AND c > 2.25 OR d <> 4",
+        ),
+        (
+            "SELECT a FROM t WHERE b IN (1, 2, 3) AND c NOT IN ('u', 'v')",
+            "SELECT a FROM t WHERE b IN (7, 8, 9) AND c NOT IN ('w', 'z')",
+        ),
+        (
+            "SELECT a FROM t WHERE b BETWEEN 1 AND 10 AND c NOT BETWEEN 0.5 AND 0.75",
+            "SELECT a FROM t WHERE b BETWEEN 2 AND 20 AND c NOT BETWEEN 1.5 AND 1.75",
+        ),
+        (
+            "SELECT CASE WHEN a > 1 THEN 'hi' WHEN a > 0 THEN 'mid' ELSE 'lo' END FROM t",
+            "SELECT CASE WHEN a > 9 THEN 'HI' WHEN a > 8 THEN 'MID' ELSE 'LO' END FROM t",
+        ),
+        (
+            "SELECT g, COUNT(*) FROM t WHERE x LIKE 'a%' GROUP BY g HAVING COUNT(*) > 2",
+            "SELECT g, COUNT(*) FROM t WHERE x LIKE 'b%' GROUP BY g HAVING COUNT(*) > 5",
+        ),
+        (
+            "SELECT s.a FROM (SELECT a FROM t WHERE b = 1) s JOIN u ON s.a = u.a "
+            "WHERE u.c = 'k'",
+            "SELECT s.a FROM (SELECT a FROM t WHERE b = 2) s JOIN u ON s.a = u.a "
+            "WHERE u.c = 'm'",
+        ),
+        (
+            "SELECT a FROM t WHERE b = 1 ORDER BY a DESC LIMIT 5 OFFSET 2",
+            "SELECT a FROM t WHERE b = 2 ORDER BY a DESC LIMIT 5 OFFSET 2",
+        ),
+        (
+            "INSERT INTO t VALUES (1, 'a', 2.5), (2, 'b', 3.5)",
+            "INSERT INTO t VALUES (3, 'c', 4.5), (4, 'd', 5.5)",
+        ),
+        (
+            "UPDATE t SET a = 1, b = 'x' WHERE c = 2",
+            "UPDATE t SET a = 3, b = 'y' WHERE c = 4",
+        ),
+        ("DELETE FROM t WHERE a < 10", "DELETE FROM t WHERE a < 20"),
+        ("SELECT 'it''s' FROM t", "SELECT 'a''b''c' FROM t"),
+        ("SELECT 1e3, 2.5E-2 FROM t", "SELECT 4e-1, 7.5E+2 FROM t"),
+        ("SELECT - 'x' FROM t", "SELECT - 'y' FROM t"),
+    ]
+
+    @pytest.mark.parametrize("first,second", SAME_SHAPE)
+    def test_bound_ast_equals_fresh_parse(self, first, second):
+        hits_before, _, _ = template_counters()
+        for sql in (first, second, first):
+            _assert_same_ast(parse_statement(sql), _fresh_parse(sql))
+        hits, _, _ = template_counters()
+        assert hits - hits_before >= 2  # the second and third texts bind
+
+    def test_bound_values_land_in_their_own_slots(self):
+        template = "SELECT a FROM t WHERE b = {0} AND c = {1} AND d IN ({2}, {3})"
+        parse_statement(template.format(1, 2, 3, 4))
+        for values in [(5, 6, 7, 8), (8, 7, 6, 5)]:
+            sql = template.format(*values)
+            _assert_same_ast(parse_statement(sql), _fresh_parse(sql))
+
+    def test_int_and_float_literals_are_different_shapes(self):
+        for sql in ("SELECT a FROM t WHERE b = 5", "SELECT a FROM t WHERE b = 5.0"):
+            bound = parse_statement(sql)
+            _assert_same_ast(bound, _fresh_parse(sql))
+        assert repr(parse_statement("SELECT a FROM t WHERE b = 6.0")).count("6.0") == 1
+        assert "6.0" not in repr(parse_statement("SELECT a FROM t WHERE b = 6"))
+
+    def test_limit_and_offset_numbers_stay_structural(self):
+        for sql in (
+            "SELECT a FROM t LIMIT 3",
+            "SELECT a FROM t LIMIT 4",
+            "SELECT a FROM t LIMIT 4 OFFSET 1",
+            "SELECT a FROM t LIMIT 4 OFFSET 9",
+        ):
+            _assert_same_ast(parse_statement(sql), _fresh_parse(sql))
+
+    def test_folded_negative_literal_is_unliftable(self):
+        sql = "SELECT a FROM t WHERE b > -{0} AND c = {1}"
+        _, _, unliftable_before = template_counters()
+        for values in [(5, 1), (7, 2), (9, 3)]:
+            text = sql.format(*values)
+            _assert_same_ast(parse_statement(text), _fresh_parse(text))
+        _, _, unliftable = template_counters()
+        assert unliftable - unliftable_before >= 2
+
+    def test_bound_ast_shares_untouched_subtrees(self):
+        first = parse_statement("SELECT a, b + d FROM t WHERE c = 'x' GROUP BY a")
+        second = parse_statement("SELECT a, b + d FROM t WHERE c = 'y' GROUP BY a")
+        assert second.where != first.where
+        assert second.items is first.items
+        assert second.group_by is first.group_by
+
+    def test_errors_of_a_known_shape_still_raise(self):
+        parse_statement("SELECT a FROM t WHERE b = 1")
+        with pytest.raises(ParseError):
+            parse_statement("SELECT a FROM t WHERE b = " + "9" * 5000)
+        with pytest.raises(ParseError):
+            parse_statement("SELECT a FROM t LIMIT 1.5")

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import enum
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -41,6 +43,30 @@ class TestStableHash:
     def test_unhashable_type_raises(self):
         with pytest.raises(TypeError):
             stable_hash(object())
+
+    class _Level(enum.IntEnum):
+        HIGH = 3
+
+    @pytest.mark.parametrize(
+        "value,digest",
+        [
+            (None, "b51a60734da64be0e618bacbea2865a8a7dcd669"),
+            (True, "ef48c8d0df5118edd036315d2021412c3ca49d8a"),
+            (-12345678901234567890, "f6d7ba021986d9dd20ad01826e1f3d5bff336105"),
+            (2.5, "3033a4ecd31ec8c48cf40f834097d5b9caca7f5c"),
+            ("é", "e5a4e3a82cfe8a00e85400b80955bf199dece687"),
+            (b"xy", "0bb45be1c5c6071ef57121ac12ba2029b6badd6e"),
+            (("scan", "sales", ("amount", "id")), "554104078f3f89c8494de9e5ece8999953ec4dd3"),
+            ([1, (2, None), "x"], "21cedb78b83fbf0ff9d0cd496366fee618b95801"),
+            (frozenset({1, "a"}), "d2d8fb2cff19582ae2cf1f0971769c01d5c4e24a"),
+            ({"k": (1.0, False), 3: []}, "79603c87d116876b1992c0c6d370d9c76402ae56"),
+            (_Level.HIGH, "5cd0a3cf169aa914b41cbeeec65c01f4c8c95433"),
+        ],
+    )
+    def test_digests_are_pinned(self, value, digest):
+        """Memory keys, embeddings and RNG stream seeds derive from these
+        digests, so the byte encoding behind them must never drift."""
+        assert stable_hash(value) == digest
 
     def test_int_hash_bits(self):
         assert 0 <= stable_hash_int("hello", bits=16) < (1 << 16)
