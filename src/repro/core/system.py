@@ -367,6 +367,15 @@ class AgentFirstDataSystem:
         plan_cache_entries = registry.gauge(
             "repro_plan_cache_entries", "Compiled-statement cache occupancy"
         )
+        plan_templates = getattr(statements, "templates", None)
+        plan_template_counters = [
+            registry.counter(f"repro_plan_template_{name}_total", help)
+            for name, help in (
+                ("hits", "Statements bound from the plan template of their shape"),
+                ("misses", "Statements planned in full: their shape had no template"),
+                ("unliftable", "Statements planned in full: their shape cannot be bound"),
+            )
+        ]
         storage_counters = {
             name: registry.counter(f"repro_storage_{name}_total", help)
             for name, help in (
@@ -408,6 +417,11 @@ class AgentFirstDataSystem:
             for counter, value in zip(plan_cache_counters, statements.counters()):
                 counter.set(value)
             plan_cache_entries.set(len(statements))
+            if plan_templates is not None:
+                for counter, value in zip(
+                    plan_template_counters, plan_templates.template_counters()
+                ):
+                    counter.set(value)
             built = self.db.catalog.storage_counters
             for name, counter in storage_counters.items():
                 counter.set(getattr(built, name))

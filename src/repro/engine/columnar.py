@@ -5,8 +5,10 @@ closure call. This module executes the same logical plans batch-at-a-time:
 each operator consumes and produces a :class:`ColumnBatch` (one Python
 value list per column plus a numpy mirror for dtype-uniform numeric
 columns), and expressions compile into **batch kernels** — functions from
-a batch to a full value column — memoized per plan-node strict
-fingerprint alongside the row engine's ``compile_expr`` LRU.
+a batch to a full value column. Node kernels are memoized by what they
+read of their node, literal values reduced to their class: the values
+are passed in at run time, so every probe of one statement shape shares
+its kernels (:func:`_kernel_shape`).
 
 Columns and mirrors come from storage: every table state memoizes one
 *segment* per column — the value list and its numpy mirror
@@ -99,10 +101,9 @@ from repro.engine.expressions import (
     to_text,
     truthy,
 )
-from repro.errors import ExecutionError
+from repro.errors import ExecutionError, ReproError
 from repro.obs import trace as obs_trace
 from repro.plan import logical
-from repro.plan.fingerprint import fingerprints
 from repro.sql import nodes
 from repro.storage.table import TextCodes
 from repro.storage.types import Row, Value, compare_values
@@ -120,9 +121,10 @@ _NUMPY_INT_LIMIT = 2**62
 # batch expression kernels
 # ---------------------------------------------------------------------------
 
-#: A batch-compiled expression: ColumnBatch -> one value per row (a list,
-#: or for a truth kernel possibly a numpy bool mask; see ``compile``).
-BatchCompiled = Callable[[ColumnBatch], list]
+#: A batch-compiled expression: (ColumnBatch, the node's run-time literal
+#: values) -> one value per row (a list, or for a truth kernel possibly a
+#: numpy bool mask; see ``compile``).
+BatchCompiled = Callable[[ColumnBatch, tuple], list]
 
 
 class _NotVectorizable(Exception):
@@ -185,10 +187,19 @@ class _BatchCompiler:
     Specialized kernels exist for the shapes that dominate probe traffic
     (column/literal comparisons and boolean connectives with a numpy mask
     path, arithmetic, LIKE, IN-list, BETWEEN, CASE, the hot scalar
-    functions). Everything else **lifts**: the row compiler's closure for
-    the same slot — pulled from the same process-wide memo the row engine
-    uses — is mapped over the batch's row view, which makes coverage total
-    for subquery-free expressions without duplicating semantics.
+    functions). Everything else **lifts** (:func:`_lifted`): the row
+    compiler's closure for the same slot — pulled from the same
+    process-wide memo the row engine uses — is mapped over the batch's
+    row view, which makes coverage total for subquery-free expressions
+    without duplicating semantics.
+
+    A literal outside lifted subtrees is a *run-time* value: its kernel
+    reads position ``index_of[id(literal)]`` of the literal tuple the node
+    kernel is called with, so one kernel serves every node of the same
+    shape (see :func:`_kernel_shape`). Build-time checks read only a
+    literal's class, which the kernel key carries; the rest (the int64
+    range of a numpy comparand) is checked at run time. A literal absent
+    from ``index_of`` is baked into its closure, as lifted ones are.
     """
 
     def __init__(
@@ -196,10 +207,12 @@ class _BatchCompiler:
         node: logical.PlanNode,
         slot: tuple,
         output: tuple[logical.OutputCol, ...],
+        index_of: dict[int, int],
     ) -> None:
         self._node = node
         self._slot = slot
         self._output = output
+        self._index_of = index_of
 
     def compile(self, expr: nodes.Expr, truth: bool = False) -> BatchCompiled:
         """The batch kernel for ``expr``. With ``truth`` (a filter's
@@ -213,14 +226,14 @@ class _BatchCompiler:
     def _compile(
         self, expr: nodes.Expr, top: bool = False, truth: bool = False
     ) -> BatchCompiled:
-        specialized = self._specialize(expr)
-        if specialized is None:
+        if _lifted(expr):
             return self._lift(expr, top)
+        specialized = self._specialize(expr)
         if truth or not _yields_masks(expr):
             return specialized
 
-        def listed(batch: ColumnBatch) -> list:
-            values = specialized(batch)
+        def listed(batch: ColumnBatch, lits: tuple) -> list:
+            values = specialized(batch, lits)
             return values.tolist() if isinstance(values, np.ndarray) else values
 
         return listed
@@ -238,25 +251,34 @@ class _BatchCompiler:
         else:
             row_fn = compile_expr(expr, self._output, None)
 
-        def lifted(batch: ColumnBatch) -> list:
+        def lifted(batch: ColumnBatch, lits: tuple) -> list:
             return [row_fn(row) for row in batch.to_rows()]
 
         return lifted
 
+    def _literal(self, literal: nodes.Literal) -> Callable[[tuple], Value]:
+        """The run-time value of ``literal``: read from the node's literal
+        tuple, or baked in when the kernel key carries the value."""
+        index = self._index_of.get(id(literal))
+        if index is None:
+            value = literal.value
+            return lambda lits: value
+        return lambda lits: lits[index]
+
     # -- specializations ----------------------------------------------------
 
-    def _specialize(self, expr: nodes.Expr) -> BatchCompiled | None:
+    def _specialize(self, expr: nodes.Expr) -> BatchCompiled:
         if isinstance(expr, nodes.Literal):
-            value = expr.value
-            return lambda batch: [value] * batch.length
+            value_of = self._literal(expr)
+            return lambda batch, lits: [value_of(lits)] * batch.length
         if isinstance(expr, nodes.ColumnRef):
             index = resolve_column(expr, self._output)
-            return lambda batch: batch.columns[index]
+            return lambda batch, lits: batch.columns[index]
         if isinstance(expr, nodes.IsNull):
             operand = self._compile(expr.operand)
             if expr.negated:
-                return lambda batch: [v is not None for v in operand(batch)]
-            return lambda batch: [v is None for v in operand(batch)]
+                return lambda batch, lits: [v is not None for v in operand(batch, lits)]
+            return lambda batch, lits: [v is None for v in operand(batch, lits)]
         if isinstance(expr, nodes.Unary):
             return self._specialize_unary(expr)
         if isinstance(expr, nodes.Binary):
@@ -269,17 +291,15 @@ class _BatchCompiler:
             return self._specialize_case(expr)
         if isinstance(expr, nodes.Cast):
             return self._specialize_cast(expr)
-        if isinstance(expr, nodes.FuncCall):
-            return self._specialize_function(expr)
-        return None
+        return self._specialize_function(expr)
 
-    def _specialize_unary(self, expr: nodes.Unary) -> BatchCompiled | None:
-        operand = self._compile(expr.operand)
+    def _specialize_unary(self, expr: nodes.Unary) -> BatchCompiled:
         if expr.op == "-":
+            operand = self._compile(expr.operand)
 
-            def negate(batch: ColumnBatch) -> list:
+            def negate(batch: ColumnBatch, lits: tuple) -> list:
                 out = []
-                for value in operand(batch):
+                for value in operand(batch, lits):
                     if value is None:
                         out.append(None)
                     elif isinstance(value, (int, float)) and not isinstance(
@@ -291,42 +311,38 @@ class _BatchCompiler:
                 return out
 
             return negate
-        if expr.op == "NOT":
-            operand = self._compile(expr.operand, truth=True)
+        operand = self._compile(expr.operand, truth=True)
 
-            def negation(batch: ColumnBatch) -> list:
-                values = operand(batch)
-                if isinstance(values, np.ndarray):
-                    return ~values
-                return [
-                    None if value is None else not truthy(value)
-                    for value in values
-                ]
+        def negation(batch: ColumnBatch, lits: tuple) -> list:
+            values = operand(batch, lits)
+            if isinstance(values, np.ndarray):
+                return ~values
+            return [
+                None if value is None else not truthy(value)
+                for value in values
+            ]
 
-            return negation
-        return None
+        return negation
 
-    def _specialize_binary(self, expr: nodes.Binary) -> BatchCompiled | None:
+    def _specialize_binary(self, expr: nodes.Binary) -> BatchCompiled:
         op = expr.op
         if op in ("AND", "OR"):
             return self._specialize_connective(expr)
         if op in _TRUE_CHECKS:
             return self._specialize_comparison(expr)
-        if op in ("+", "-", "*", "/", "%"):
+        if op in _ARITHMETIC_OPS:
             return self._specialize_arithmetic(expr)
         if op == "||":
             left, right = self._compile(expr.left), self._compile(expr.right)
 
-            def concat(batch: ColumnBatch) -> list:
+            def concat(batch: ColumnBatch, lits: tuple) -> list:
                 return [
                     None if lv is None or rv is None else to_text(lv) + to_text(rv)
-                    for lv, rv in zip(left(batch), right(batch))
+                    for lv, rv in zip(left(batch, lits), right(batch, lits))
                 ]
 
             return concat
-        if op in ("LIKE", "NOT LIKE"):
-            return self._specialize_like(expr)
-        return None
+        return self._specialize_like(expr)
 
     def _specialize_connective(self, expr: nodes.Binary) -> BatchCompiled:
         """Three-valued AND/OR, evaluated eagerly on both sides.
@@ -340,8 +356,8 @@ class _BatchCompiler:
         right = self._compile(expr.right, truth=True)
         conjunction = expr.op == "AND"
 
-        def connective(batch: ColumnBatch) -> list:
-            lefts, rights = left(batch), right(batch)
+        def connective(batch: ColumnBatch, lits: tuple) -> list:
+            lefts, rights = left(batch, lits), right(batch, lits)
             if isinstance(lefts, np.ndarray) and isinstance(rights, np.ndarray):
                 return lefts & rights if conjunction else lefts | rights
             if isinstance(lefts, np.ndarray):
@@ -379,16 +395,16 @@ class _BatchCompiler:
         left, right = self._compile(expr.left), self._compile(expr.right)
         check = _TRUE_CHECKS[op]
 
-        def comparison(batch: ColumnBatch) -> list:
+        def comparison(batch: ColumnBatch, lits: tuple) -> list:
             if fast is not None:
-                mask = fast(batch)
+                mask = fast(batch, lits)
                 if mask is not None:
                     return mask
             # No mask: the shape has no numpy path (text, column vs
             # column, ...) or its column had no mirror at run time.
             KERNEL_MEMO_STATS.list_path_runs += 1
             out = []
-            for lv, rv in zip(left(batch), right(batch)):
+            for lv, rv in zip(left(batch, lits), right(batch, lits)):
                 ordering = compare_values(lv, rv)
                 out.append(None if ordering is None else check(ordering))
             return out
@@ -397,10 +413,11 @@ class _BatchCompiler:
 
     def _numpy_comparison(
         self, expr: nodes.Binary
-    ) -> Callable[[ColumnBatch], "np.ndarray | None"] | None:
+    ) -> Callable[[ColumnBatch, tuple], "np.ndarray | None"] | None:
         """Mask kernel for ``column OP literal``, or ``None``. At run time
         it returns ``None`` when the column has no mirror (numeric
-        literal) or no text codes (text literal, :func:`_code_mask`).
+        literal) or no text codes (text literal, :func:`_code_mask`), and
+        when an int literal lies beyond ``_NUMPY_INT_LIMIT``.
 
         Derives every operator from a ``<``/``>`` mask pair so the result
         reproduces ``compare_values``'s three-way semantics exactly (NaN
@@ -416,35 +433,38 @@ class _BatchCompiler:
             isinstance(left, nodes.ColumnRef) and isinstance(right, nodes.Literal)
         ):
             return None
-        literal = right.value
+        # Class checks only: the kernel key carries the literal's class.
+        literal_class = type(right.value)
+        value_of = self._literal(right)
         index = resolve_column(left, self._output)
-        if type(literal) is str:
+        if literal_class is str:
 
-            def coded(batch: ColumnBatch):
+            def coded(batch: ColumnBatch, lits: tuple):
                 if not batch.length:
                     return np.zeros(0, dtype=bool)
                 encoded = batch.text_codes(index)
                 if encoded is None:
                     return None
-                return _code_mask(encoded, op, literal)
+                return _code_mask(encoded, op, value_of(lits))
 
             return coded
-        if isinstance(literal, bool) or not isinstance(literal, (int, float)):
-            return None
-        if isinstance(literal, int) and abs(literal) > _NUMPY_INT_LIMIT:
+        if literal_class is not int and literal_class is not float:
             return None
 
-        def fast(batch: ColumnBatch):
+        def fast(batch: ColumnBatch, lits: tuple):
             if not batch.length:
                 return np.zeros(0, dtype=bool)
+            literal = value_of(lits)
+            if literal_class is int and abs(literal) > _NUMPY_INT_LIMIT:
+                return None
             mirror = batch.numpy_column(index)
             if mirror is None:
                 return None
             if mirror.dtype.kind == "i":
-                if type(literal) is not int:
+                if literal_class is not int:
                     return None
                 comparand = literal
-            elif type(literal) is int:
+            elif literal_class is int:
                 comparand = float(literal)
                 if comparand != literal:
                     return None
@@ -472,9 +492,9 @@ class _BatchCompiler:
         left, right = self._compile(expr.left), self._compile(expr.right)
         op = expr.op
 
-        def arithmetic(batch: ColumnBatch) -> list:
+        def arithmetic(batch: ColumnBatch, lits: tuple) -> list:
             out = []
-            for lv, rv in zip(left(batch), right(batch)):
+            for lv, rv in zip(left(batch, lits), right(batch, lits)):
                 if lv is None or rv is None:
                     out.append(None)
                     continue
@@ -501,19 +521,16 @@ class _BatchCompiler:
 
         return arithmetic
 
-    def _specialize_like(self, expr: nodes.Binary) -> BatchCompiled | None:
-        if not (
-            isinstance(expr.right, nodes.Literal)
-            and isinstance(expr.right.value, str)
-        ):
-            return None  # dynamic patterns lift
+    def _specialize_like(self, expr: nodes.Binary) -> BatchCompiled:
+        # _lifted guarantees a text-literal pattern.
         operand = self._compile(expr.left)
-        pattern = like_regex(expr.right.value)
+        pattern_of = self._literal(expr.right)
         negated = expr.op == "NOT LIKE"
 
-        def like(batch: ColumnBatch) -> list:
+        def like(batch: ColumnBatch, lits: tuple) -> list:
+            pattern = like_regex(pattern_of(lits))
             out = []
-            for value in operand(batch):
+            for value in operand(batch, lits):
                 if value is None:
                     out.append(None)
                 else:
@@ -536,17 +553,17 @@ class _BatchCompiler:
             for item in expr.items
         ):
             index = resolve_column(expr.operand, self._output)
-            literals = [item.value for item in expr.items]
+            literals = [self._literal(item) for item in expr.items]
 
-        def in_list(batch: ColumnBatch) -> list:
+        def in_list(batch: ColumnBatch, lits: tuple) -> list:
             encoded = None if index is None else batch.text_codes(index)
             if encoded is not None:
                 mask = np.zeros(batch.length, dtype=bool)
-                for literal in literals:
-                    mask |= _code_mask(encoded, "=", literal)
+                for value_of in literals:
+                    mask |= _code_mask(encoded, "=", value_of(lits))
                 return ~mask if negated else mask
-            values = operand(batch)
-            item_columns = [item(batch) for item in items]
+            values = operand(batch, lits)
+            item_columns = [item(batch, lits) for item in items]
             out = []
             for i, value in enumerate(values):
                 if value is None:
@@ -576,10 +593,10 @@ class _BatchCompiler:
         high = self._compile(expr.high)
         negated = expr.negated
 
-        def between(batch: ColumnBatch) -> list:
+        def between(batch: ColumnBatch, lits: tuple) -> list:
             out = []
             for value, low_value, high_value in zip(
-                operand(batch), low(batch), high(batch)
+                operand(batch, lits), low(batch, lits), high(batch, lits)
             ):
                 lower = compare_values(value, low_value)
                 upper = compare_values(value, high_value)
@@ -608,7 +625,7 @@ class _BatchCompiler:
             else None
         )
 
-        def case(batch: ColumnBatch) -> list:
+        def case(batch: ColumnBatch, lits: tuple) -> list:
             out: list = [None] * batch.length
             active = list(range(batch.length))
             for condition, result in whens:
@@ -617,17 +634,21 @@ class _BatchCompiler:
                 sub = batch.gather(active)
                 chosen: list[int] = []
                 remaining: list[int] = []
-                for position, verdict in zip(active, condition(sub)):
+                for position, verdict in zip(active, condition(sub, lits)):
                     if verdict is not None and truthy(verdict):
                         chosen.append(position)
                     else:
                         remaining.append(position)
                 if chosen:
-                    for position, value in zip(chosen, result(batch.gather(chosen))):
+                    for position, value in zip(
+                        chosen, result(batch.gather(chosen), lits)
+                    ):
                         out[position] = value
                 active = remaining
             if else_fn is not None and active:
-                for position, value in zip(active, else_fn(batch.gather(active))):
+                for position, value in zip(
+                    active, else_fn(batch.gather(active), lits)
+                ):
                     out[position] = value
             return out
 
@@ -639,14 +660,15 @@ class _BatchCompiler:
         operand = self._compile(expr.operand)
         target = DataType.parse(expr.type_name)
 
-        def cast(batch: ColumnBatch) -> list:
-            return [coerce_value(value, target) for value in operand(batch)]
+        def cast(batch: ColumnBatch, lits: tuple) -> list:
+            return [coerce_value(value, target) for value in operand(batch, lits)]
 
         return cast
 
-    def _specialize_function(self, expr: nodes.FuncCall) -> BatchCompiled | None:
+    def _specialize_function(self, expr: nodes.FuncCall) -> BatchCompiled:
+        # _lifted admits only the functions below.
         name = expr.name
-        if name in ("LOWER", "UPPER", "LENGTH", "TRIM") and len(expr.args) == 1:
+        if name in _TEXT_FUNCTIONS:
             operand = self._compile(expr.args[0])
             fn = {
                 "LOWER": lambda v: to_text(v).lower(),
@@ -654,14 +676,14 @@ class _BatchCompiler:
                 "LENGTH": lambda v: len(to_text(v)),
                 "TRIM": lambda v: to_text(v).strip(),
             }[name]
-            return lambda batch: [
-                None if v is None else fn(v) for v in operand(batch)
+            return lambda batch, lits: [
+                None if v is None else fn(v) for v in operand(batch, lits)
             ]
-        if name == "COALESCE" and expr.args:
-            args = [self._compile(arg) for arg in expr.args]
+        args = [self._compile(arg) for arg in expr.args]
+        if name == "COALESCE":
 
-            def coalesce(batch: ColumnBatch) -> list:
-                columns = [arg(batch) for arg in args]
+            def coalesce(batch: ColumnBatch, lits: tuple) -> list:
+                columns = [arg(batch, lits) for arg in args]
                 out = []
                 for i in range(batch.length):
                     value = None
@@ -673,36 +695,73 @@ class _BatchCompiler:
                 return out
 
             return coalesce
-        if name == "CONCAT":
-            args = [self._compile(arg) for arg in expr.args]
 
-            def fn_concat(batch: ColumnBatch) -> list:
-                columns = [arg(batch) for arg in args]
-                out = []
-                for i in range(batch.length):
-                    pieces = []
-                    for column in columns:
-                        value = column[i]
-                        if value is None:
-                            pieces = None
-                            break
-                        pieces.append(to_text(value))
-                    out.append(None if pieces is None else "".join(pieces))
-                return out
+        def fn_concat(batch: ColumnBatch, lits: tuple) -> list:
+            columns = [arg(batch, lits) for arg in args]
+            out = []
+            for i in range(batch.length):
+                pieces = []
+                for column in columns:
+                    value = column[i]
+                    if value is None:
+                        pieces = None
+                        break
+                    pieces.append(to_text(value))
+                out.append(None if pieces is None else "".join(pieces))
+            return out
 
-            return fn_concat
-        return None  # everything else (ABS, ROUND, SUBSTR, ...) lifts
+        return fn_concat
+
+
+_ARITHMETIC_OPS = frozenset({"+", "-", "*", "/", "%"})
+_TEXT_FUNCTIONS = frozenset({"LOWER", "UPPER", "LENGTH", "TRIM"})
+_SPECIALIZED_OPS = frozenset(_TRUE_CHECKS) | _ARITHMETIC_OPS | {"AND", "OR", "||"}
+_UNLIFTED_TYPES = (
+    nodes.Literal,
+    nodes.ColumnRef,
+    nodes.IsNull,
+    nodes.InList,
+    nodes.Between,
+    nodes.Case,
+    nodes.Cast,
+)
+
+
+def _lifted(expr: nodes.Expr) -> bool:
+    """Whether the batch compiler lifts ``expr``'s row closure rather than
+    specializing it (ABS, ROUND, SUBSTR, dynamic LIKE patterns, ...): the
+    one decision the compiler and the kernel key share, since a lifted
+    closure bakes its literals in and the key must then carry them."""
+    if isinstance(expr, _UNLIFTED_TYPES):
+        return False
+    if isinstance(expr, nodes.Unary):
+        return expr.op not in ("-", "NOT")
+    if isinstance(expr, nodes.Binary):
+        if expr.op in ("LIKE", "NOT LIKE"):
+            return not (
+                isinstance(expr.right, nodes.Literal)
+                and isinstance(expr.right.value, str)
+            )
+        return expr.op not in _SPECIALIZED_OPS
+    if isinstance(expr, nodes.FuncCall):
+        if expr.name in _TEXT_FUNCTIONS:
+            return len(expr.args) != 1
+        if expr.name == "COALESCE":
+            return not expr.args
+        return expr.name != "CONCAT"
+    return True
 
 
 # ---------------------------------------------------------------------------
 # node kernels and their memo
 # ---------------------------------------------------------------------------
 
-#: A node kernel: (executor, node, child batches) -> output batch. Kernels
-#: capture only batch-compiled expressions (safe to share process-wide per
-#: strict fingerprint, like the expression memo) and read all other node
-#: state — table names, limits, view rows — from ``node`` at call time.
-NodeKernel = Callable[["ColumnarExecutor", logical.PlanNode, tuple], ColumnBatch]
+#: A node kernel: (executor, node, child batches, the node's run-time
+#: literal values) -> output batch. Kernels capture only batch-compiled
+#: expressions (safe to share process-wide per kernel key, see
+#: :func:`_kernel_shape`) and read all other node state — table names,
+#: limits, view rows — from ``node`` at call time.
+NodeKernel = Callable[["ColumnarExecutor", logical.PlanNode, tuple, tuple], ColumnBatch]
 
 
 @dataclass
@@ -732,9 +791,11 @@ class KernelMemoStats:
 
 KERNEL_MEMO_STATS = KernelMemoStats()
 
-#: Process-wide bounded LRU of node kernels keyed by (node type, strict
-#: fingerprint) — the same structural-equivalence argument as _EXPR_MEMO.
-#: ``None`` entries memoize "not vectorizable" (subquery-bearing nodes).
+#: Process-wide bounded LRU of node kernels by kernel key
+#: (:func:`_kernel_shape`): what a kernel reads of its node, with literal
+#: values reduced to their class, so one statement shape builds its
+#: kernels once. ``None`` entries memoize "not vectorizable"
+#: (subquery-bearing nodes, ``IndexScan`` leaves).
 _KERNEL_MEMO: OrderedDict[tuple, NodeKernel | None] = OrderedDict()
 _KERNEL_MEMO_LOCK = threading.Lock()
 _KERNEL_MEMO_MAX = 4096
@@ -767,8 +828,149 @@ def _compile_slot(
     slot: tuple,
     expr: nodes.Expr,
     output: tuple[logical.OutputCol, ...],
+    index_of: dict[int, int],
 ) -> BatchCompiled:
-    return _BatchCompiler(node, slot, output).compile(expr)
+    return _BatchCompiler(node, slot, output, index_of).compile(expr)
+
+
+class _SharedLiteral(Exception):
+    """One ``Literal`` object read at two run-time positions of a node."""
+
+
+def _expression_slots(node: logical.PlanNode) -> list[tuple] | None:
+    """``(expression, input schema)`` per expression the node's kernel
+    compiles, in :func:`_build_kernel`'s order; ``None`` for nodes whose
+    kernel compiles no expression."""
+    if isinstance(node, logical.Filter):
+        return [(node.predicate, node.child.output)]
+    if isinstance(node, logical.Project):
+        output = node.child.output
+        return [(expr, output) for expr in node.exprs]
+    if isinstance(node, logical.HashJoin):
+        left, right = node.left.output, node.right.output
+        slots = [(key, left) for key in node.left_keys]
+        slots += [(key, right) for key in node.right_keys]
+        if node.residual is not None:
+            slots.append((node.residual, left + right))
+        return slots
+    if isinstance(node, logical.NestedLoopJoin):
+        if node.condition is None:
+            return []
+        return [(node.condition, node.output)]
+    if isinstance(node, logical.Aggregate):
+        output = node.child.output
+        slots = [(expr, output) for expr in node.group_exprs]
+        for call in node.agg_calls:
+            slots += [(arg, output) for arg in call.args if not isinstance(arg, nodes.Star)]
+        return slots
+    if isinstance(node, logical.Sort):
+        output = node.child.output
+        return [(expr, output) for expr, _ in node.keys]
+    return None
+
+
+def _node_extras(node: logical.PlanNode) -> tuple:
+    """What a kernel reads of its node at build time beyond the
+    expressions :func:`_expression_slots` lists."""
+    if isinstance(node, logical.HashJoin):
+        return (len(node.left_keys), node.residual is None)
+    if isinstance(node, logical.Aggregate):
+        return (
+            len(node.group_exprs),
+            tuple(
+                (call.name, call.distinct, tuple(type(arg).__name__ for arg in call.args))
+                for call in node.agg_calls
+            ),
+        )
+    if isinstance(node, logical.Sort):
+        return tuple(ascending for _, ascending in node.keys)
+    return ()
+
+
+def _kernel_shape(node: logical.PlanNode) -> tuple[tuple, tuple]:
+    """``(kernel key, run-time literal values)`` of ``node``, computed once
+    per node and memoized on it.
+
+    The key is what the node's kernel reads: the node type, its
+    expressions with every column reference reduced to the input position
+    it resolves to (so alias-renamed twins share kernels) and every
+    literal outside lifted subtrees reduced to its class, plus the
+    build-time node fields of :func:`_node_extras`. Those literals' values
+    are the second element, in walk order; lifted subtrees — whose row
+    closures bake their literals in — keep their values in the key, and
+    so does every literal of a node that reads one ``Literal`` object at
+    two positions.
+    """
+    memo = node.__dict__.get(logical.KERNEL_MEMO_ATTR)
+    if memo is None:
+        memo = _shape_of(node, [])
+        object.__setattr__(node, logical.KERNEL_MEMO_ATTR, memo)
+    return memo
+
+
+def _shape_of(node: logical.PlanNode, ids: list) -> tuple[tuple, tuple]:
+    """:func:`_kernel_shape` uncached; ``ids`` receives the ``id`` of each
+    run-time literal, parallel to the values."""
+    slots = _expression_slots(node)
+    if slots is None:
+        return (type(node).__name__,), ()
+    lits: list = []
+    try:
+        parts = tuple(_expr_shape(expr, output, lits, ids) for expr, output in slots)
+    except _SharedLiteral:
+        lits.clear()
+        ids.clear()
+        parts = tuple(_expr_shape(expr, output, None, None) for expr, output in slots)
+    return (type(node).__name__, _node_extras(node), parts), tuple(lits)
+
+
+def _expr_shape(
+    expr: nodes.Expr,
+    output: tuple[logical.OutputCol, ...],
+    lits: list | None,
+    ids: list | None,
+):
+    """One expression's part of the kernel key. With ``lits`` ``None``
+    (inside a lifted subtree) literals keep their values."""
+    if isinstance(expr, nodes.Literal):
+        value = expr.value
+        if lits is None:
+            # repr keeps -0.0 apart from 0.0, as a baked closure does.
+            return ("lit", type(value), repr(value))
+        if id(expr) in ids:
+            raise _SharedLiteral
+        lits.append(value)
+        ids.append(id(expr))
+        return type(value)
+    if isinstance(expr, nodes.ColumnRef):
+        try:
+            return ("col", resolve_column(expr, output))
+        except ReproError:
+            return ("col?", expr.table, expr.column)
+    if isinstance(expr, executor_module._SUBQUERY_EXPRS):
+        return ("subquery", expr)
+    if lits is not None and _lifted(expr):
+        lits = ids = None
+    parts: list = [type(expr).__name__]
+    for value in expr.__dict__.values():
+        if isinstance(value, nodes.Expr):
+            parts.append(_expr_shape(value, output, lits, ids))
+        elif type(value) is tuple:
+            parts.append(_tuple_shape(value, output, lits, ids))
+        else:
+            parts.append(value)
+    return tuple(parts)
+
+
+def _tuple_shape(items: tuple, output, lits, ids) -> tuple:
+    return tuple(
+        _expr_shape(item, output, lits, ids)
+        if isinstance(item, nodes.Expr)
+        else _tuple_shape(item, output, lits, ids)
+        if type(item) is tuple
+        else item
+        for item in items
+    )
 
 
 def _column_ref(
@@ -787,47 +989,50 @@ def _build_kernel(node: logical.PlanNode) -> NodeKernel | None:
     ``IndexScan`` leaves). Build-time compile errors (unknown column,
     unknown function) propagate — the caller falls back to the row path,
     which re-raises the row engine's own error."""
+    ids: list = []
+    _shape_of(node, ids)
+    index_of = {literal_id: index for index, literal_id in enumerate(ids)}
     if isinstance(node, logical.Scan):
         return _scan_kernel
     if isinstance(node, logical.ViewScan):
         return _view_scan_kernel
     if isinstance(node, logical.Filter):
-        compiler = _BatchCompiler(node, ("filter",), node.child.output)
+        compiler = _BatchCompiler(node, ("filter",), node.child.output, index_of)
         return _make_filter_kernel(compiler.compile(node.predicate, truth=True))
     if isinstance(node, logical.Project):
         fns = [
-            _compile_slot(node, ("project", i), expr, node.child.output)
+            _compile_slot(node, ("project", i), expr, node.child.output, index_of)
             for i, expr in enumerate(node.exprs)
         ]
         refs = [_column_ref(expr, node.child.output) for expr in node.exprs]
         return _make_project_kernel(fns, refs)
     if isinstance(node, logical.HashJoin):
         left_keys = [
-            _compile_slot(node, ("hj-left", i), key, node.left.output)
+            _compile_slot(node, ("hj-left", i), key, node.left.output, index_of)
             for i, key in enumerate(node.left_keys)
         ]
         right_keys = [
-            _compile_slot(node, ("hj-right", i), key, node.right.output)
+            _compile_slot(node, ("hj-right", i), key, node.right.output, index_of)
             for i, key in enumerate(node.right_keys)
         ]
         residual = (
-            _compile_slot(node, ("hj-residual",), node.residual, node.output)
+            _compile_slot(node, ("hj-residual",), node.residual, node.output, index_of)
             if node.residual is not None
             else None
         )
         return _make_hash_join_kernel(left_keys, right_keys, residual)
     if isinstance(node, logical.NestedLoopJoin):
         condition = (
-            _compile_slot(node, ("nl-cond",), node.condition, node.output)
+            _compile_slot(node, ("nl-cond",), node.condition, node.output, index_of)
             if node.condition is not None
             else None
         )
         return _make_nested_loop_kernel(condition)
     if isinstance(node, logical.Aggregate):
-        return _build_aggregate_kernel(node)
+        return _build_aggregate_kernel(node, index_of)
     if isinstance(node, logical.Sort):
         fns = [
-            (_compile_slot(node, ("sort", i), expr, node.child.output), ascending)
+            (_compile_slot(node, ("sort", i), expr, node.child.output, index_of), ascending)
             for i, (expr, ascending) in enumerate(node.keys)
         ]
         refs = [_column_ref(expr, node.child.output) for expr, _ in node.keys]
@@ -842,7 +1047,7 @@ def _build_kernel(node: logical.PlanNode) -> NodeKernel | None:
 # -- leaves -----------------------------------------------------------------
 
 
-def _scan_kernel(ex, node: logical.Scan, batches: tuple) -> ColumnBatch:
+def _scan_kernel(ex, node: logical.Scan, batches: tuple, lits: tuple) -> ColumnBatch:
     table = ex._catalog.table(node.table)
     positions = [table.schema.position_of(c) for c in node.columns]
     sampler = ex._make_sampler(node.table)
@@ -878,7 +1083,9 @@ def _scan_kernel(ex, node: logical.Scan, batches: tuple) -> ColumnBatch:
     return ColumnBatch([list(transposed[p]) for p in positions], len(kept))
 
 
-def _view_scan_kernel(ex, node: logical.ViewScan, batches: tuple) -> ColumnBatch:
+def _view_scan_kernel(
+    ex, node: logical.ViewScan, batches: tuple, lits: tuple
+) -> ColumnBatch:
     rows = node.materialized_rows()
     stats = ex.context.stats
     stats.rows_scanned += len(rows)
@@ -893,11 +1100,11 @@ def _make_filter_kernel(predicate: BatchCompiled) -> NodeKernel:
     """Keeps the rows whose predicate value is truthy; the predicate is a
     truth kernel, so its result is a numpy mask or a value list."""
 
-    def kernel(ex, node, batches: tuple) -> ColumnBatch:
+    def kernel(ex, node, batches: tuple, lits: tuple) -> ColumnBatch:
         (batch,) = batches
         n = batch.length
         ex.context.stats.rows_processed += n
-        mask = predicate(batch)
+        mask = predicate(batch, lits)
         if not isinstance(mask, np.ndarray):
             mask = np.fromiter(map(_truthy_flag, mask), dtype=bool, count=n)
         indices = np.flatnonzero(mask)
@@ -913,7 +1120,7 @@ def _make_project_kernel(
 ) -> NodeKernel:
     """Bare column references keep their mirror and text codes."""
 
-    def kernel(ex, node, batches: tuple) -> ColumnBatch:
+    def kernel(ex, node, batches: tuple, lits: tuple) -> ColumnBatch:
         (batch,) = batches
         ex.context.stats.rows_processed += batch.length
         mirrors = {
@@ -926,7 +1133,9 @@ def _make_project_kernel(
             for position, ref in enumerate(refs)
             if ref is not None and ref in batch._codes
         }
-        return ColumnBatch([fn(batch) for fn in fns], batch.length, mirrors, codes)
+        return ColumnBatch(
+            [fn(batch, lits) for fn in fns], batch.length, mirrors, codes
+        )
 
     return kernel
 
@@ -936,12 +1145,12 @@ def _make_hash_join_kernel(
     right_keys: list[BatchCompiled],
     residual: BatchCompiled | None,
 ) -> NodeKernel:
-    def kernel(ex, node, batches: tuple) -> ColumnBatch:
+    def kernel(ex, node, batches: tuple, lits: tuple) -> ColumnBatch:
         left, right = batches
         ex.context.stats.rows_processed += left.length + right.length
 
         build: dict[tuple, list[int]] = {}
-        left_key_columns = [fn(left) for fn in left_keys]
+        left_key_columns = [fn(left, lits) for fn in left_keys]
         for i in range(left.length):
             key = tuple(column[i] for column in left_key_columns)
             if any(part is None for part in key):
@@ -950,7 +1159,7 @@ def _make_hash_join_kernel(
 
         pair_left: list[int] = []
         pair_right: list[int] = []
-        right_key_columns = [fn(right) for fn in right_keys]
+        right_key_columns = [fn(right, lits) for fn in right_keys]
         for j in range(right.length):
             key = tuple(column[j] for column in right_key_columns)
             if any(part is None for part in key):
@@ -964,7 +1173,7 @@ def _make_hash_join_kernel(
         out_right = [[column[j] for j in pair_right] for column in right.columns]
         if residual is not None and pair_left:
             combined = ColumnBatch(out_left + out_right, len(pair_left))
-            flags = [_truthy_flag(v) for v in residual(combined)]
+            flags = [_truthy_flag(v) for v in residual(combined, lits)]
             if not all(flags):
                 out_left = [list(compress(c, flags)) for c in out_left]
                 out_right = [list(compress(c, flags)) for c in out_right]
@@ -986,7 +1195,7 @@ def _make_hash_join_kernel(
 
 
 def _make_nested_loop_kernel(condition: BatchCompiled | None) -> NodeKernel:
-    def kernel(ex, node, batches: tuple) -> ColumnBatch:
+    def kernel(ex, node, batches: tuple, lits: tuple) -> ColumnBatch:
         left, right = batches
         L, R = left.length, right.length
         ex.context.stats.rows_processed += L * R
@@ -1011,7 +1220,7 @@ def _make_nested_loop_kernel(condition: BatchCompiled | None) -> NodeKernel:
             # Cross join: every pair matches (and R > 0 pads nothing).
             return ColumnBatch(expanded_left + expanded_right, L * R)
         combined = ColumnBatch(expanded_left + expanded_right, L * R)
-        flags = [_truthy_flag(v) for v in condition(combined)]
+        flags = [_truthy_flag(v) for v in condition(combined, lits)]
         if node.kind != "LEFT":
             return ColumnBatch(
                 [list(compress(c, flags)) for c in expanded_left]
@@ -1057,10 +1266,12 @@ class _AggSpec:
     ref: int | None = None
 
 
-def _build_aggregate_kernel(node: logical.Aggregate) -> NodeKernel:
+def _build_aggregate_kernel(
+    node: logical.Aggregate, index_of: dict[int, int]
+) -> NodeKernel:
     output = node.child.output
     group_fns = [
-        _compile_slot(node, ("group", i), expr, output)
+        _compile_slot(node, ("group", i), expr, output, index_of)
         for i, expr in enumerate(node.group_exprs)
     ]
     group_refs = [_column_ref(expr, output) for expr in node.group_exprs]
@@ -1078,7 +1289,7 @@ def _build_aggregate_kernel(node: logical.Aggregate) -> NodeKernel:
         elif name not in ("SUM", "AVG", "MIN", "MAX"):
             raise ExecutionError(f"unknown aggregate function {name!r}")
         arg = call.args[0]
-        fn = _compile_slot(node, ("agg-arg", call_index, 0), arg, output)
+        fn = _compile_slot(node, ("agg-arg", call_index, 0), arg, output, index_of)
         specs.append(
             _AggSpec(name.lower(), fn, call.distinct, _column_ref(arg, output))
         )
@@ -1209,7 +1420,7 @@ def _make_aggregate_kernel(
     """
     mirror_keyed = len(group_refs) == 1 and group_refs[0] is not None
 
-    def kernel(ex, node, batches: tuple) -> ColumnBatch:
+    def kernel(ex, node, batches: tuple, lits: tuple) -> ColumnBatch:
         (batch,) = batches
         n = batch.length
         ex.context.stats.rows_processed += n
@@ -1226,7 +1437,7 @@ def _make_aggregate_kernel(
                 firsts, ids = grouping
                 keys = [(value,) for value in key_mirror[firsts].tolist()]
             else:
-                group_columns = [fn(batch) for fn in group_fns]
+                group_columns = [fn(batch, lits) for fn in group_fns]
                 index_of: dict[tuple, int] = {}
                 keys = []
                 group_ids = []
@@ -1276,7 +1487,9 @@ def _make_aggregate_kernel(
             if values is None:
                 if id_list is None:
                     id_list = ids.tolist()
-                values = _list_aggregate(spec, spec.fn(batch), id_list, count)
+                values = _list_aggregate(
+                    spec, spec.fn(batch, lits), id_list, count
+                )
             agg_columns.append(values)
         if list_path:
             KERNEL_MEMO_STATS.list_path_runs += 1
@@ -1317,7 +1530,7 @@ def _make_sort_kernel(
     """Stable sort; bare-column keys with mirrors sort in numpy."""
     ascending = [up for _, up in fns]
 
-    def kernel(ex, node, batches: tuple) -> ColumnBatch:
+    def kernel(ex, node, batches: tuple, lits: tuple) -> ColumnBatch:
         (batch,) = batches
         n = batch.length
         ex.context.stats.rows_processed += n
@@ -1330,7 +1543,7 @@ def _make_sort_kernel(
                     return batch  # already ordered: zero-copy
                 return batch.gather(order)
             KERNEL_MEMO_STATS.list_path_runs += 1
-        key_columns = [(fn(batch), up) for fn, up in fns]
+        key_columns = [(fn(batch, lits), up) for fn, up in fns]
 
         def sort_key(i: int) -> tuple:
             return tuple(_SortKey(column[i], up) for column, up in key_columns)
@@ -1343,7 +1556,7 @@ def _make_sort_kernel(
     return kernel
 
 
-def _limit_kernel(ex, node: logical.Limit, batches: tuple) -> ColumnBatch:
+def _limit_kernel(ex, node: logical.Limit, batches: tuple, lits: tuple) -> ColumnBatch:
     (batch,) = batches
     start = node.offset
     stop = batch.length if node.limit is None else min(batch.length, start + node.limit)
@@ -1363,7 +1576,9 @@ def _limit_kernel(ex, node: logical.Limit, batches: tuple) -> ColumnBatch:
     )
 
 
-def _distinct_kernel(ex, node: logical.Distinct, batches: tuple) -> ColumnBatch:
+def _distinct_kernel(
+    ex, node: logical.Distinct, batches: tuple, lits: tuple
+) -> ColumnBatch:
     (batch,) = batches
     ex.context.stats.rows_processed += batch.length
     seen: set[Row] = set()
@@ -1478,7 +1693,7 @@ class ColumnarExecutor(Executor):
     def _columnar_node(
         self, node: logical.PlanNode, batches: tuple
     ) -> ColumnBatch:
-        kernel = self._node_kernel(node)
+        kernel, lits = self._node_kernel(node)
         if kernel is not None and not (
             isinstance(node, logical.Aggregate) and self.context.sample_rate < 1.0
         ):
@@ -1492,7 +1707,7 @@ class ColumnarExecutor(Executor):
             )
             span = obs_trace.current_span()
             try:
-                batch = kernel(self, node, batches)
+                batch = kernel(self, node, batches, lits)
                 if span is not None:
                     span.attrs["exec"] = "kernel"
                 return batch
@@ -1519,8 +1734,11 @@ class ColumnarExecutor(Executor):
         rows = self._row_fallback(node, [batch.to_rows() for batch in batches])
         return ColumnBatch.from_rows(rows, len(node.output))
 
-    def _node_kernel(self, node: logical.PlanNode) -> NodeKernel | None:
-        key = (type(node).__name__, fingerprints(node).strict)
+    def _node_kernel(
+        self, node: logical.PlanNode
+    ) -> tuple[NodeKernel | None, tuple]:
+        """The node's kernel and the literal values it runs with."""
+        key, lits = _kernel_shape(node)
         with _KERNEL_MEMO_LOCK:
             if key in _KERNEL_MEMO:
                 _KERNEL_MEMO.move_to_end(key)
@@ -1530,7 +1748,7 @@ class ColumnarExecutor(Executor):
                 # memo telemetry (and its tests) reads the same on both
                 # engines.
                 EXPR_MEMO_STATS.hits += 1
-                return _KERNEL_MEMO[key]
+                return _KERNEL_MEMO[key], lits
         try:
             kernel = _build_kernel(node)
         except _NotVectorizable:
@@ -1539,13 +1757,13 @@ class ColumnarExecutor(Executor):
             # Build-time compile errors are the row engine's errors: take
             # the fallback path and let it raise them in its own order.
             KERNEL_MEMO_STATS.builds += 1
-            return None
+            return None, lits
         KERNEL_MEMO_STATS.builds += 1
         with _KERNEL_MEMO_LOCK:
             if key not in _KERNEL_MEMO and len(_KERNEL_MEMO) >= _KERNEL_MEMO_MAX:
                 _KERNEL_MEMO.popitem(last=False)
             _KERNEL_MEMO[key] = kernel
-        return kernel
+        return kernel, lits
 
     # -- row fallback ---------------------------------------------------------
 

@@ -39,7 +39,10 @@ per call, :func:`fingerprints` computes strict and lenient digests (and
 the subtree size) for **all** subtrees in one bottom-up pass and caches
 them on each (immutable-after-optimize) :class:`PlanNode`, so every later
 call — on the root or any descendant — is a dict lookup. The memo keeps
-digests only.
+digests only. A node's expressions are canonicalised once for both
+digests (:func:`canonical_parts`). A plan bound from a template
+(:mod:`repro.plan.compiled`) is digested as it is built: each rebuilt
+node fills the holes of its template node's :class:`DigestRecipe`.
 
 The bottom-up pass is byte-identical to the per-call path whenever no
 binding name is shadowed (two scans/aliases mapping one name to different
@@ -55,7 +58,13 @@ from dataclasses import dataclass
 
 from repro.plan import logical
 from repro.sql import nodes
-from repro.util.hashing import stable_hash
+from repro.util.hashing import (
+    Hole,
+    HoleRead,
+    encode_with_holes,
+    stable_hash,
+    stable_hash_filled,
+)
 
 _COMMUTATIVE_OPS = frozenset({"=", "<>", "+", "*"})
 
@@ -256,17 +265,107 @@ def _memoize_consistent(
     if memo is not None and memo[1]:
         return memo[0]
     children = [_memoize_consistent(child, bindings) for child in node.children()]
+    return memoize_node(node, canonical_parts(node, bindings), children)
+
+
+def memoize_node(
+    node: logical.PlanNode, parts: tuple, children: list[NodeFingerprints]
+) -> NodeFingerprints:
+    """Digest one node from its :func:`canonical_parts` and its children's
+    digests, and memoize the result on it.
+
+    The caller vouches that the parts were computed under the node's
+    shadow-free root binding map: the memo is marked consistent, so
+    descendants' memos are trusted as they stand.
+    """
     memoized = NodeFingerprints(
         lenient=stable_hash(
-            _canonical_node(node, bindings, False, tuple(c.lenient for c in children))
+            _assemble(node, parts, False, tuple(c.lenient for c in children))
         ),
         strict=stable_hash(
-            _canonical_node(node, bindings, True, tuple(c.strict for c in children))
+            _assemble(node, parts, True, tuple(c.strict for c in children))
         ),
         size=1 + sum(child.size for child in children),
     )
     object.__setattr__(node, _MEMO_ATTR, (memoized, True))
     return memoized
+
+
+@dataclass(frozen=True)
+class DigestRecipe:
+    """One node's strict and lenient canonical encodings with holes.
+
+    A hole with an integer key stands for the value of that lifted
+    literal slot; ``("child", i)`` for the digest of child ``i``. Filling
+    them (:func:`memoize_from_recipe`) digests a node that differs from
+    the recipe's node only in those values, without canonicalising it.
+    """
+
+    strict: list
+    lenient: list
+    size: int
+
+
+def digest_recipe(
+    node: logical.PlanNode, bindings: dict[str, str], holed_children: tuple[bool, ...]
+) -> DigestRecipe | None:
+    """The :class:`DigestRecipe` of ``node``, whose slot literals hold
+    :class:`~repro.util.hashing.Hole` values; the digests of the children
+    flagged in ``holed_children`` become holes too, the others are read
+    from their memos. ``None`` when canonicalising reads a hole — a sort
+    whose order depends on the values (an IN list, two conjuncts equal up
+    to their literals, the sides of an inner join) — so the digest must be
+    computed in full per value."""
+    memos = [
+        None if holed else child.__dict__[_MEMO_ATTR][0]
+        for holed, child in zip(holed_children, node.children())
+    ]
+    strict = tuple(
+        Hole(("child", i)) if memo is None else memo.strict for i, memo in enumerate(memos)
+    )
+    lenient = tuple(
+        Hole(("child", i)) if memo is None else memo.lenient for i, memo in enumerate(memos)
+    )
+    try:
+        parts = canonical_parts(node, bindings)
+        return DigestRecipe(
+            strict=encode_with_holes(_assemble(node, parts, True, strict)),
+            lenient=encode_with_holes(_assemble(node, parts, False, lenient)),
+            size=1 + sum(child.node_count() for child in node.children()),
+        )
+    except HoleRead:
+        return None
+
+
+def memoize_from_recipe(
+    node: logical.PlanNode, recipe: DigestRecipe, values: list
+) -> None:
+    """Memoize ``node``'s digests from ``recipe``: its slot literals hold
+    ``values`` and its children are memoized."""
+    children = [child.__dict__[_MEMO_ATTR][0] for child in node.children()]
+
+    def strict(hole: Hole):
+        key = hole.key
+        return values[key] if type(key) is int else children[key[1]].strict
+
+    def lenient(hole: Hole):
+        key = hole.key
+        return values[key] if type(key) is int else children[key[1]].lenient
+
+    memoized = NodeFingerprints(
+        lenient=stable_hash_filled(recipe.lenient, lenient),
+        strict=stable_hash_filled(recipe.strict, strict),
+        size=recipe.size,
+    )
+    object.__setattr__(node, _MEMO_ATTR, (memoized, True))
+
+
+def shadow_free_bindings(root: logical.PlanNode) -> dict[str, str] | None:
+    """The binding map the memo pass digests ``root``'s tree under, or
+    ``None`` when a binding name is shadowed (the memo then holds only
+    the root's digests)."""
+    bindings: dict[str, str] = {}
+    return bindings if _collect_bindings(root, bindings) else None
 
 
 # ---------------------------------------------------------------------------
@@ -307,26 +406,87 @@ def _canonical_node(
     strict: bool,
     child_digests: tuple[str, ...],
 ) -> tuple:
-    """Canonical tuple of one node given its children's digests.
+    """Canonical tuple of one node given its children's digests (the
+    per-call path: one strictness at a time)."""
+    return _assemble(node, canonical_parts(node, bindings), strict, child_digests)
+
+
+def canonical_parts(node: logical.PlanNode, bindings: dict[str, str]) -> tuple:
+    """The canonicalised fields of ``node`` itself, shared by both digests.
+
+    Everything a node's digest hashes apart from its children's digests:
+    expressions canonicalised once (binding inference and all), in
+    declaration order. :func:`_assemble` sorts what the lenient digest
+    ignores the order of and adds the child digests, so strict and lenient
+    tuples cost one canonicalisation between them. The parts depend on the
+    node's own fields, the binding map and its children's output schemas,
+    never on its children's digests — a plan whose subtree changed below
+    an unchanged node can reuse them.
+    """
+    FINGERPRINT_STATS.nodes_canonicalised += 1
+    if isinstance(node, (logical.Scan, logical.IndexScan)):
+        return (tuple(c.lower() for c in node.columns),)
+    if isinstance(node, (logical.ViewScan, logical.OneRow, logical.SubqueryScan)):
+        return ()
+    if isinstance(node, logical.Filter):
+        return (_canonical_predicate(node.predicate, bindings, node.child),)
+    if isinstance(node, logical.Project):
+        return ([_canonical_expr(expr, bindings, node.child) for expr in node.exprs],)
+    if isinstance(node, logical.HashJoin):
+        pairs = [
+            (
+                _canonical_expr(l, bindings, node.left),
+                _canonical_expr(r, bindings, node.right),
+            )
+            for l, r in zip(node.left_keys, node.right_keys)
+        ]
+        residual = (
+            None
+            if node.residual is None
+            else _canonical_predicate(node.residual, bindings, node)
+        )
+        return (pairs, residual)
+    if isinstance(node, logical.NestedLoopJoin):
+        condition = (
+            None
+            if node.condition is None
+            else _canonical_predicate(node.condition, bindings, node)
+        )
+        return (condition,)
+    if isinstance(node, logical.Aggregate):
+        return (
+            [_canonical_expr(e, bindings, node.child) for e in node.group_exprs],
+            [_canonical_expr(a, bindings, node.child) for a in node.agg_calls],
+        )
+    if isinstance(node, logical.Sort):
+        return (
+            tuple(
+                (_canonical_expr(expr, bindings, node.child), asc)
+                for expr, asc in node.keys
+            ),
+        )
+    if isinstance(node, (logical.Limit, logical.Distinct)):
+        return ()
+    raise TypeError(f"cannot canonicalise plan node {type(node).__name__}")
+
+
+def _assemble(
+    node: logical.PlanNode, parts: tuple, strict: bool, child_digests: tuple[str, ...]
+) -> tuple:
+    """The canonical tuple of one digest from :func:`canonical_parts`.
 
     ``child_digests`` is parallel to ``node.children()``; both the per-call
     path and the memoized bottom-up pass funnel through here, so their
     tuples (and therefore digests) are identical by construction.
     """
-    FINGERPRINT_STATS.nodes_canonicalised += 1
     if isinstance(node, logical.Scan):
-        columns = [c.lower() for c in node.columns]
-        if not strict:
-            columns = sorted(columns)
-        return ("scan", node.table.lower(), tuple(columns))
+        columns = parts[0] if strict else tuple(sorted(parts[0]))
+        return ("scan", node.table.lower(), columns)
     if isinstance(node, logical.IndexScan):
-        index_columns = [c.lower() for c in node.columns]
-        if not strict:
-            index_columns = sorted(index_columns)
         base = (
             "indexscan",
             node.table.lower(),
-            tuple(index_columns),
+            parts[0] if strict else tuple(sorted(parts[0])),
             node.index_column.lower(),
             node.equal_value,
             node.low,
@@ -349,31 +509,13 @@ def _canonical_node(
     if isinstance(node, logical.SubqueryScan):
         return ("subquery", node.alias.lower(), child_digests[0])
     if isinstance(node, logical.Filter):
-        return (
-            "filter",
-            _canonical_predicate(node.predicate, bindings, node.child),
-            child_digests[0],
-        )
+        return ("filter", parts[0], child_digests[0])
     if isinstance(node, logical.Project):
-        exprs = [_canonical_expr(expr, bindings, node.child) for expr in node.exprs]
-        if not strict:
-            exprs = _stable_sorted(exprs)
+        exprs = parts[0] if strict else _stable_sorted(parts[0])
         return ("project", tuple(exprs), child_digests[0])
     if isinstance(node, logical.HashJoin):
         left, right = child_digests
-        pairs = []
-        for l, r in zip(node.left_keys, node.right_keys):
-            pairs.append(
-                (
-                    _canonical_expr(l, bindings, node.left),
-                    _canonical_expr(r, bindings, node.right),
-                )
-            )
-        residual = (
-            None
-            if node.residual is None
-            else _canonical_predicate(node.residual, bindings, node)
-        )
+        pairs, residual = parts
         if node.kind == "INNER" and not strict:
             # Inner hash joins are commutative: order sides canonically.
             left_side = (left, tuple(_stable_sorted(p[0] for p in pairs)))
@@ -383,34 +525,19 @@ def _canonical_node(
             return ("hashjoin", "INNER", sides[0], sides[1], key_set, residual)
         return ("hashjoin", node.kind, left, right, tuple(_stable_sorted(pairs)), residual)
     if isinstance(node, logical.NestedLoopJoin):
-        condition = (
-            None
-            if node.condition is None
-            else _canonical_predicate(node.condition, bindings, node)
-        )
         left, right = child_digests
         if node.kind in ("INNER", "CROSS") and not strict:
             first, second = _stable_sorted([left, right])
-            return ("nljoin", node.kind, first, second, condition)
-        return ("nljoin", node.kind, left, right, condition)
+            return ("nljoin", node.kind, first, second, parts[0])
+        return ("nljoin", node.kind, left, right, parts[0])
     if isinstance(node, logical.Aggregate):
-        group_list = [_canonical_expr(e, bindings, node.child) for e in node.group_exprs]
-        agg_list = [_canonical_expr(a, bindings, node.child) for a in node.agg_calls]
+        group_list, agg_list = parts
         if not strict:
             group_list = _stable_sorted(group_list)
             agg_list = _stable_sorted(agg_list)
-        return (
-            "aggregate",
-            tuple(group_list),
-            tuple(agg_list),
-            child_digests[0],
-        )
+        return ("aggregate", tuple(group_list), tuple(agg_list), child_digests[0])
     if isinstance(node, logical.Sort):
-        keys = tuple(
-            (_canonical_expr(expr, bindings, node.child), asc)
-            for expr, asc in node.keys
-        )
-        return ("sort", keys, child_digests[0])
+        return ("sort", parts[0], child_digests[0])
     if isinstance(node, logical.Limit):
         return ("limit", node.limit, node.offset, child_digests[0])
     if isinstance(node, logical.Distinct):

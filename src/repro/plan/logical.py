@@ -32,12 +32,14 @@ class OutputCol:
 
 
 #: Attribute names under which derived values are memoized on a node:
-#: per-node digests (:func:`repro.plan.fingerprint.fingerprints`) and the
-#: root's cost estimate (:func:`repro.plan.compiled.compiled_estimate`).
-#: Both are set with ``object.__setattr__`` (the nodes are frozen
-#: dataclasses) and stripped from the pickled state.
+#: per-node digests (:func:`repro.plan.fingerprint.fingerprints`), the
+#: root's cost estimate (:func:`repro.plan.compiled.compiled_estimate`)
+#: and the columnar kernel key with the node's run-time literal values
+#: (:mod:`repro.engine.columnar`). All are set with ``object.__setattr__``
+#: (the nodes are frozen dataclasses) and stripped from the pickled state.
 FINGERPRINT_MEMO_ATTR = "_fingerprint_memo"
 ESTIMATE_MEMO_ATTR = "_estimate_memo"
+KERNEL_MEMO_ATTR = "_kernel_memo"
 
 
 class PlanNode:
@@ -52,7 +54,7 @@ class PlanNode:
     # the pickled state: pickles stay small and receivers re-memoize lazily.
     # The cost-estimate memo of :func:`repro.plan.compiled.compiled_estimate`
     # goes the same way (it describes the sender's catalog, not the
-    # receiver's).
+    # receiver's), as does the columnar kernel key.
     # Frozen dataclass subclasses unpickle fine through ``__setstate__``'s
     # direct ``__dict__`` update — it bypasses the frozen ``__setattr__``.
 
@@ -60,6 +62,7 @@ class PlanNode:
         state = dict(self.__dict__)
         state.pop(FINGERPRINT_MEMO_ATTR, None)
         state.pop(ESTIMATE_MEMO_ATTR, None)
+        state.pop(KERNEL_MEMO_ATTR, None)
         return state
 
     def __setstate__(self, state: dict) -> None:

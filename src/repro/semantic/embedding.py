@@ -22,19 +22,23 @@ DEFAULT_DIMS = 128
 
 #: LRU bound on memoized embeddings (~1 KB each at the default dims).
 MAX_CACHED_TEXTS = 50_000
-#: LRU bound on memoized feature slots. Unique literals in probe texts
-#: keep adding new word features, so this table must evict too.
+#: LRU bound on memoized feature slots, and on memoized per-word bucket
+#: contributions. Unique literals in probe texts keep adding new words,
+#: so both tables must evict too.
 MAX_CACHED_SLOTS = 65_536
 
 
 class HashedEmbedder:
     """Embeds text into a fixed-dimension vector via feature hashing.
 
-    Two bounded LRU memos make repeat work cheap, and neither changes a
-    result: whole embeddings by text, and each feature's ``(bucket,
-    sign)`` slot — a pure function of the feature string that otherwise
-    costs two SHA-1 digests per feature per call. Returned vectors are
-    shared with the memo: callers must not mutate them.
+    Three bounded LRU memos make repeat work cheap, and none changes a
+    result: whole embeddings by text; each word's summed bucket
+    contributions (its whole-word feature plus its n-grams), so a new
+    text made of known words costs one dict lookup per word; and each
+    feature's ``(bucket, sign)`` slot — a pure function of the feature
+    string that otherwise costs two SHA-1 digests per feature per call.
+    Returned vectors are shared with the memo: callers must not mutate
+    them.
     """
 
     def __init__(self, dims: int = DEFAULT_DIMS) -> None:
@@ -43,6 +47,7 @@ class HashedEmbedder:
         self.dims = dims
         self._cache: OrderedDict[str, np.ndarray] = OrderedDict()
         self._slots: OrderedDict[str, tuple[int, float]] = OrderedDict()
+        self._words: OrderedDict[str, tuple[tuple[int, float], ...]] = OrderedDict()
         self._lock = threading.Lock()
 
     def embed(self, text: str) -> np.ndarray:
@@ -52,13 +57,14 @@ class HashedEmbedder:
             if cached is not None:
                 self._cache.move_to_end(text)
                 return cached
-            # Python floats add exactly as float64 does, in the same
-            # feature order, so the vector is byte-identical to summing
-            # into a numpy array element by element.
+            # Every feature adds +-1 or +-2, so each bucket holds a small
+            # integer, exact in float64 whatever the summation order:
+            # adding per-word totals gives the bytes the per-feature loop
+            # over ``_features`` gives.
             sums = [0.0] * self.dims
-            for feature, weight in self._features(text):
-                bucket, sign = self._slot(feature)
-                sums[bucket] += sign * weight
+            for word in tokenize_words(text):
+                for bucket, delta in self._word_deltas(word):
+                    sums[bucket] += delta
             vector = np.array(sums, dtype=np.float64)
             norm = float(np.linalg.norm(vector))
             if norm > 0:
@@ -67,6 +73,26 @@ class HashedEmbedder:
             if len(self._cache) > MAX_CACHED_TEXTS:
                 self._cache.popitem(last=False)
             return vector
+
+    def _word_deltas(self, word: str) -> tuple[tuple[int, float], ...]:
+        """``word``'s summed (bucket, contribution) pairs, memoized; caller
+        holds the lock. A word contributes its whole-word feature and its
+        boundary-marked n-grams, as :meth:`_features` lists them."""
+        words = self._words
+        deltas = words.get(word)
+        if deltas is not None:
+            words.move_to_end(word)
+            return deltas
+        totals: dict[int, float] = {}
+        for feature, weight in self._features(word):
+            bucket, sign = self._slot(feature)
+            totals[bucket] = totals.get(bucket, 0.0) + sign * weight
+        deltas = words[word] = tuple(
+            (bucket, total) for bucket, total in totals.items() if total
+        )
+        if len(words) > MAX_CACHED_SLOTS:
+            words.popitem(last=False)
+        return deltas
 
     def _slot(self, feature: str) -> tuple[int, float]:
         """``feature``'s (bucket, sign), memoized; caller holds the lock."""

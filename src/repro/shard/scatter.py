@@ -29,21 +29,30 @@ and the response carries a steering line saying the answer covers one
 partition. Honest partial coverage beats a silently-wrong merge.
 
 The rewrite works at the AST level: statements parse through
-:func:`repro.sql.parser.parse_statement`, partial statements are built by
+:func:`repro.sql.parser.parse_shaped`, partial statements are built by
 swapping :class:`~repro.sql.nodes.SelectItem` lists, and
-``Select.sql()`` re-renders them — shards re-parse the partial SQL
-through their ordinary serving path, so scatter partials share work,
-hit history, and obey QoS exactly like native probes.
+``Select.sql()`` re-renders them when a probe scatters — shards re-parse
+the partial SQL through their ordinary serving path, so scatter partials
+share work, hit history, and obey QoS exactly like native probes.
+
+Analyses are memoized per token shape and partition map, process-wide
+(the analysis depends on nothing else). A later text of a known shape
+only tokenizes and binds what reads its literals: the pinned partition
+values and the partial statement's literals. A shape is unliftable, and
+analysed in full every time, when the parser cannot lift it, when it does
+not parse, or when a lifted literal sits in a select item or GROUP BY
+expression (matching select items against GROUP BY compares values).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from repro.engine.result import ExecStats, QueryResult
 from repro.sql import nodes
-from repro.sql.parser import parse_statement
+from repro.sql.parser import literal_slots, parse_shaped, rebuild, token_shape
 from repro.storage.types import compare_values
+from repro.util.cache import TemplateCache
 from repro.util.text import normalize_identifier
 
 #: Aggregate kinds the router knows how to merge.
@@ -68,13 +77,19 @@ class ScatterPlan:
     """One query's compiled scatter-gather strategy."""
 
     table: str
-    partial_sql: str
+    #: The statement every shard runs.
+    partial: nodes.Select
     #: Output column names of the merged result (the single-shard names).
     columns: tuple[str, ...]
     #: ``None`` -> plain row concatenation; otherwise the aggregate specs.
     aggregates: tuple[AggSpec, ...] | None
     #: Output positions that are GROUP BY keys (empty for global aggregates).
     group_indexes: tuple[int, ...] = ()
+
+    @property
+    def partial_sql(self) -> str:
+        """The partial statement's text, rendered on demand."""
+        return self.partial.sql()
 
 
 @dataclass(frozen=True)
@@ -102,13 +117,112 @@ def analyze(sql: str, partitioned: dict[str, str]) -> ScatterAnalysis:
     ``partitioned`` maps normalized table name -> partition column.
     Returns a plan when the statement distributes, otherwise the reason
     it does not (with ``partitioned_table`` set whenever the statement
-    addresses partitioned data at all, so callers can warn).
+    addresses partitioned data at all, so callers can warn). Binds the
+    analysis of the statement's shape when one is memoized (see the
+    module docstring); the result equals a full analysis.
     """
     try:
-        statement = parse_statement(sql)
+        key, values = token_shape(sql)
     except Exception:
-        # Unparseable SQL fails identically on any shard; serve it home.
+        # Unlexable SQL fails identically on any shard; serve it home.
         return ScatterAnalysis(plan=None)
+    memo_key = (tuple(sorted(partitioned.items())), key)
+    template = _ROUTES.get(memo_key, ())
+    if template is None:
+        template, analysis = _RouteTemplate.record(sql, partitioned)
+        _ROUTES.put(memo_key, (), template)
+        return analysis
+    if template.analysis is None or values is None:
+        _ROUTES.note_unliftable()
+        return _analyze_text(sql, partitioned)
+    return template.bind(values)
+
+
+@dataclass(frozen=True)
+class _RouteTemplate:
+    """The analysis of a shape's first text, and where its literals go.
+
+    ``pinned`` says where each pinned value comes from: ``(slot, None)``
+    for a lifted literal, ``(None, value)`` for a constant. ``partial``
+    is the trie of slot paths in the plan's partial statement. ``None``
+    analysis marks an unliftable shape.
+    """
+
+    analysis: ScatterAnalysis | None
+    pinned: tuple = ()
+    partial: dict | None = None
+
+    @classmethod
+    def record(
+        cls, sql: str, partitioned: dict[str, str]
+    ) -> tuple["_RouteTemplate", ScatterAnalysis]:
+        try:
+            statement, _, _, literals = parse_shaped(sql)
+        except Exception:
+            # Unparseable SQL fails identically on any shard; serve it home.
+            return cls(None), ScatterAnalysis(plan=None)
+        analysis, pinned = _analyze_statement(statement, partitioned)
+        if literals is None or (
+            isinstance(statement, nodes.Select) and _reads_literal_values(statement)
+        ):
+            return cls(None), analysis
+        slot_of = {id(literal): slot for slot, literal in enumerate(literals)}
+        sources = tuple(
+            (slot_of[id(literal)], None) if id(literal) in slot_of else (None, literal.value)
+            for literal in pinned
+        )
+        partial = (
+            None
+            if analysis.plan is None
+            else literal_slots(analysis.plan.partial, literals)
+        )
+        return cls(analysis, sources, partial), analysis
+
+    def bind(self, values: list) -> ScatterAnalysis:
+        analysis = self.analysis
+        assert analysis is not None
+        if not self.partial and all(slot is None for slot, _ in self.pinned):
+            return analysis  # nothing here reads a lifted literal
+        pinned = tuple(
+            constant if slot is None else values[slot] for slot, constant in self.pinned
+        )
+        plan = analysis.plan
+        if plan is not None and self.partial:
+            partial = rebuild(
+                plan.partial, self.partial, lambda slot: nodes.Literal(values[slot])
+            )
+            plan = replace(plan, partial=partial)
+        return replace(analysis, plan=plan, pinned_values=pinned)
+
+
+def _reads_literal_values(statement: nodes.Select) -> bool:
+    """Whether the analysis compares literal values: a literal in a select
+    item or GROUP BY expression (items are matched against GROUP BY
+    expressions by equality)."""
+    exprs = [item.expr for item in statement.items] + list(statement.group_by)
+    return any(
+        isinstance(node, nodes.Literal) for expr in exprs for node in nodes.walk(expr)
+    )
+
+
+#: Analyses by (partition map, token shape), for the whole process.
+_ROUTES = TemplateCache()
+
+
+def _analyze_text(sql: str, partitioned: dict[str, str]) -> ScatterAnalysis:
+    """The full analysis of one text, memo aside."""
+    try:
+        statement = parse_shaped(sql).statement
+    except Exception:
+        return ScatterAnalysis(plan=None)
+    return _analyze_statement(statement, partitioned)[0]
+
+
+def _analyze_statement(
+    statement: nodes.AnyStatement, partitioned: dict[str, str]
+) -> tuple[ScatterAnalysis, tuple]:
+    """The analysis of a parsed statement, and the ``Literal`` node behind
+    each of its pinned values."""
     if not isinstance(statement, nodes.Select):
         # DML routes to the probe's home shard (its own partition slice).
         table = getattr(statement, "table", None) or getattr(statement, "name", None)
@@ -117,25 +231,32 @@ def analyze(sql: str, partitioned: dict[str, str]) -> ScatterAnalysis:
             if isinstance(table, str) and normalize_identifier(table) in partitioned
             else None
         )
-        return ScatterAnalysis(
-            plan=None, partitioned_table=touched, reason="DML does not scatter"
+        return (
+            ScatterAnalysis(
+                plan=None, partitioned_table=touched, reason="DML does not scatter"
+            ),
+            (),
         )
     from_clause = statement.from_clause
     if not isinstance(from_clause, nodes.TableName):
         touched = _partitioned_in_ref(from_clause, partitioned)
         reason = "joins and subqueries do not scatter" if touched else ""
-        return ScatterAnalysis(plan=None, partitioned_table=touched, reason=reason)
+        return ScatterAnalysis(plan=None, partitioned_table=touched, reason=reason), ()
     table = normalize_identifier(from_clause.name)
     if table not in partitioned:
-        return ScatterAnalysis(plan=None)
+        return ScatterAnalysis(plan=None), ()
     has_subquery = _has_subquery(statement)
-    pinned = (
-        () if has_subquery else _pinned_values(statement.where, partitioned[table])
+    pinned_literals = (
+        () if has_subquery else _pinned_literals(statement.where, partitioned[table])
     )
+    pinned = tuple(literal.value for literal in pinned_literals)
 
-    def declined(reason: str) -> ScatterAnalysis:
-        return ScatterAnalysis(
-            plan=None, partitioned_table=table, reason=reason, pinned_values=pinned
+    def declined(reason: str) -> tuple[ScatterAnalysis, tuple]:
+        return (
+            ScatterAnalysis(
+                plan=None, partitioned_table=table, reason=reason, pinned_values=pinned
+            ),
+            pinned_literals,
         )
 
     if has_subquery:
@@ -155,15 +276,18 @@ def analyze(sql: str, partitioned: dict[str, str]) -> ScatterAnalysis:
         if statement.group_by:
             return declined("GROUP BY without aggregates does not scatter")
         # Scan/Filter/Project: every shard runs the statement verbatim.
-        return ScatterAnalysis(
-            plan=ScatterPlan(
-                table=table,
-                partial_sql=statement.sql(),
-                columns=columns,
-                aggregates=None,
+        return (
+            ScatterAnalysis(
+                plan=ScatterPlan(
+                    table=table,
+                    partial=statement,
+                    columns=columns,
+                    aggregates=None,
+                ),
+                partitioned_table=table,
+                pinned_values=pinned,
             ),
-            partitioned_table=table,
-            pinned_values=pinned,
+            pinned_literals,
         )
 
     group_exprs = tuple(statement.group_by)
@@ -203,16 +327,19 @@ def analyze(sql: str, partitioned: dict[str, str]) -> ScatterAnalysis:
         where=statement.where,
         group_by=statement.group_by,
     )
-    return ScatterAnalysis(
-        plan=ScatterPlan(
-            table=table,
-            partial_sql=partial.sql(),
-            columns=columns,
-            aggregates=tuple(aggregates),
-            group_indexes=tuple(group_indexes),
+    return (
+        ScatterAnalysis(
+            plan=ScatterPlan(
+                table=table,
+                partial=partial,
+                columns=columns,
+                aggregates=tuple(aggregates),
+                group_indexes=tuple(group_indexes),
+            ),
+            partitioned_table=table,
+            pinned_values=pinned,
         ),
-        partitioned_table=table,
-        pinned_values=pinned,
+        pinned_literals,
     )
 
 
@@ -354,8 +481,9 @@ def _merged_column_names(items: tuple[nodes.SelectItem, ...]) -> tuple[str, ...]
     return tuple(names)
 
 
-def _pinned_values(where: nodes.Expr | None, column: str) -> tuple:
-    """Partition-column values pinned by top-level WHERE conjuncts.
+def _pinned_literals(where: nodes.Expr | None, column: str) -> tuple:
+    """The literals of partition-column values pinned by top-level WHERE
+    conjuncts.
 
     Any single ``col = literal`` or ``col IN (literals)`` conjunct bounds
     the matching rows' partition values (conjuncts only narrow), so the
@@ -374,7 +502,7 @@ def _pinned_values(where: nodes.Expr | None, column: str) -> tuple:
                     and normalize_identifier(ref.column) == column
                     and isinstance(literal, nodes.Literal)
                 ):
-                    candidates.append((literal.value,))
+                    candidates.append((literal,))
                     break
         elif (
             isinstance(conjunct, nodes.InList)
@@ -383,7 +511,7 @@ def _pinned_values(where: nodes.Expr | None, column: str) -> tuple:
             and normalize_identifier(conjunct.operand.column) == column
             and all(isinstance(item, nodes.Literal) for item in conjunct.items)
         ):
-            candidates.append(tuple(item.value for item in conjunct.items))
+            candidates.append(conjunct.items)
     if not candidates:
         return ()
     return min(candidates, key=len)

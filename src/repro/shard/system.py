@@ -51,7 +51,6 @@ from repro.core.system import (
 from repro.db import Database
 from repro.obs import trace as obs_trace
 from repro.obs.metrics import MetricsRegistry, MetricsSnapshot, merge_snapshots
-from repro.plan.compiled import StatementCache
 from repro.shard import scatter
 from repro.shard.matchmaker import CapacityAdvert, Matchmaker, WorkUnit
 from repro.shard.router import ShardRouter
@@ -128,10 +127,6 @@ class ShardedSystem:
         #: Process-wide series every shard also publishes: reported once,
         #: from this registry (see :meth:`metrics`).
         self._process_metrics = register_template_collector(self.metrics_registry)
-        #: ``scatter.analyze`` results by SQL text. The analysis is a pure
-        #: function of the text and the (fixed) partition map, so one
-        #: constant stamp serves for the tier's lifetime.
-        self._analyses = StatementCache()
         self._source = db
         self._closed = False
         self._close_lock = threading.Lock()
@@ -297,11 +292,8 @@ class ShardedSystem:
         return _Route(shard_id=self._or_matchmade(home), warn=(table, reason))
 
     def _analyze(self, sql: str) -> scatter.ScatterAnalysis:
-        analysis = self._analyses.get(sql, ())
-        if analysis is None:
-            analysis = scatter.analyze(sql, self.router.partition)
-            self._analyses.put(sql, (), analysis)
-        return analysis
+        # Memoized per token shape inside ``scatter.analyze``.
+        return scatter.analyze(sql, self.router.partition)
 
     def _or_matchmade(self, shard_id: int | None) -> int:
         if shard_id is not None:
@@ -823,11 +815,19 @@ def _build_shard_db(
             continue
         names = [normalize_identifier(c) for c in state.schema.column_names()]
         value_index = names.index(column)
-        owned = [
-            row
-            for row in Table.restore(state).scan()
-            if router.owner_of_value(row[value_index]) == shard_id
-        ]
+        # One ring lookup per distinct partition value. The ring hash is
+        # type-tagged (``1``, ``1.0`` and ``True`` have different owners),
+        # so the memo keys on type and repr, never on the value alone.
+        owner_of: dict[tuple, int] = {}
+        owned = []
+        for row in Table.restore(state).scan():
+            value = row[value_index]
+            key = (type(value), repr(value))
+            owner = owner_of.get(key)
+            if owner is None:
+                owner = owner_of[key] = router.owner_of_value(value)
+            if owner == shard_id:
+                owned.append(row)
         if owned:
             db.catalog.insert_rows(name, owned)
     for table_name, column in snapshot.hash_indexes:

@@ -41,11 +41,12 @@ reports its hits, misses and unliftable full parses.
 from __future__ import annotations
 
 import dataclasses
+from typing import NamedTuple
 
 from repro.errors import ParseError
 from repro.sql import nodes
 from repro.sql.lexer import Token, TokenType, tokenize
-from repro.util.cache import StatementCache
+from repro.util.cache import TemplateCache
 
 _COMPARISON_OPS = ("=", "<>", "!=", "<", "<=", ">", ">=")
 
@@ -567,23 +568,95 @@ def parse_statement(sql: str) -> nodes.AnyStatement:
     Binds the statement's template when its token shape was parsed before
     (see the module docstring); the result equals a full parse.
     """
+    return parse_shaped(sql).statement
+
+
+class Shaped(NamedTuple):
+    """A parsed statement with what a shape-keyed cache above the parser
+    needs: the token-shape key, the lifted values in token order, and the
+    ``Literal`` node each lifted value became in ``statement``. ``values``
+    and ``literals`` are ``None`` when the shape is unliftable."""
+
+    statement: nodes.AnyStatement
+    key: tuple
+    values: list | None
+    literals: list | None
+
+
+def parse_shaped(sql: str) -> Shaped:
+    """:func:`parse_statement`, returning the statement's shape beside it."""
     tokens = tokenize(sql)
     key, lifted = _shape(tokens)
     template = _TEMPLATES.get(key, ())
     if template is None:
         parser = _Parser(tokens, sql)
         statement = parser.parse_statement()
-        _TEMPLATES.put(key, (), _Template.record(statement, lifted, parser.literals))
-        return statement
+        template = _Template.record(statement, lifted, parser.literals)
+        _TEMPLATES.put(key, (), template)
+        if template.slots is None:
+            return Shaped(statement, key, None, None)
+        return Shaped(
+            statement,
+            key,
+            [literal.value for literal in template.literals],
+            template.literals,
+        )
     if template.slots is None:
         _TEMPLATES.note_unliftable()
-        return _Parser(tokens, sql).parse_statement()
+        return Shaped(_Parser(tokens, sql).parse_statement(), key, None, None)
     try:
         values = [_literal_value(tokens[index]) for index in lifted]
     except ValueError:
         # An integer too long to convert: the full parse names the error.
-        return _Parser(tokens, sql).parse_statement()
-    return _bind(template.statement, template.slots, values)
+        return Shaped(_Parser(tokens, sql).parse_statement(), key, None, None)
+    literals: list = [None] * len(values)
+
+    def leaf(slot: int) -> nodes.Literal:
+        literal = literals[slot] = nodes.Literal(values[slot])
+        return literal
+
+    statement = rebuild(template.statement, template.slots, leaf)
+    return Shaped(statement, key, values, literals)
+
+
+def token_shape(sql: str) -> tuple[tuple, list | None]:
+    """The template key of ``sql`` and its lifted values in token order,
+    without parsing (``None`` values for an integer too long to convert).
+    Raises what :func:`~repro.sql.lexer.tokenize` raises."""
+    tokens = tokenize(sql)
+    key, lifted = _shape(tokens)
+    try:
+        return key, [_literal_value(tokens[index]) for index in lifted]
+    except ValueError:
+        return key, None
+
+
+def literal_slots(node, literals: list) -> dict:
+    """A trie of the paths from ``node`` to each of ``literals`` (by
+    identity; one may sit at several paths or at none), for
+    :func:`rebuild`. Leaves are positions in ``literals``."""
+    found: list[tuple[int, tuple]] = []
+    _find_literals(
+        node, {id(literal): slot for slot, literal in enumerate(literals)}, (), found
+    )
+    slots: dict = {}
+    for slot, path in found:
+        trie = slots
+        for step in path[:-1]:
+            trie = trie.setdefault(step, {})
+        trie[path[-1]] = slot
+    return slots
+
+
+def slot_leaves(slots: dict) -> list[int]:
+    """Every leaf of a :func:`literal_slots` trie: a slot once per path."""
+    leaves: list[int] = []
+    for sub in slots.values():
+        if type(sub) is int:
+            leaves.append(sub)
+        else:
+            leaves.extend(slot_leaves(sub))
+    return leaves
 
 
 def template_counters() -> tuple[int, int, int]:
@@ -653,6 +726,8 @@ class _Template:
 
     statement: nodes.AnyStatement
     slots: dict | None
+    #: The template's own ``Literal`` per slot (``None`` when unliftable).
+    literals: list | None = None
 
     @classmethod
     def record(
@@ -661,23 +736,13 @@ class _Template:
         lifted: list[int],
         literals: dict[int, nodes.Literal],
     ) -> "_Template":
-        slot_of: dict[int, int] = {}
-        for slot, index in enumerate(lifted):
-            literal = literals.get(index)
-            if literal is None:
-                return cls(statement, None)
-            slot_of[id(literal)] = slot
-        found: list[tuple[int, tuple]] = []
-        _find_literals(statement, slot_of, (), found)
-        if sorted(slot for slot, _ in found) != list(range(len(lifted))):
+        slot_literals = [literals.get(index) for index in lifted]
+        if any(literal is None for literal in slot_literals):
             return cls(statement, None)
-        slots: dict = {}
-        for slot, path in found:
-            node = slots
-            for step in path[:-1]:
-                node = node.setdefault(step, {})
-            node[path[-1]] = slot
-        return cls(statement, slots)
+        slots = literal_slots(statement, slot_literals)
+        if sorted(slot_leaves(slots)) != list(range(len(lifted))):
+            return cls(statement, None)
+        return cls(statement, slots, slot_literals)
 
 
 def _find_literals(node, slot_of: dict[int, int], path: tuple, out: list) -> None:
@@ -694,52 +759,38 @@ def _find_literals(node, slot_of: dict[int, int], path: tuple, out: list) -> Non
             _find_literals(getattr(node, field.name), slot_of, path + (field.name,), out)
 
 
-def _bind(node, slots: dict, values: list):
-    """``node`` with each slot's literal replaced by its value; only the
-    ancestors of replaced literals are rebuilt."""
+def rebuild(node, slots: dict, leaf, finish=None):
+    """``node`` with the literal at each path of ``slots`` (a
+    :func:`literal_slots` trie) replaced by ``leaf(slot)``; only the
+    ancestors of replaced literals are rebuilt, every other subtree is
+    shared. ``finish(original, clone)``, when given, sees each rebuilt
+    dataclass node after its fields are set, children first.
+
+    A clone copies the node's fields with the changed ones swapped in:
+    the nodes are frozen dataclasses whose whole state is their fields
+    (plus memo attributes ``finish`` may drop), so this equals
+    ``dataclasses.replace`` without re-running ``__init__``.
+    """
     if type(node) is tuple:
         items = list(node)
         for position, sub in slots.items():
             items[position] = (
-                nodes.Literal(values[sub])
-                if type(sub) is int
-                else _bind(items[position], sub, values)
+                leaf(sub) if type(sub) is int else rebuild(items[position], sub, leaf, finish)
             )
         return tuple(items)
-    # A copy of the node's fields with the changed ones swapped in: AST
-    # nodes are frozen dataclasses whose whole state is their fields, so
-    # this equals ``dataclasses.replace`` without re-running ``__init__``.
     clone = object.__new__(type(node))
     fields = clone.__dict__
     fields.update(node.__dict__)
     for name, sub in slots.items():
-        fields[name] = (
-            nodes.Literal(values[sub])
-            if type(sub) is int
-            else _bind(fields[name], sub, values)
-        )
+        fields[name] = leaf(sub) if type(sub) is int else rebuild(fields[name], sub, leaf, finish)
+    if finish is not None:
+        finish(node, clone)
     return clone
-
-
-class _TemplateCache(StatementCache):
-    """The shape-keyed template LRU, plus a tally of unliftable parses."""
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.unliftable = 0
-
-    def note_unliftable(self) -> None:
-        with self._lock:
-            self.unliftable += 1
-
-    def template_counters(self) -> tuple[int, int, int]:
-        with self._lock:
-            return (self.hits - self.unliftable, self.misses, self.unliftable)
 
 
 #: Templates by token shape, for the whole process (no stamp: parsing
 #: reads no catalog).
-_TEMPLATES = _TemplateCache()
+_TEMPLATES = TemplateCache()
 
 
 def parse_expression(sql: str) -> nodes.Expr:

@@ -1,10 +1,11 @@
 """A lock-guarded LRU whose entries are valid under one version stamp.
 
 It sits below every layer that keys derived work by something hashable:
-the planner's compiled statements (keyed by SQL text, stamped with the
-catalog version), the shard router's scatter analyses and the parser's
-statement templates (both under a constant stamp: their values depend on
-nothing that changes).
+the planner's compiled statements and plan templates (keyed by SQL text
+and by token shape, stamped with the catalog version), the shard router's
+scatter analyses and the parser's statement templates (both keyed by
+token shape under a constant stamp: their values depend on nothing that
+changes).
 """
 
 from __future__ import annotations
@@ -83,3 +84,27 @@ class StatementCache:
     def __len__(self) -> int:
         with self._lock:
             return len(self._entries)
+
+
+class TemplateCache(StatementCache):
+    """A shape-keyed template LRU, plus a tally of unliftable lookups.
+
+    A lookup that finds a template marked unliftable is counted as a hit
+    by the base class and as unliftable here; :meth:`template_counters`
+    separates the two.
+    """
+
+    def __init__(self, max_entries: int = 4096) -> None:
+        super().__init__(max_entries)
+        self.unliftable = 0
+
+    def note_unliftable(self) -> None:
+        with self._lock:
+            self.unliftable += 1
+
+    def template_counters(self) -> tuple[int, int, int]:
+        """A consistent (hits, misses, unliftable) snapshot: lookups served
+        by binding a template, lookups that found no template, and lookups
+        that found an unliftable one."""
+        with self._lock:
+            return (self.hits - self.unliftable, self.misses, self.unliftable)

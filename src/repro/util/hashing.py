@@ -23,6 +23,66 @@ def stable_hash(value: Any) -> str:
     return hashlib.sha1(b"".join(parts)).hexdigest()
 
 
+class Hole:
+    """A placeholder for a value that is encoded later.
+
+    :func:`encode_with_holes` keeps holes in place of their encoding, and
+    :func:`stable_hash_filled` hashes the encoding with each hole filled,
+    which equals :func:`stable_hash` of the value with the fills in place.
+    A hole has no value of its own: comparing, hashing or rendering one
+    raises :class:`HoleRead`, so code that would read the value before it
+    is filled (a sort, a ``repr``) fails loudly instead of deciding on the
+    placeholder.
+    """
+
+    __slots__ = ("key",)
+
+    def __init__(self, key: Any) -> None:
+        self.key = key
+
+    def _read(self, *args: Any) -> Any:
+        raise HoleRead(self.key)
+
+    __eq__ = __ne__ = __lt__ = __le__ = __gt__ = __ge__ = _read
+    __hash__ = __repr__ = __str__ = __format__ = __bool__ = _read
+
+
+class HoleRead(Exception):
+    """A :class:`Hole`'s value was read before it was filled. Deliberately
+    not a ``TypeError``: callers that tolerate incomparable values must not
+    swallow it."""
+
+
+def encode_with_holes(value: Any) -> list:
+    """``value``'s :func:`stable_hash` encoding as byte strings and the
+    holes it contains, adjacent bytes merged."""
+    parts: list = []
+    _encode(value, parts)
+    pieces: list = []
+    run: list[bytes] = []
+    for part in parts:
+        if type(part) is bytes:
+            run.append(part)
+            continue
+        pieces.append(b"".join(run))
+        pieces.append(part)
+        run = []
+    pieces.append(b"".join(run))
+    return pieces
+
+
+def stable_hash_filled(pieces: list, fill: Any) -> str:
+    """:func:`stable_hash` of the value :func:`encode_with_holes` encoded,
+    with each hole replaced by ``fill(hole)``."""
+    parts: list[bytes] = []
+    for piece in pieces:
+        if type(piece) is bytes:
+            parts.append(piece)
+        else:
+            _encode(fill(piece), parts)
+    return hashlib.sha1(b"".join(parts)).hexdigest()
+
+
 def stable_hash_int(value: Any, bits: int = 64) -> int:
     """Return a non-negative integer hash with ``bits`` bits of entropy."""
     digest = stable_hash(value)
@@ -74,5 +134,7 @@ def _encode(value: Any, out: list[bytes]) -> None:
             out.append(key_digest.encode())
             _encode(item, out)
         out.append(b"}")
+    elif type(value) is Hole:
+        out.append(value)
     else:
         raise TypeError(f"stable_hash cannot hash values of type {type(value).__name__}")

@@ -14,10 +14,16 @@ Three contracts:
   — forces a recompile, and recovery starts cold.
 * **Shared safely.** Entries (failures included) are shared across
   threads; counters and the LRU bound hold under interleaving.
+* **Bound equals fresh.** A plan bound from its shape's template equals
+  a fresh compile of the same text in plan, digests, estimate, AST and
+  rows on both engines, over every SELECT of the engine, plan and
+  fingerprint corpora and agentbench's shapes with seeded literals; and
+  each kind of unliftable shape compiles in full.
 """
 
 from __future__ import annotations
 
+import os
 import random
 import sys
 import threading
@@ -35,10 +41,27 @@ from repro.errors import ParseError, PlanError, ReproError, TokenizeError
 from repro.plan import logical
 from repro.plan.compiled import StatementCache, compile_select, compiled_estimate
 from repro.plan.cost import estimate_cost
+from repro.plan.fingerprint import fingerprint_uncached
 from repro.semantic.embedding import cosine_similarity
 from repro.semantic.search import SemanticSearch
-from repro.shard import ShardedSystem, scatter
+from repro.shard import ShardedSystem
+from repro.sql.lexer import TokenType, tokenize
+from repro.sql.parser import _shape
 from repro.storage.table import Table
+from test_engine_columnar import CORPUS as COLUMNAR_CORPUS
+from test_engine_columnar import build_db as build_columnar_db
+from test_fingerprint_memo import CORPUS as FINGERPRINT_CORPUS
+from test_fingerprint_memo import build_db as build_fingerprint_db
+from test_plan import QUERY_CORPUS
+
+sys.path.insert(
+    0,
+    os.path.abspath(
+        os.path.join(os.path.dirname(__file__), os.pardir, "benchmarks", "agentbench")
+    ),
+)
+
+import workloads as agentbench  # noqa: E402
 
 JOIN = (
     "SELECT s.state, COUNT(*), SUM(x.amount) FROM sales x"
@@ -697,15 +720,6 @@ class TestReplica:
 
 
 class TestSecondTier:
-    def test_scatter_analysis_is_memoized_by_text(self):
-        db = build_db()
-        with ShardedSystem(db, shards=2, partition={"sales": "store_id"}) as tier:
-            for sql in (COUNT_SALES, JOIN, "SELEC 1", "DELETE FROM sales"):
-                first = tier._analyze(sql)
-                assert tier._analyze(sql) is first
-                assert first == scatter.analyze(sql, tier.router.partition)
-            assert tier._analyses.counters()[:2] == (4, 4)
-
     def test_related_tables_once_per_catalog_version(self):
         db = build_db()
         discovery = JoinDiscovery(db)
@@ -785,3 +799,233 @@ class TestObservability:
         with AgentFirstDataSystem(build_db(), workers=1) as system:
             probe = Probe(queries=(COUNT_SALES,), brief=Brief(trace=False))
             assert system.submit(probe).trace is None
+
+
+# -- plan templates: bound vs fresh ---------------------------------------------
+
+TEXT_POOL = ("CA", "WA", "it's", "", "coffee", "g1", "name-1%", "t3", "Zeta")
+
+
+def relit(sql: str, rng: random.Random) -> str:
+    """``sql`` with every lifted literal replaced by a seeded one of its
+    class: the same token shape, other constants."""
+    tokens = tokenize(sql)
+    _, lifted = _shape(tokens)
+    pieces: list[str] = []
+    cursor = 0
+    for index in lifted:
+        token = tokens[index]
+        if token.type is TokenType.STRING:
+            end = token.position + len(token.value) + token.value.count("'") + 2
+            value = rng.choice(TEXT_POOL).replace("'", "''")
+            new = f"'{value}'"
+        else:
+            end = token.position + len(token.value)
+            is_float = any(mark in token.value for mark in ".eE")
+            new = f"{rng.uniform(0, 80):.2f}" if is_float else str(rng.randrange(0, 60))
+        pieces.append(sql[cursor : token.position])
+        pieces.append(new)
+        cursor = end
+    pieces.append(sql[cursor:])
+    return "".join(pieces)
+
+
+def run_plan(engine, db: Database, plan) -> str:
+    """``repr`` of the rows, or of the error, one engine gives."""
+    try:
+        return repr(engine(db.catalog, ExecContext()).run(plan).rows)
+    except ReproError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def assert_binds_like_fresh(db: Database, texts, cache: StatementCache) -> None:
+    """Compile each text through ``cache`` and afresh; every derived value
+    must agree."""
+    for sql in texts:
+        bound = compile_select(sql, db.catalog, cache)
+        fresh = compile_select(sql, db.catalog, StatementCache(max_entries=0))
+        assert bound.statement == fresh.statement, sql
+        assert repr(bound.failure) == repr(fresh.failure), sql
+        if fresh.plan is None:
+            assert bound.plan is None, sql
+            continue
+        assert bound.plan == fresh.plan, sql
+        assert bound.plan.fingerprints() == fresh.plan.fingerprints(), sql
+        for strict in (False, True):
+            assert fingerprint_uncached(bound.plan, strict) == fingerprint_uncached(
+                fresh.plan, strict
+            ), sql
+        assert compiled_estimate(bound.plan, db.catalog) == compiled_estimate(
+            fresh.plan, db.catalog
+        ), sql
+        for engine in (Executor, ColumnarExecutor):
+            assert run_plan(engine, db, bound.plan) == run_plan(
+                engine, db, fresh.plan
+            ), sql
+
+
+def agentbench_db() -> Database:
+    """The tables agentbench's statement shapes read, small."""
+    db = Database("agentbench-shapes")
+    db.execute(
+        "CREATE TABLE sales (id INT, tenant TEXT, store_id INT, product_id INT,"
+        " qty INT, amount FLOAT, year INT)"
+    )
+    db.execute("CREATE TABLE stores (id INT, state TEXT, opened INT)")
+    db.execute("CREATE TABLE products (id INT, category TEXT)")
+    db.execute("CREATE TABLE big (id INT, amount FLOAT, qty INT, grp TEXT)")
+    db.insert_rows(
+        "sales",
+        [
+            (i, f"t{i % 8}", 1 + i % 5, i % 11, i % 10, float(i % 37) * 1.5, 2000 + i % 4)
+            for i in range(300)
+        ],
+    )
+    db.insert_rows("stores", [(i, ("CA", "WA", "TX")[i % 3], 2000 + i) for i in range(1, 6)])
+    db.insert_rows("products", [(i, ("tea", "coffee")[i % 2]) for i in range(11)])
+    db.insert_rows(
+        "big", [(i, float(i % 500) + 0.25, i % 9, f"g{i % 6}") for i in range(600)]
+    )
+    return db
+
+
+def agentbench_texts(rng: random.Random) -> list[str]:
+    """Every agentbench statement shape, with seeded literals as the
+    workloads draw them."""
+    texts = [agentbench.JOIN_SQL, agentbench.COUNT_SALES_SQL]
+    texts += [sql for sql in agentbench.EXPLORE_SQL if "information_schema" not in sql]
+    for _ in range(6):
+        texts += [t.format(lit=rng.randrange(1, 12)) for t in agentbench.FILTER_TEMPLATES]
+        for template, low, high in agentbench.SCAN_TEMPLATES:
+            texts.append(
+                template.format(
+                    f=f"{rng.randrange(low, high)}.{rng.randrange(10**7):07d}",
+                    n=1_000_000 + rng.randrange(10**6),
+                )
+            )
+        literals = dict(t=f"t{rng.randrange(8)}", j=rng.randrange(1, 10), n=rng.randrange(300))
+        texts += [t.format(**literals) for t in agentbench.PINNED_TEMPLATES]
+        texts.append(agentbench.SCATTER_TEMPLATE.format(**literals))
+    return texts
+
+
+class TestPlanTemplates:
+    @pytest.mark.parametrize(
+        "build,corpus",
+        [
+            (build_columnar_db, COLUMNAR_CORPUS),
+            (build_fingerprint_db, FINGERPRINT_CORPUS),
+            (None, QUERY_CORPUS),
+        ],
+        ids=["engine", "fingerprint", "plan"],
+    )
+    def test_corpus_binds_like_fresh(self, build, corpus, sales_db):
+        db = sales_db if build is None else build()
+        rng = random.Random(40)
+        cache = StatementCache()
+        texts = [text for sql in corpus for text in (sql, relit(sql, rng), relit(sql, rng))]
+        assert_binds_like_fresh(db, texts, cache)
+        assert cache.templates.template_counters()[0] > 0
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_agentbench_shapes_bind_like_fresh(self, seed):
+        db = agentbench_db()
+        cache = StatementCache()
+        assert_binds_like_fresh(db, agentbench_texts(random.Random(seed)), cache)
+        hits, misses, unliftable = cache.templates.template_counters()
+        assert hits > misses
+        assert unliftable == 0
+
+    @pytest.mark.parametrize(
+        "template,values",
+        [
+            ("SELECT id FROM sales WHERE {0} = {0} AND amount > {1}.5", (5, 8)),  # folded
+            ("SELECT id, amount FROM sales WHERE store_id = {0}", (2, 3)),  # hash index
+            ("SELECT id FROM sales WHERE amount > {0}.0", (20, 30)),  # sorted index
+            (
+                "SELECT s.city FROM sales x JOIN stores s ON x.store_id = s.id"
+                " WHERE x.amount > {0}.0",
+                (10, 20),
+            ),  # under an INNER join
+            ("SELECT id FROM sales WHERE amount > -{0}", (5, 7)),  # folded by the parser
+        ],
+        ids=["folded", "hash-index", "sorted-index", "inner-join", "negative"],
+    )
+    def test_unliftable_shapes_compile_in_full(self, template, values):
+        db = build_db()
+        db.catalog.create_hash_index("sales", "store_id")
+        db.catalog.create_sorted_index("sales", "amount")
+        cache = StatementCache()
+        texts = [template.format(value, value + 1) for value in values]
+        assert_binds_like_fresh(db, texts, cache)
+        assert cache.templates.template_counters() == (0, 1, 1)
+
+    def test_order_by_ordinal_binds_like_fresh(self):
+        db = build_db()
+        texts = [f"SELECT id, amount FROM sales WHERE id < {n} ORDER BY 2" for n in (9, 30, 17)]
+        assert_binds_like_fresh(db, texts, StatementCache())
+
+    def test_equal_literals_get_their_own_template(self):
+        """Texts of one shape whose literals coincide differently are
+        planned under different templates: the builder merges equal
+        aggregate calls."""
+        db = build_db()
+        cache = StatementCache()
+        template = "SELECT SUM(amount + {0}), SUM(amount + {1}) FROM sales"
+        texts = [template.format(*pair) for pair in ((2, 3), (4, 4), (5, 6), (7, 7))]
+        assert_binds_like_fresh(db, texts, cache)
+        assert cache.templates.template_counters()[1] == 2
+
+    def test_int_beyond_int64_takes_the_run_time_fallback(self):
+        from repro.engine.columnar import KERNEL_MEMO_STATS
+
+        db = build_db()
+        cache = StatementCache()
+        texts = [f"SELECT id FROM sales WHERE id < {n}" for n in (50, 2**63 + 5, 7)]
+        assert_binds_like_fresh(db, texts[:1], cache)
+        runs_before = KERNEL_MEMO_STATS.list_path_runs
+        assert_binds_like_fresh(db, texts[1:], cache)
+        assert KERNEL_MEMO_STATS.list_path_runs > runs_before
+        assert cache.templates.template_counters()[:2] == (2, 1)
+
+    def test_write_between_binds_returns_fresh_rows(self):
+        db = build_db()
+        template = "SELECT COUNT(*), SUM(amount) FROM sales WHERE store_id = {0}"
+        first = db.execute(template.format(1)).rows
+        db.execute("INSERT INTO sales VALUES (9001, 2, 'tea', 500.0)")
+        after = db.execute(template.format(2)).rows
+        assert after == uncached_db_after(
+            "INSERT INTO sales VALUES (9001, 2, 'tea', 500.0)"
+        ).execute(template.format(2)).rows
+        assert first != after
+        hits, misses, _ = db.statement_cache.templates.template_counters()
+        assert (hits, misses) == (0, 2)
+
+    def test_bound_plans_share_untouched_subtrees(self):
+        db = build_db()
+        template = "SELECT store_id, SUM(amount) FROM sales WHERE amount > {0}.5 GROUP BY store_id"
+        first = db.plan_select(template.format(3))
+        second = db.plan_select(template.format(4))
+        assert first != second
+        first_scans = [n for n in first.walk() if isinstance(n, logical.Scan)]
+        second_scans = [n for n in second.walk() if isinstance(n, logical.Scan)]
+        assert first_scans[0] is second_scans[0]
+        assert logical.ESTIMATE_MEMO_ATTR not in second.__dict__
+
+    def test_template_series_are_published_per_shard(self):
+        with AgentFirstDataSystem(build_db(), workers=1) as system:
+            for store in (2, 3, 4):
+                system.submit(
+                    Probe.sql(f"SELECT COUNT(*) FROM sales WHERE store_id = {store}")
+                )
+            system.submit(Probe.sql("SELECT COUNT(*) FROM sales WHERE amount > -1"))
+            system.submit(Probe.sql("SELECT COUNT(*) FROM sales WHERE amount > -2"))
+            snap = system.metrics()
+            assert [
+                snap.get(f"repro_plan_template_{name}_total")
+                for name in ("hits", "misses", "unliftable")
+            ] == [2, 2, 1]
+        with ShardedSystem(build_db(), shards=2, partition={"sales": "store_id"}) as tier:
+            tier.submit(Probe.sql("SELECT COUNT(*) FROM sales WHERE store_id = 1"))
+            series = tier.metrics().as_dict()["repro_plan_template_misses_total"]["series"]
+            assert sorted(entry["labels"]["shard"] for entry in series) == ["0", "1"]

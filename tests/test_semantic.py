@@ -92,6 +92,31 @@ class TestEmbedder:
                 == reference_embedding(embedder, fresh).tobytes()
             )
 
+    @pytest.mark.parametrize("bound", [65_536, 4])
+    def test_per_word_totals_match_the_per_feature_loop(self, monkeypatch, bound):
+        """Summing memoized per-word totals gives the bytes of adding every
+        feature in order: plurals, 1-2 letter words, digit runs, repeated
+        words and empty text, with the word memo evicting or not."""
+        monkeypatch.setattr(embedding_module, "MAX_CACHED_SLOTS", bound)
+        embedder = HashedEmbedder()
+        texts = [
+            "",
+            "a I x of is",
+            "stores store glasses boxes cities ss s",
+            "tenant t7 qty 1234567 0 00 42 4711x",
+            "sales sales sales SALES",
+            "SELECT COUNT(*), SUM(amount) FROM sales WHERE tenant = 't3'"
+            " AND qty >= 7 AND id <> 104233",
+        ]
+        for _ in range(2):
+            for text in texts:
+                assert (
+                    embedder.embed(text + " ").tobytes()
+                    == reference_embedding(embedder, text).tobytes()
+                )
+            embedder._cache.clear()
+        assert len(embedder._words) <= bound
+
     def test_text_first_seen_after_cache_is_full_is_memoized(self):
         embedder = HashedEmbedder()
         filler = np.zeros(embedder.dims)

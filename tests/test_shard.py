@@ -15,6 +15,7 @@ Three contracts pinned here:
 
 from __future__ import annotations
 
+import random
 import threading
 
 import pytest
@@ -33,6 +34,8 @@ from repro.shard import (
     resolve_shard_count,
     sharded_serving_system,
 )
+from repro.shard import scatter
+from repro.shard.system import _build_shard_db
 from repro.workloads.multibackend import build_cross_backend_tasks
 from test_scheduler import assert_same_outcomes, build_db, overlapping_probes
 
@@ -578,3 +581,122 @@ class TestFederatedCohortSharding:
         )
         assert not isinstance(system, ShardedSystem)
         assert len(outcomes) == 3
+
+
+# -- shape-memoized routing -----------------------------------------------------
+
+#: Router shapes: tenant-pinned and cross-tenant aggregates, IN-list pins,
+#: plain scans, declined shapes, DML, and unliftable ones (a literal in a
+#: select item or GROUP BY, ``-n``, text the parser rejects).
+ROUTE_SHAPES = [
+    "SELECT COUNT(*), SUM(amount) FROM sales WHERE tenant = '{t}' AND qty >= {j}",
+    "SELECT qty, COUNT(*) FROM sales WHERE tenant = '{t}' AND qty <> {n} GROUP BY qty",
+    "SELECT MIN(amount), MAX(amount), AVG(qty) FROM sales WHERE qty >= {j}",
+    "SELECT COUNT(*) FROM sales WHERE tenant IN ('{t}', '{u}') AND amount > {f}",
+    "SELECT tenant, qty FROM sales WHERE '{t}' = tenant AND qty < {j}",
+    "SELECT qty FROM sales WHERE tenant = '{t}' ORDER BY qty LIMIT 3",
+    "SELECT COUNT(*) FROM sales WHERE tenant = '{t}' OR qty = {j}",
+    "SELECT qty + {j}, COUNT(*) FROM sales GROUP BY qty + {j}",
+    "SELECT qty + {j}, COUNT(*) FROM sales GROUP BY qty + {n}",
+    "SELECT COUNT(*) FROM sales WHERE amount > -{f}",
+    "SELECT name FROM regions WHERE id = {j}",
+    "SELECT COUNT(*) FROM sales x JOIN regions r ON x.qty = r.id WHERE x.tenant = '{t}'",
+    "DELETE FROM sales WHERE tenant = '{t}'",
+    "SELEC {j}",
+]
+
+
+def route_texts(rng: random.Random, rounds: int = 4) -> list[str]:
+    texts = []
+    for _ in range(rounds):
+        for shape in ROUTE_SHAPES:
+            texts.append(
+                shape.format(
+                    t=rng.choice(TENANTS),
+                    u=rng.choice(TENANTS),
+                    j=rng.randrange(1, 9),
+                    n=rng.randrange(100, 999),
+                    f=f"{rng.uniform(0, 25):.2f}",
+                )
+            )
+    return texts
+
+
+class TestShapeRouting:
+    @pytest.mark.parametrize("seed", [3, 4])
+    def test_bound_analysis_equals_a_full_one(self, seed):
+        """Every analysis bound from a shape's memo equals the full
+        analysis of its own text, partial SQL included."""
+        hits_before, _, unliftable_before = scatter._ROUTES.template_counters()
+        for sql in route_texts(random.Random(seed)):
+            bound = scatter.analyze(sql, PARTITION)
+            fresh = scatter._analyze_text(sql, PARTITION)
+            assert bound == fresh, sql
+            if fresh.plan is not None:
+                assert bound.plan.partial_sql == fresh.plan.partial_sql, sql
+        hits, _, unliftable = scatter._ROUTES.template_counters()
+        assert hits - hits_before >= 3 * 9
+        assert unliftable - unliftable_before >= 3 * 4
+
+    def test_routes_match_full_analyses(self, merge_pair):
+        """The tier routes each probe as the full analysis of its text
+        would: same owner shard, same scatter partials, same warning."""
+        _, tier = merge_pair
+        for sql in route_texts(random.Random(5), rounds=2):
+            probe = Probe.sql(sql)
+            route = tier._route_probe(probe)
+            fresh = scatter._analyze_text(sql, tier.router.partition)
+            if route.scatter_plans is not None:
+                assert [p.partial_sql for p in route.scatter_plans] == [
+                    fresh.plan.partial_sql
+                ], sql
+            elif fresh.pinned_values:
+                owners = {tier.router.owner_of_value(v) for v in fresh.pinned_values}
+                if len(owners) == 1:
+                    assert route.shard_id == owners.pop(), sql
+
+    def test_analysis_memo_is_keyed_by_shape_and_partition_map(self):
+        sql = "SELECT COUNT(*) FROM sales WHERE tenant = '{0}'"
+        first = scatter.analyze(sql.format("t1"), PARTITION)
+        assert first.pinned_values == ("t1",)
+        assert scatter.analyze(sql.format("t2"), PARTITION).pinned_values == ("t2",)
+        other = scatter.analyze(sql.format("t2"), {"sales": "qty"})
+        assert other.pinned_values == ()
+        assert scatter.analyze("SELECT COUNT(*) FROM sales", PARTITION) is scatter.analyze(
+            "SELECT COUNT(*) FROM sales", PARTITION
+        )
+
+
+class TestShardBuildRouting:
+    def test_owner_memo_places_rows_as_per_row_routing(self):
+        """Partition values that compare equal but hash apart (``0.0`` and
+        ``-0.0``; ``1`` and ``1.0`` and ``True`` across tables) land where
+        routing each row on its own puts them."""
+        db = Database("mixed")
+        db.execute("CREATE TABLE f (k FLOAT, v INT)")
+        db.execute("CREATE TABLE i (k INT, v INT)")
+        db.execute("CREATE TABLE b (k BOOLEAN, v INT)")
+        floats = [0.0, -0.0, 1.0, 2.5, None, -0.0, 1e300, 0.0]
+        db.insert_rows("f", [(value, n) for n, value in enumerate(floats * 3)])
+        db.insert_rows("i", [(value, n) for n, value in enumerate([0, 1, 2, None, 1] * 3)])
+        db.insert_rows("b", [(value, n) for n, value in enumerate([True, False, None] * 3)])
+        partition = {"f": "k", "i": "k", "b": "k"}
+        tier = ShardedSystem(db, shards=4, partition=partition)
+        try:
+            snapshot = db.catalog.snapshot()
+            placed = 0
+            for handle in tier.shards:
+                rebuilt = _build_shard_db("mixed", snapshot, handle.shard_id, tier.router)
+                for table in partition:
+                    expected = [
+                        row
+                        for row in db.catalog.table(table).scan()
+                        if tier.router.owner_of_value(row[0]) == handle.shard_id
+                    ]
+                    got = list(handle.db.catalog.table(table).scan())
+                    assert repr(got) == repr(expected)
+                    assert repr(list(rebuilt.catalog.table(table).scan())) == repr(expected)
+                    placed += len(got)
+            assert placed == len(floats) * 3 + 15 + 9
+        finally:
+            tier.close()
