@@ -247,10 +247,14 @@ def main() -> None:
         print(f"advice [{flag}]: seen {suggestion.count}x: {suggestion.description}")
     maintained.close()
 
-    # 9. What the system has learned along the way.
+    # 9. What the system has learned along the way. Executed results are
+    #    remembered once per statement shape (the text with ``?`` for its
+    #    literals); the latest binding and its row count ride in content.
     print("\n== agentic memory ==")
     for artifact in system.memory.artifacts_about("stores"):
         print(artifact.describe())
+        if "sql" in artifact.content:
+            print(f"    latest: {artifact.content['sql']} -> {artifact.content['rows']} rows")
 
     # 10. Durability and read replicas: pass a wal_dir (or set REPRO_WAL=1)
     #     and every catalog write appends to an on-disk write-ahead log

@@ -155,6 +155,7 @@ from repro.obs.metrics import MetricsRegistry, MetricsSnapshot
 from repro.obs.slowlog import SlowProbeEntry, SlowProbeLog, resolve_slow_probe_ms
 from repro.qos import QosConfig, QosController, resolve_qos_enabled
 from repro.plan import logical
+from repro.plan.compiled import statement_shape
 from repro.semantic.search import SemanticSearch
 from repro.sql.parser import template_counters
 from repro.util.hashing import stable_hash_int
@@ -632,9 +633,16 @@ class AgentFirstDataSystem:
                 response.rows_processed += outcome.result.stats.rows_processed
                 response.cache_hits += outcome.result.stats.cache_hits
 
+        # Steering and memory both read which tables each query scans:
+        # one walk of each plan per probe serves both.
+        query_tables: list[list[str]] = []
+        tables: list[str] = []
+        if self.config.enable_steering or self.config.enable_memory:
+            query_tables = [_plan_tables(query.plan) for query in interpreted.queries]
+            tables = list(dict.fromkeys(t for found in query_tables for t in found))
         if self.config.enable_steering:
             response.steering = self._steer(
-                probe, interpreted, response, batch_hints=scheduled.hints
+                probe, interpreted, response, tables, batch_hints=scheduled.hints
             )
         # QoS degradation notices attach unconditionally — even on
         # steering-off systems (e.g. shared_serving_system): an agent must
@@ -642,7 +650,7 @@ class AgentFirstDataSystem:
         if scheduled.qos_notes:
             response.steering.extend(scheduled.qos_notes)
         if self.config.enable_memory:
-            self._remember(probe, interpreted, response)
+            self._remember(probe, interpreted, response, tables, query_tables)
         return response
 
     # -- steering ---------------------------------------------------------------------
@@ -652,6 +660,7 @@ class AgentFirstDataSystem:
         probe: Probe,
         interpreted: InterpretedProbe,
         response: ProbeResponse,
+        tables: list[str],
         batch_hints: list[str] | None = None,
     ) -> list[str]:
         feedback: list[str] = []
@@ -691,7 +700,7 @@ class AgentFirstDataSystem:
 
         # Related tables during exploration.
         if interpreted.phase is Phase.METADATA_EXPLORATION:
-            for table in self._tables_touched(interpreted)[:2]:
+            for table in tables[:2]:
                 for suggestion in self.join_discovery.related_tables(table, limit=2):
                     feedback.append(f"related table: {suggestion.message()}")
 
@@ -708,9 +717,7 @@ class AgentFirstDataSystem:
         # Batching hints from the sequential-probe pattern detector.
         feedback.extend(
             self.cost_advisor.observe_probe(
-                probe.agent_id,
-                self._tables_touched(interpreted),
-                len(interpreted.executable()),
+                probe.agent_id, tables, len(interpreted.executable())
             )
         )
 
@@ -735,6 +742,8 @@ class AgentFirstDataSystem:
         probe: Probe,
         interpreted: InterpretedProbe,
         response: ProbeResponse,
+        tables: list[str],
+        query_tables: list[list[str]],
     ) -> None:
         # Join hints discovered by steering become durable grounding.
         for hint in response.steering:
@@ -750,55 +759,51 @@ class AgentFirstDataSystem:
                     data_sensitive=False,
                     turn=response.turn,
                 )
-            if hint.startswith("empty result explained: "):
-                detail = hint.removeprefix("empty result explained: ")
-                tables = self._tables_touched(interpreted)
-                if tables:
-                    self.memory.remember(
-                        ArtifactKind.COLUMN_ENCODING,
-                        (tables[0],),
-                        detail,
-                        principal=probe.principal,
-                        shared=True,
-                        data_sensitive=True,
-                        turn=response.turn,
-                    )
-        # Exact solution-phase results are reusable partial solutions.
-        if interpreted.phase is not Phase.METADATA_EXPLORATION:
-            for outcome in response.outcomes:
-                if outcome.status == "ok" and outcome.result is not None:
-                    tables = self._tables_touched(interpreted)
-                    if not tables:
-                        continue
-                    self.memory.remember(
-                        ArtifactKind.PROBE_RESULT,
-                        # Keyed by a process-stable digest: python's builtin
-                        # ``hash`` is salted per run (PYTHONHASHSEED) and
-                        # would scatter keys across processes.
-                        (
-                            tables[0],
-                            f"turn{response.turn}q{stable_hash_int(outcome.sql, 16):04x}",
-                        ),
-                        f"{probe.brief.goal or 'query'}: {outcome.sql}"
-                        f" -> {outcome.result.row_count} rows",
-                        principal=probe.principal,
-                        shared=True,
-                        depends_on=tuple(tables),
-                        turn=response.turn,
-                    )
+            if hint.startswith("empty result explained: ") and tables:
+                self.memory.remember(
+                    ArtifactKind.COLUMN_ENCODING,
+                    (tables[0],),
+                    hint.removeprefix("empty result explained: "),
+                    principal=probe.principal,
+                    shared=True,
+                    data_sensitive=True,
+                    turn=response.turn,
+                )
+        # Exact solution-phase results are reusable partial solutions. One
+        # artifact stands per (first table, statement shape, principal):
+        # the text names the goal and the shape with ``?`` for its
+        # literals, the content the latest binding (SQL, literals, rows).
+        # A new binding of a known shape under the same goal has the same
+        # text, so the store refreshes that artifact in place and the
+        # vector index (and its recall memo) stays as it is. An
+        # unliftable shape is named by its full text.
+        if interpreted.phase is Phase.METADATA_EXPLORATION:
+            return
+        for outcome in response.outcomes:
+            if outcome.status != "ok" or outcome.result is None:
+                continue
+            scanned = query_tables[outcome.query_index]
+            if not scanned:
+                continue
+            plan = interpreted.queries[outcome.query_index].plan
+            shape, literals = statement_shape(plan) or (outcome.sql, ())
+            self.memory.remember(
+                ArtifactKind.PROBE_RESULT,
+                # A process-stable digest: python's builtin ``hash`` is
+                # salted per run (PYTHONHASHSEED) and would scatter keys
+                # across processes.
+                (scanned[0], f"q{stable_hash_int(shape):016x}"),
+                f"{probe.brief.goal or 'query'}: {shape}",
+                principal=probe.principal,
+                shared=True,
+                depends_on=tuple(scanned),
+                turn=response.turn,
+                sql=outcome.sql,
+                literals=literals,
+                rows=outcome.result.row_count,
+            )
 
     # -- plumbing ---------------------------------------------------------------------------
-
-    def _tables_touched(self, interpreted: InterpretedProbe) -> list[str]:
-        tables: list[str] = []
-        for query in interpreted.queries:
-            if query.plan is None:
-                continue
-            for node in query.plan.walk():
-                if isinstance(node, (logical.Scan, logical.IndexScan)):
-                    if node.table not in tables:
-                        tables.append(node.table)
-        return tables
 
     def _on_change(self, event: ChangeEvent) -> None:
         if event.kind in ("insert", "update", "delete", "create", "drop"):
@@ -931,6 +936,17 @@ def shared_serving_system(db: Database) -> AgentFirstDataSystem:
         )
         db._serving_system = system
     return system
+
+
+def _plan_tables(plan: logical.PlanNode | None) -> list[str]:
+    """The tables ``plan`` scans, in walk order."""
+    tables: list[str] = []
+    if plan is not None:
+        for node in plan.walk():
+            if isinstance(node, (logical.Scan, logical.IndexScan)):
+                if node.table not in tables:
+                    tables.append(node.table)
+    return tables
 
 
 def _dedupe(items: list[str]) -> list[str]:

@@ -5,7 +5,12 @@ A hybrid store over grounding artifacts:
 * **semantic lookup** — a vector index over artifact texts answers
   open-ended "what do we know that is like X?" probes;
 * **structured lookup** — exact retrieval by kind and subject
-  ``(table[, column])`` serves targeted probes;
+  ``(table[, column])`` serves targeted probes. One artifact stands per
+  (kind, subject, principal): a put supersedes the previous one, and a put
+  with the same text refreshes it in place without touching the vector
+  index. The serving system keys an executed statement's result by its
+  table and statement *shape* (the text with ``?`` for its literals), so
+  the store grows with the shapes a swarm runs, not with its probes;
 * **staleness** — subscribes to database change events and applies an
   :class:`~repro.memstore.staleness.StalenessPolicy`; artifacts are
   indexed by the tables they depend on, so an event visits only its
@@ -60,12 +65,31 @@ class AgenticMemoryStore:
     # -- writes -----------------------------------------------------------------
 
     def put(self, artifact: Artifact) -> int:
-        """Store an artifact; returns its id. Replaces an existing artifact
-        with the same (kind, subject, principal), superseding old knowledge."""
+        """Store an artifact; returns the id it is stored under.
+
+        An existing artifact with the same (kind, subject, principal) is
+        superseded. When its text is the one ``artifact`` brings, it is
+        refreshed in place instead: it keeps its id, its ``hits`` and its
+        vector row, and takes ``artifact``'s content, turn, dependencies,
+        sharing and staleness. The vector index, and with it the recall
+        memo, is then left alone: re-remembering a known fact costs no
+        embedding and no rescoring of later recalls. A changed text
+        replaces the old artifact with ``artifact``, whose row goes last.
+        """
         existing = self._find_exact(
             artifact.kind, artifact.subject_key(), artifact.principal
         )
         if existing is not None:
+            if existing.text == artifact.text:
+                self._unindex_dependencies(existing)
+                existing.content = artifact.content
+                existing.created_turn = artifact.created_turn
+                existing.depends_on = artifact.depends_on
+                existing.data_sensitive = artifact.data_sensitive
+                existing.shared = artifact.shared
+                existing.stale = artifact.stale
+                self._index_dependencies(existing)
+                return existing.artifact_id
             self._remove(existing.artifact_id)
         self._artifacts[artifact.artifact_id] = artifact
         self._by_subject[(artifact.kind, artifact.subject_key())].append(

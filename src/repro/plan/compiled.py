@@ -45,6 +45,12 @@ text that compiles to a plan, or fails trying, is cached: DML and DDL
 pass through (the write they perform would flush the entry before anyone
 could hit it).
 
+Every plan :func:`compile_select` hands out carries its statement shape
+(:func:`statement_shape`, memoized on the root before the plan is
+cached): the parse template's text with ``?`` placeholders and this
+text's values, or the text itself when the parser cannot lift its shape.
+The memory store keys a statement's remembered results by it.
+
 The caches are derived state: never journaled, never snapshotted, cold
 after recovery. Cached and template plans are shared across probes and
 threads, and pickle with their memos stripped; nothing may mutate them
@@ -151,12 +157,13 @@ def _compile_select(
     if compiled is not None:
         return compiled, True
     try:
-        statement, key, values, literals = parse_shaped(sql)
+        shaped = parse_shaped(sql)
     except ReproError as exc:
         compiled = CompiledStatement(
             version=catalog.version(), statement=None, failure=exc.with_traceback(None)
         )
     else:
+        statement = shaped.statement
         if not isinstance(statement, nodes.Select):
             cache.discount_miss()
             failure = PlanError("plan_select requires a SELECT statement")
@@ -166,8 +173,11 @@ def _compile_select(
             compiled = compile_statement(statement, catalog)
         else:
             compiled = _compile_shaped(
-                statement, key, values, literals, catalog, templates
+                statement, shaped.key, shaped.values, shaped.literals, catalog, templates
             )
+        if compiled.plan is not None:
+            shape = (sql, ()) if shaped.text is None else (shaped.text, tuple(shaped.values))
+            object.__setattr__(compiled.plan, logical.SHAPE_MEMO_ATTR, shape)
     # A write racing the compile leaves the plan describing neither the
     # old nor the new catalog for certain: serve it once, never cache it.
     if catalog.version() == compiled.version:
@@ -330,6 +340,15 @@ def _fill_holes(node, slots: dict):
     its slot, for canonicalising only: child plan nodes stay shared, and
     the copied digest memo is never read."""
     return rebuild(node, slots, lambda slot: nodes.Literal(Hole(slot)))
+
+
+def statement_shape(plan: logical.PlanNode) -> tuple[str, tuple] | None:
+    """The statement shape a plan from :func:`compile_select` was compiled
+    for: its parse template's text with ``?`` placeholders and the values
+    this text binds to them, or ``(text, ())`` for a shape the parser
+    cannot lift. Set before the plan is cached, so exact-text hits carry
+    it; ``None`` for a plan built any other way (or unpickled)."""
+    return plan.__dict__.get(logical.SHAPE_MEMO_ATTR)
 
 
 def compiled_estimate(plan: logical.PlanNode, catalog: Catalog) -> CostEstimate:

@@ -33,13 +33,16 @@ class OutputCol:
 
 #: Attribute names under which derived values are memoized on a node:
 #: per-node digests (:func:`repro.plan.fingerprint.fingerprints`), the
-#: root's cost estimate (:func:`repro.plan.compiled.compiled_estimate`)
-#: and the columnar kernel key with the node's run-time literal values
-#: (:mod:`repro.engine.columnar`). All are set with ``object.__setattr__``
-#: (the nodes are frozen dataclasses) and stripped from the pickled state.
+#: root's cost estimate (:func:`repro.plan.compiled.compiled_estimate`),
+#: the columnar kernel key with the node's run-time literal values
+#: (:mod:`repro.engine.columnar`) and the root's statement shape
+#: (:func:`repro.plan.compiled.statement_shape`). All are set with
+#: ``object.__setattr__`` (the nodes are frozen dataclasses) and stripped
+#: from the pickled state.
 FINGERPRINT_MEMO_ATTR = "_fingerprint_memo"
 ESTIMATE_MEMO_ATTR = "_estimate_memo"
 KERNEL_MEMO_ATTR = "_kernel_memo"
+SHAPE_MEMO_ATTR = "_shape_memo"
 
 
 class PlanNode:
@@ -54,7 +57,9 @@ class PlanNode:
     # the pickled state: pickles stay small and receivers re-memoize lazily.
     # The cost-estimate memo of :func:`repro.plan.compiled.compiled_estimate`
     # goes the same way (it describes the sender's catalog, not the
-    # receiver's), as does the columnar kernel key.
+    # receiver's), as does the columnar kernel key. The shape memo is
+    # stripped too, so the pickled bytes do not depend on how a plan was
+    # compiled; a receiver's plan has no shape until it compiles its own.
     # Frozen dataclass subclasses unpickle fine through ``__setstate__``'s
     # direct ``__dict__`` update — it bypasses the frozen ``__setattr__``.
 
@@ -63,6 +68,7 @@ class PlanNode:
         state.pop(FINGERPRINT_MEMO_ATTR, None)
         state.pop(ESTIMATE_MEMO_ATTR, None)
         state.pop(KERNEL_MEMO_ATTR, None)
+        state.pop(SHAPE_MEMO_ATTR, None)
         return state
 
     def __setstate__(self, state: dict) -> None:

@@ -157,7 +157,7 @@ class _RouteTemplate:
         cls, sql: str, partitioned: dict[str, str]
     ) -> tuple["_RouteTemplate", ScatterAnalysis]:
         try:
-            statement, _, _, literals = parse_shaped(sql)
+            statement, _, _, literals, _ = parse_shaped(sql)
         except Exception:
             # Unparseable SQL fails identically on any shard; serve it home.
             return cls(None), ScatterAnalysis(plan=None)

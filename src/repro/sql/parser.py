@@ -36,6 +36,10 @@ every time. Parsing reads no catalog, so the templates carry a constant
 stamp: they survive writes, and one process-wide cache serves every
 database, every shard and the shard router. :func:`template_counters`
 reports its hits, misses and unliftable full parses.
+
+A SELECT template also renders its shape once, as canonical SQL with
+``?`` for each lifted literal (``... WHERE (amount < ?)``): the name the
+agentic memory store keys a statement's remembered results by.
 """
 
 from __future__ import annotations
@@ -573,14 +577,17 @@ def parse_statement(sql: str) -> nodes.AnyStatement:
 
 class Shaped(NamedTuple):
     """A parsed statement with what a shape-keyed cache above the parser
-    needs: the token-shape key, the lifted values in token order, and the
-    ``Literal`` node each lifted value became in ``statement``. ``values``
-    and ``literals`` are ``None`` when the shape is unliftable."""
+    needs: the token-shape key, the lifted values in token order, the
+    ``Literal`` node each lifted value became in ``statement``, and (for a
+    SELECT) the shape rendered with ``?`` placeholders, shared by every
+    text of the shape. ``values``, ``literals`` and ``text`` are ``None``
+    when the shape is unliftable."""
 
     statement: nodes.AnyStatement
     key: tuple
     values: list | None
     literals: list | None
+    text: str | None = None
 
 
 def parse_shaped(sql: str) -> Shaped:
@@ -600,6 +607,7 @@ def parse_shaped(sql: str) -> Shaped:
             key,
             [literal.value for literal in template.literals],
             template.literals,
+            template.text,
         )
     if template.slots is None:
         _TEMPLATES.note_unliftable()
@@ -616,7 +624,7 @@ def parse_shaped(sql: str) -> Shaped:
         return literal
 
     statement = rebuild(template.statement, template.slots, leaf)
-    return Shaped(statement, key, values, literals)
+    return Shaped(statement, key, values, literals, template.text)
 
 
 def token_shape(sql: str) -> tuple[tuple, list | None]:
@@ -728,6 +736,8 @@ class _Template:
     slots: dict | None
     #: The template's own ``Literal`` per slot (``None`` when unliftable).
     literals: list | None = None
+    #: A SELECT's canonical SQL with ``?`` per slot (else ``None``).
+    text: str | None = None
 
     @classmethod
     def record(
@@ -742,7 +752,21 @@ class _Template:
         slots = literal_slots(statement, slot_literals)
         if sorted(slot_leaves(slots)) != list(range(len(lifted))):
             return cls(statement, None)
-        return cls(statement, slots, slot_literals)
+        text = None
+        if isinstance(statement, nodes.Select):
+            text = rebuild(statement, slots, lambda slot: _PLACEHOLDER).sql()
+        return cls(statement, slots, slot_literals, text)
+
+
+@dataclasses.dataclass(frozen=True)
+class _Placeholder(nodes.Expr):
+    """Renders a lifted literal's place in a shape's text."""
+
+    def sql(self) -> str:
+        return "?"
+
+
+_PLACEHOLDER = _Placeholder()
 
 
 def _find_literals(node, slot_of: dict[int, int], path: tuple, out: list) -> None:

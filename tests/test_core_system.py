@@ -14,7 +14,7 @@ from repro.core.brief import Phase
 from repro.core.probe import ProbeResponse, QueryOutcome
 from repro.core.steering import JoinDiscovery, WhyNotDiagnoser
 from repro.db import Database
-from repro.memstore import ArtifactKind
+from repro.memstore import ArtifactKind, StalenessPolicy
 from repro.util.hashing import stable_hash_int
 
 
@@ -333,15 +333,19 @@ class TestMemoryIntegration:
         assert "dollars" in response.memory_hits[0][0].text
 
     def test_probe_result_key_uses_stable_digest(self, system):
-        sql = "SELECT COUNT(*) FROM sales"
-        response = system.submit(Probe.sql(sql, goal="compute the exact answer"))
-        keys = [
-            artifact.subject
-            for artifact in system.memory._artifacts.values()
-            if artifact.kind is ArtifactKind.PROBE_RESULT
-        ]
-        expected = ("sales", f"turn{response.turn}q{stable_hash_int(sql, 16):04x}")
-        assert expected in keys
+        """A result is keyed by its first table and a 64-bit digest of its
+        statement shape: the text with ``?`` for each literal."""
+        response = system.submit(
+            Probe.sql(
+                "SELECT COUNT(*) FROM sales WHERE amount > 50",
+                goal="compute the exact answer",
+            )
+        )
+        shape = "SELECT COUNT(*) FROM sales WHERE (amount > ?)"
+        (artifact,) = probe_results(system)
+        assert artifact.subject == ("sales", f"q{stable_hash_int(shape):016x}")
+        assert artifact.text == f"compute the exact answer: {shape}"
+        assert artifact.created_turn == response.turn
 
     def test_probe_result_keys_reproducible_across_processes(self):
         """Python string ``hash`` is salted per process; the memory keys
@@ -355,7 +359,7 @@ class TestMemoryIntegration:
             "db.execute('CREATE TABLE t (id INT, v FLOAT)')\n"
             "db.execute('INSERT INTO t VALUES (1, 2.0), (2, 3.5)')\n"
             "system = AgentFirstDataSystem(db)\n"
-            "system.submit(Probe.sql('SELECT COUNT(*) FROM t',"
+            "system.submit(Probe.sql('SELECT COUNT(*) FROM t WHERE v > 1.5',"
             " goal='compute the exact answer'))\n"
             "print(sorted(a.subject for a in system.memory._artifacts.values()"
             " if a.kind is ArtifactKind.PROBE_RESULT))\n"
@@ -380,7 +384,116 @@ class TestMemoryIntegration:
             )
             outputs.append(completed.stdout.strip())
         assert outputs[0] == outputs[1]
-        assert "turn1q" in outputs[0]
+        digest = stable_hash_int("SELECT COUNT(*) FROM t WHERE (v > ?)")
+        assert outputs[0].splitlines()[0] == str([("t", f"q{digest:016x}")])
+
+
+def probe_results(system) -> list:
+    return [
+        artifact
+        for artifact in system.memory._artifacts.values()
+        if artifact.kind is ArtifactKind.PROBE_RESULT
+    ]
+
+
+#: Statement shapes over ``system_db``; ``{v}`` takes a literal unique to
+#: each probe.
+MEMORY_SHAPES = (
+    "SELECT COUNT(*) FROM sales WHERE amount > {v}",
+    "SELECT product FROM sales WHERE amount < {v} ORDER BY id",
+    "SELECT city FROM stores WHERE id < {v} + 2",
+    "SELECT COUNT(*) FROM sales s JOIN stores t ON s.store_id = t.id"
+    " WHERE s.amount > {v}",
+)
+SOLVE = Brief(goal="compute the exact answer", phase=Phase.SOLUTION_FORMULATION)
+
+
+def shape_probe(shape: int, sequence: int, principal: str = "public") -> Probe:
+    literal = f"{sequence % 7}.{sequence:05d}"
+    return Probe(
+        queries=(MEMORY_SHAPES[shape].format(v=literal),),
+        brief=SOLVE,
+        agent_id=f"a{sequence % 3}",
+        principal=principal,
+    )
+
+
+class TestShapeBoundedMemory:
+    """One ``PROBE_RESULT`` per (table, statement shape, principal): a new
+    binding of a known shape refreshes that artifact in place."""
+
+    def test_store_grows_with_shapes_not_probes(self, system):
+        principals = ("alice", "bob")
+        probes = [
+            shape_probe(n % len(MEMORY_SHAPES), n, principals[n // 4 % 2])
+            for n in range(60)
+        ]
+        for start in range(0, len(probes), 8):
+            responses = system.submit_many(probes[start : start + 8])
+            assert all(r.outcomes[0].status == "ok" for r in responses)
+        results = probe_results(system)
+        tables = {"sales", "stores"}
+        assert len(results) <= len(MEMORY_SHAPES) * len(tables) * len(principals)
+        assert len(results) == len(MEMORY_SHAPES) * len(principals)
+        assert {a.subject[0] for a in results} == tables
+
+    def test_second_binding_refreshes_in_place(self, system):
+        system.submit(shape_probe(0, 1))
+        (first,) = probe_results(system)
+        rows = len(system.memory._vectors)
+        system.submit(shape_probe(0, 2))
+        hits, misses = system.memory.recall_memo_counters()
+        response = system.submit(shape_probe(0, 3))
+        assert system.memory.recall_memo_counters() == (hits + 1, misses)
+        assert len(system.memory._vectors) == rows
+        (artifact,) = probe_results(system)
+        assert artifact is first and artifact.created_turn == response.turn
+        assert artifact.content == {
+            "sql": "SELECT COUNT(*) FROM sales WHERE amount > 3.00003",
+            "literals": (3.00003,),
+            "rows": 1,
+        }
+
+    def test_colliding_16_bit_digests_keep_both_shapes(self, system):
+        """Two shapes over one table whose 16-bit digests collide, in one
+        probe (one turn): both results survive."""
+        seen: dict[int, str] = {}
+        for limit in range(1, 5000):
+            sql = f"SELECT id FROM sales LIMIT {limit}"
+            other = seen.setdefault(stable_hash_int(sql, 16), sql)
+            if other != sql:
+                break
+        assert stable_hash_int(other, 16) == stable_hash_int(sql, 16)
+        response = system.submit(Probe(queries=(other, sql), brief=SOLVE))
+        assert [o.status for o in response.outcomes] == ["ok", "ok"]
+        assert sorted(a.content["sql"] for a in probe_results(system)) == sorted(
+            [other, sql]
+        )
+
+    @pytest.mark.parametrize("policy", list(StalenessPolicy))
+    def test_staleness_round_trip(self, system, policy):
+        """An INSERT makes the shape's artifact stale (LAZY) or removes it
+        (EAGER); the next execution of the shape makes it fresh again
+        (LAZY: the same artifact) or adds it anew (EAGER)."""
+        system.memory.policy = policy
+        goal = SOLVE.goal
+        system.submit(shape_probe(0, 1))
+        (before,) = probe_results(system)
+        assert [a for a, _ in system.memory.search(goal, include_stale=False)] == [
+            before
+        ]
+        system.db.execute("INSERT INTO sales VALUES (5, 2, 'tea', 10.0)")
+        assert system.memory.search(goal, include_stale=False) == []
+        stale = probe_results(system)
+        assert stale == ([before] if policy is StalenessPolicy.LAZY else [])
+        assert all(artifact.stale for artifact in stale)
+        system.submit(shape_probe(0, 2))
+        (after,) = probe_results(system)
+        assert not after.stale
+        assert (after is before) == (policy is StalenessPolicy.LAZY)
+        assert [a for a, _ in system.memory.search(goal, include_stale=False)] == [
+            after
+        ]
 
 
 class TestResponseDescribe:

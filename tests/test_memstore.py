@@ -56,6 +56,33 @@ class TestBasicStore:
         found = store.lookup(ArtifactKind.COLUMN_ENCODING, ("sales",))
         assert [a.text for a in found] == ["new fact"]
 
+    def test_put_with_equal_text_refreshes_in_place(self):
+        """Same kind, subject, principal and text: the stored artifact
+        keeps its id, hits and vector row, takes the new content and turn,
+        turns fresh, and the recall memo survives."""
+        db = Database()
+        db.execute("CREATE TABLE sales (id INT, state TEXT)")
+        store = AgenticMemoryStore(policy=StalenessPolicy.LAZY)
+        store.attach(db)
+        first_id = store.put(note(content={"rows": 1}, created_turn=1))
+        store.put(note(table="other", text="unrelated fact"))
+        store.get(first_id)
+        db.execute("INSERT INTO sales VALUES (1, 'CA')")
+        assert store.get(first_id).stale
+        assert store.search("two-letter codes", include_stale=False) == []
+        rows = list(store._vectors._ids)
+        memo = store._vectors._memo
+        assert store.put(note(content={"rows": 2}, created_turn=5)) == first_id
+        assert store._vectors._memo is memo and store._vectors._ids == rows
+        (artifact,) = store.lookup(ArtifactKind.COLUMN_ENCODING, ("sales",))
+        assert artifact.artifact_id == first_id
+        assert (artifact.content, artifact.created_turn) == ({"rows": 2}, 5)
+        assert not artifact.stale and artifact.hits == 3  # two gets, one lookup
+        assert [a.artifact_id for a, _ in store.search("two-letter codes")] == [
+            first_id
+        ]
+        assert store.recall_memo_counters() == (1, 1)
+
     def test_remember_convenience(self):
         store = AgenticMemoryStore()
         store.remember(
@@ -477,3 +504,99 @@ class TestVectorIndex:
         assert len(index) == len(reference.items) > 64
         for text in ("note 3", "note", ""):
             assert index.query(text, k=40) == reference.query(text, k=40)
+
+
+# -- supersede semantics against a reference model ----------------------------
+
+
+class ReferenceStore:
+    """The store's put/remove/search from first principles: vector rows in
+    insertion order, one artifact per (kind, subject, principal). A put
+    whose text equals the superseded artifact's keeps that artifact's id
+    and row and takes the new content; any other supersede drops the old
+    row and appends a new one."""
+
+    def __init__(self, embedder: HashedEmbedder) -> None:
+        self.index = ReferenceIndex(embedder)
+        self.texts: dict[int, str] = {}
+        self.content: dict[int, dict] = {}
+        self.by_key: dict[tuple, int] = {}
+
+    def put(self, key: tuple, artifact_id: int, text: str, content: dict) -> int:
+        old = self.by_key.get(key)
+        if old is not None and self.texts[old] == text:
+            self.content[old] = content
+            return old
+        if old is not None:
+            self.remove(old)
+        self.index.add(artifact_id, text)
+        self.texts[artifact_id], self.content[artifact_id] = text, content
+        self.by_key[key] = artifact_id
+        return artifact_id
+
+    def remove(self, artifact_id: int) -> None:
+        if self.texts.pop(artifact_id, None) is None:
+            return
+        del self.content[artifact_id]
+        self.index.remove(artifact_id)
+        self.by_key = {k: v for k, v in self.by_key.items() if v != artifact_id}
+
+
+STORE_OPS = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("put"),
+            st.sampled_from([ArtifactKind.PROBE_RESULT, ArtifactKind.JOIN_HINT]),
+            st.sampled_from(["q1", "q2", "Q1", "q3"]),
+            st.sampled_from(["alice", "bob"]),
+            st.sampled_from(INDEX_TEXTS),
+        ),
+        st.tuples(st.just("remove"), st.integers(min_value=0, max_value=30)),
+        st.tuples(
+            st.just("search"), st.sampled_from(INDEX_TEXTS), st.integers(1, 8)
+        ),
+    ),
+    max_size=80,
+)
+
+
+class TestSupersedeModel:
+    @settings(max_examples=80, deadline=None)
+    @given(ops=STORE_OPS)
+    def test_equal_text_keeps_id_and_vector_row(self, ops):
+        """Puts, removes and recalls against :class:`ReferenceStore`: the
+        same ids returned, the same vector rows in the same order, the same
+        content and the same ranked recalls; a put that refreshes in place
+        leaves the recall memo standing."""
+        embedder = HashedEmbedder()
+        store, reference = AgenticMemoryStore(embedder=embedder), ReferenceStore(embedder)
+        next_id = 0
+        for op in ops:
+            if op[0] == "put":
+                _, kind, column, principal, text = op
+                next_id += 1
+                memo = store._vectors._memo
+                artifact = Artifact(
+                    kind=kind,
+                    subject=("sales", column),
+                    text=text,
+                    content={"turn": next_id},
+                    principal=principal,
+                    shared=True,
+                    depends_on=("sales",),
+                    artifact_id=next_id,
+                )
+                key = (kind, ("sales", column.lower()), principal)
+                expected = reference.put(key, next_id, text, {"turn": next_id})
+                assert store.put(artifact) == expected
+                assert (store._vectors._memo is memo) == (expected != next_id)
+            elif op[0] == "remove":
+                store._remove(op[1])
+                reference.remove(op[1])
+            else:
+                _, text, k = op
+                got = store.search(text, k=k, min_score=-2.0)
+                want = reference.index.query(text, k)
+                assert [(a.artifact_id, score) for a, score in got] == want
+            assert store._vectors._ids == [item for item, _ in reference.index.items]
+            assert {i: a.content for i, a in store._artifacts.items()} == reference.content

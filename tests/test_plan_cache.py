@@ -39,7 +39,12 @@ from repro.engine.columnar import ColumnarExecutor
 from repro.engine.executor import ExecContext, Executor
 from repro.errors import ParseError, PlanError, ReproError, TokenizeError
 from repro.plan import logical
-from repro.plan.compiled import StatementCache, compile_select, compiled_estimate
+from repro.plan.compiled import (
+    StatementCache,
+    compile_select,
+    compiled_estimate,
+    statement_shape,
+)
 from repro.plan.cost import estimate_cost
 from repro.plan.fingerprint import fingerprint_uncached
 from repro.semantic.embedding import cosine_similarity
@@ -850,6 +855,7 @@ def assert_binds_like_fresh(db: Database, texts, cache: StatementCache) -> None:
             assert bound.plan is None, sql
             continue
         assert bound.plan == fresh.plan, sql
+        assert statement_shape(bound.plan) == statement_shape(fresh.plan), sql
         assert bound.plan.fingerprints() == fresh.plan.fingerprints(), sql
         for strict in (False, True):
             assert fingerprint_uncached(bound.plan, strict) == fingerprint_uncached(
@@ -959,6 +965,25 @@ class TestPlanTemplates:
         texts = [template.format(value, value + 1) for value in values]
         assert_binds_like_fresh(db, texts, cache)
         assert cache.templates.template_counters() == (0, 1, 1)
+
+    def test_every_compile_carries_its_statement_shape(self):
+        """Fresh, bound and exact-text hits carry the parse template's
+        placeholder text and their own values; a shape the parser cannot
+        lift is named by its text; a pickled plan drops the memo."""
+        import pickle
+
+        db = build_db()
+        cache = StatementCache()
+        template = "SELECT id FROM sales WHERE amount > {0} AND product = '{1}'"
+        shape = "SELECT id FROM sales WHERE ((amount > ?) AND (product = ?))"
+        for values in ((10.5, "tea"), (20.25, "coffee"), (10.5, "tea")):
+            plan = compile_select(template.format(*values), db.catalog, cache).plan
+            assert statement_shape(plan) == (shape, values)
+        assert cache.counters()[0] == 1
+        negative = "SELECT id FROM sales WHERE amount > -5"
+        plan = compile_select(negative, db.catalog, cache).plan
+        assert statement_shape(plan) == (negative, ())
+        assert statement_shape(pickle.loads(pickle.dumps(plan))) is None
 
     def test_order_by_ordinal_binds_like_fresh(self):
         db = build_db()

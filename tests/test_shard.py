@@ -23,6 +23,7 @@ import pytest
 from repro.agents.federated import run_federated_cohort
 from repro.agents.model import GPT_4O_MINI_SIM
 from repro.core import AgentFirstDataSystem, Brief, Probe
+from repro.core.brief import Phase
 from repro.db import Database
 from repro.shard import (
     CapacityAdvert,
@@ -543,6 +544,51 @@ class TestTierSurface:
             assert total == 2 * len(TENANTS) + 1
         finally:
             rebuilt.close()
+
+
+class TestShapeBoundedMemory:
+    def test_each_shard_keeps_one_result_per_shape(self):
+        """Unique-literal probes of a few shapes, pinned and scattered:
+        every shard's memory store holds at most shapes x tables x
+        principals artifacts, and its goal recalls hit the memo."""
+        shapes = (
+            "SELECT COUNT(*) FROM sales WHERE tenant = '{t}' AND amount > {v}",
+            "SELECT qty FROM sales WHERE tenant = '{t}' AND amount < {v} ORDER BY qty",
+            "SELECT COUNT(*) FROM sales WHERE amount > {v}",
+        )
+        principals = ("alice", "bob")
+        brief = Brief(goal="sales totals", phase=Phase.SOLUTION_FORMULATION)
+        tier = ShardedSystem(build_tenant_db(), shards=4, partition=PARTITION)
+        try:
+            for window in range(6):
+                probes = [
+                    Probe(
+                        queries=(
+                            shapes[n % len(shapes)].format(
+                                t=TENANTS[n % len(TENANTS)], v=f"{n % 9}.{window}{n:03d}"
+                            ),
+                        ),
+                        brief=brief,
+                        agent_id=f"a{n}",
+                        principal=principals[n // len(shapes) % 2],
+                    )
+                    for n in range(16)
+                ]
+                for response in tier.submit_many(probes):
+                    assert response.outcomes[0].status == "ok"
+            snap = tier.metrics()
+            bound = len(shapes) * len(tier.db.catalog.table_names()) * len(principals)
+            recall_hits = 0
+            for handle in tier.shards:
+                shard = str(handle.shard_id)
+                artifacts = snap.get("repro_memstore_artifacts", shard=shard)
+                assert artifacts == len(handle.system.memory) <= bound
+                recall_hits += snap.get(
+                    "repro_memstore_recall_memo_hits_total", shard=shard
+                )
+            assert recall_hits > 0
+        finally:
+            tier.close()
 
 
 # -- the federated cohort rides the tier (satellite) ---------------------------

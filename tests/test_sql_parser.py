@@ -10,6 +10,7 @@ from repro.sql.lexer import TokenType, tokenize
 from repro.sql.parser import (
     _Parser,
     parse_expression,
+    parse_shaped,
     parse_statement,
     template_counters,
 )
@@ -364,6 +365,21 @@ class TestStatementTemplates:
             _assert_same_ast(parse_statement(sql), _fresh_parse(sql))
         hits, _, _ = template_counters()
         assert hits - hits_before >= 2  # the second and third texts bind
+
+    def test_select_shapes_render_with_placeholders(self):
+        """Every text of a SELECT shape renders the same ``?`` text, however
+        it is spelled; DML and unliftable shapes render none."""
+        texts = (
+            "SELECT a FROM t WHERE b = 'p' AND c IN (1, 2) LIMIT 3",
+            "select a from t where b='q' and c in (7,8) limit 3",
+        )
+        for sql in texts:
+            shaped = parse_shaped(sql)
+            assert shaped.text == (
+                "SELECT a FROM t WHERE ((b = ?) AND (c IN (?, ?))) LIMIT 3"
+            )
+        assert parse_shaped("DELETE FROM t WHERE a < 10").text is None
+        assert parse_shaped("SELECT a FROM t WHERE b > -1").text is None
 
     def test_bound_values_land_in_their_own_slots(self):
         template = "SELECT a FROM t WHERE b = {0} AND c = {1} AND d IN ({2}, {3})"
