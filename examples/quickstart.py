@@ -258,10 +258,12 @@ def main() -> None:
 
     # 10. Durability and read replicas: pass a wal_dir (or set REPRO_WAL=1)
     #     and every catalog write appends to an on-disk write-ahead log
-    #     *before* mutating state. After a crash, ``recover`` rebuilds the
-    #     exact pre-crash state — rows, version counters, the turn counter,
-    #     even the answered-before history with its attribution. The same
-    #     log feeds in-process read replicas: a probe whose brief declares
+    #     *before* mutating state; reads log nothing. After a crash,
+    #     ``recover`` rebuilds the exact pre-crash data — rows, row ids,
+    #     version counters. The turn counter and the answered-before
+    #     history start cold, so the repeated probe below comes back
+    #     ``ok`` (re-executed) with the same rows. The same log feeds
+    #     in-process read replicas: a probe whose brief declares
     #     a staleness tolerance (``Brief(max_staleness=N)``) may be served
     #     by a replica, always with an explicit staleness hint.
     import shutil
@@ -292,7 +294,7 @@ def main() -> None:
     )
     print("\n== durability: crash recovery + read replicas ==")
     print("recovered rows:", repeat.first_result().first_value())
-    print("status:", repeat.outcomes[0].status, "|", repeat.outcomes[0].reason)
+    print(f"status: {repeat.outcomes[0].status} at turn {repeat.turn} (cold after recovery)")
     bounded = recovered.replicas.try_serve(
         Probe(
             queries=("SELECT COUNT(*) FROM events",),

@@ -212,12 +212,6 @@ class MaterializationAdvisor:
         #: subtree size); plans are immutable, so holding them is safe.
         self._plans: dict[str, tuple[PlanNode, str, int]] = {}
         self._lock = threading.Lock()
-        #: WAL journals (see :meth:`enable_wal_journal`): occurrence deltas
-        #: and newly-seen representatives since the last drain. Advice
-        #: tracks logical demand, which writes never erase, so — unlike
-        #: the optimizer's history journal — these are never invalidated.
-        self._wal_counts: Counter[str] | None = None
-        self._wal_reps: dict[str, tuple[PlanNode, str, int, str]] | None = None
 
     @property
     def min_occurrences(self) -> int:
@@ -235,16 +229,9 @@ class MaterializationAdvisor:
                     continue
                 seen_this_plan.add(fingerprint)
                 self._counts[fingerprint] += 1
-                if self._wal_counts is not None:
-                    self._wal_counts[fingerprint] += 1
                 if fingerprint not in self._descriptions:
-                    description = node.describe().splitlines()[0]
-                    self._descriptions[fingerprint] = description
+                    self._descriptions[fingerprint] = node.describe().splitlines()[0]
                     self._plans[fingerprint] = (node, digests.strict, digests.size)
-                    if self._wal_reps is not None:
-                        self._wal_reps[fingerprint] = (
-                            node, digests.strict, digests.size, description
-                        )
 
     def suggestions(self) -> list[tuple[str, int, str]]:
         """(fingerprint, occurrences, description) above the threshold."""
@@ -280,48 +267,3 @@ class MaterializationAdvisor:
             ]
         out.sort(key=lambda c: (-c.count, -c.size, c.fingerprint))
         return out
-
-    # -- durability (serve-state journaling) ----------------------------------
-
-    def enable_wal_journal(self) -> None:
-        """Start journaling observation deltas for WAL serve-state records."""
-        with self._lock:
-            if self._wal_counts is None:
-                self._wal_counts = Counter()
-                self._wal_reps = {}
-
-    def drain_wal_delta(self) -> dict:
-        """The advisor delta since the last drain: occurrence counts plus
-        newly-seen representatives (``{fingerprint: (plan, strict, size,
-        description)}``)."""
-        with self._lock:
-            counts = dict(self._wal_counts or {})
-            reps = dict(self._wal_reps or {})
-            if self._wal_counts is not None:
-                self._wal_counts.clear()
-                self._wal_reps.clear()
-        return {"counts": counts, "reps": reps}
-
-    def export_state(self) -> dict:
-        """The *full* advisor state, for checkpoints (absolute counts)."""
-        with self._lock:
-            return {
-                "counts": dict(self._counts),
-                "reps": {
-                    fingerprint: (plan, strict, size, self._descriptions[fingerprint])
-                    for fingerprint, (plan, strict, size) in self._plans.items()
-                },
-            }
-
-    def load_state(self, state: dict | None) -> None:
-        """Fold recovered advisor state in (additive; first-seen reps win)."""
-        if not state:
-            return
-        with self._lock:
-            for fingerprint, count in (state.get("counts") or {}).items():
-                self._counts[fingerprint] += count
-            for fingerprint, rep in (state.get("reps") or {}).items():
-                plan, strict, size, description = rep
-                if fingerprint not in self._descriptions:
-                    self._descriptions[fingerprint] = description
-                    self._plans[fingerprint] = (plan, strict, size)

@@ -97,18 +97,6 @@ class ProbeOptimizer:
     _lock: threading.RLock = field(
         default_factory=threading.RLock, repr=False, compare=False
     )
-    #: WAL journals (enabled by :meth:`enable_wal_journal`): the history
-    #: entries added since the last drain, so each admission window's
-    #: ``serve_state`` commit record carries exactly the additions that
-    #: survived to the window boundary. Cleared by :meth:`invalidate` —
-    #: entries wiped before commit never reach the log, mirroring what a
-    #: recovered optimizer should hold.
-    _wal_history_journal: "dict[str, HistoryEntry] | None" = field(
-        default=None, repr=False, compare=False
-    )
-    _wal_lenient_journal: "dict[str, HistoryEntry] | None" = field(
-        default=None, repr=False, compare=False
-    )
 
     def run_decision(
         self,
@@ -265,11 +253,7 @@ class ProbeOptimizer:
             similar_to_turn = previous.turn if previous is not None else None
             if decision.sample_rate >= 1.0:
                 self.history[strict] = entry
-                if self._wal_history_journal is not None:
-                    self._wal_history_journal[strict] = entry
             self.lenient_history[lenient] = entry
-            if self._wal_lenient_journal is not None:
-                self._wal_lenient_journal[lenient] = entry
 
         status = "approximate" if decision.sample_rate < 1.0 else "ok"
         return QueryOutcome(
@@ -301,51 +285,5 @@ class ProbeOptimizer:
         with self._lock:
             self.history.clear()
             self.lenient_history.clear()
-            if self._wal_history_journal is not None:
-                self._wal_history_journal.clear()
-            if self._wal_lenient_journal is not None:
-                self._wal_lenient_journal.clear()
         if self.cache is not None:
             self.cache.invalidate()
-
-    # -- durability (serve-state journaling) ----------------------------------
-
-    def enable_wal_journal(self) -> None:
-        """Start journaling history additions for WAL serve-state records."""
-        with self._lock:
-            if self._wal_history_journal is None:
-                self._wal_history_journal = {}
-                self._wal_lenient_journal = {}
-        self.advisor.enable_wal_journal()
-
-    def drain_wal_journal(self) -> tuple[dict, dict]:
-        """The (strict, lenient) history additions since the last drain."""
-        with self._lock:
-            history = dict(self._wal_history_journal or {})
-            lenient = dict(self._wal_lenient_journal or {})
-            if self._wal_history_journal is not None:
-                self._wal_history_journal.clear()
-                self._wal_lenient_journal.clear()
-        return history, lenient
-
-    def serve_state_snapshot(self, turn: int) -> dict:
-        """The *full* serve state, for checkpoints (absolute, not delta)."""
-        with self._lock:
-            history = dict(self.history)
-            lenient = dict(self.lenient_history)
-        return {
-            "turn": turn,
-            "history": history,
-            "lenient": lenient,
-            "advisor": self.advisor.export_state(),
-        }
-
-    def restore_serve_state(self, state) -> None:
-        """Load recovered history/advisor state (from a ``ServeState``)."""
-        with self._lock:
-            self.history.update(state.history)
-            self.lenient_history.update(state.lenient_history)
-            if self._wal_history_journal is not None:
-                self._wal_history_journal.clear()
-                self._wal_lenient_journal.clear()
-        self.advisor.load_state(state.advisor)

@@ -59,11 +59,11 @@ degenerate window of one.
                            arrival)   └─> subplan-cache pre-warmer
 
     durability layer (REPRO_WAL / Database.attach_wal; txn/wal.py)
-        catalog writes ──> write-ahead log (append BEFORE mutate)
-        admission windows bracketed: window_begin … serve_state commit
-        periodic checkpoints (Catalog.snapshot + serve state) prune the log
+        catalog writes ──> write-ahead log (append BEFORE mutate);
+        reads log nothing: the log holds catalog records only
+        periodic checkpoints (Catalog.snapshot) prune the log
         crash ──> AgentFirstDataSystem.recover(dir): checkpoint + replay,
-                  exact data_version_tuple AND history attribution restored
+                  exact data_version_tuple; turn, history, advisor cold
         log ──> read replicas (REPRO_REPLICAS / SystemConfig.read_replicas):
                 gateway spills exact read probes under load, tagging each
                 response "served by read replica: staleness ≤ N versions"
@@ -95,7 +95,7 @@ degenerate window of one.
                        ├─> scheduler:batch ──> speculate:unit │
                        │      decision:qN ──> node:* (rows, cache,
                        │      kernel vs fallback)
-                       └─> wal:commit │ replica:serve │ scatter:shardN
+                       └─> replica:serve │ scatter:shardN
                 opt-in per probe (Brief.trace) or global (REPRO_TRACE=1);
                 attached as response.trace; export: trace.to_chrome()
                 (Perfetto / about:tracing); answers never change
@@ -132,7 +132,6 @@ faster on repeated workloads.
 from __future__ import annotations
 
 import threading
-import time
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -228,7 +227,7 @@ class AgentFirstDataSystem:
         # The override must not write through to the caller's (possibly
         # shared) SystemConfig object.
         scheduler_workers = workers if workers is not None else self.config.workers
-        self.memory = memory or AgenticMemoryStore()
+        self.memory = memory if memory is not None else AgenticMemoryStore()
         if self.config.enable_memory:
             self.memory.attach(db)
         #: One metrics registry per system: every component publishes its
@@ -290,16 +289,6 @@ class AgentFirstDataSystem:
             # through the repro.core package __init__.
             from repro.txn.replica import ReplicaPool, resolve_replica_count
 
-            # Journal serve-state deltas so each window's commit record
-            # carries its surviving history additions, and let checkpoints
-            # embed the full serve state.
-            self.optimizer.enable_wal_journal()
-            wal.state_provider = lambda: self.optimizer.serve_state_snapshot(
-                self.turn
-            )
-            if db.recovered_serve is not None:
-                self.turn = db.recovered_serve.turn
-                self.optimizer.restore_serve_state(db.recovered_serve)
             replica_count = resolve_replica_count(self.config.read_replicas)
             if replica_count > 0:
                 self.replicas = ReplicaPool(
@@ -521,59 +510,32 @@ class AgentFirstDataSystem:
         for probe in probes:
             if obs_trace.ensure_probe_trace(probe) is not None:
                 any_traced = True
-        wal = self.db.catalog.wal
-        wal_bounds: tuple[float, float] | None = None
-        if wal is not None:
-            # Bracket the window in the log. A crash mid-window leaves a
-            # window_begin without its serve_state commit; recovery
-            # truncates it (the responses never reached callers), so the
-            # recovered system resumes at the last served boundary.
-            wal.begin_window()
-        try:
-            batch = self.scheduler.run_batch(
-                list(probes), first_turn, degradations=degradations
-            )
+        batch = self.scheduler.run_batch(
+            list(probes), first_turn, degradations=degradations
+        )
 
-            # Post-processing (beyond-SQL, steering, memory) runs per probe
-            # in admission order, preserving serial visibility: a later
-            # probe's memory recall sees what earlier probes wrote back.
-            responses = []
-            for scheduled in batch.probes:
-                response = self._finish_probe(scheduled)
-                response.sharing = batch.report
-                responses.append(response)
-        finally:
-            if wal is not None:
-                # Commit even on the exception path: any catalog writes
-                # the window performed are already logged and live.
-                commit_start = time.perf_counter()
-                wal.commit_window(self._wal_serve_delta())
-                if any_traced:
-                    wal_bounds = (commit_start, time.perf_counter())
-        if wal is not None and wal.checkpoint_due():
-            self.db.checkpoint()
+        # Post-processing (beyond-SQL, steering, memory) runs per probe
+        # in admission order, preserving serial visibility: a later
+        # probe's memory recall sees what earlier probes wrote back.
+        responses = []
+        for scheduled in batch.probes:
+            response = self._finish_probe(scheduled)
+            response.sharing = batch.report
+            responses.append(response)
         if any_traced:
-            self._finalize_traces(probes, responses, wal_bounds)
+            self._finalize_traces(probes, responses)
         return responses
 
     def _finalize_traces(
-        self,
-        probes: Sequence[Probe],
-        responses: list[ProbeResponse],
-        wal_bounds: tuple[float, float] | None,
+        self, probes: Sequence[Probe], responses: list[ProbeResponse]
     ) -> None:
-        """Close out the window's traces: the shared WAL-commit span is
-        attached to every traced probe, the root is finished, per-node
+        """Close out the window's traces: the root is finished, per-node
         latency histograms are fed, and slow probes land in the ring
         buffer (with their traces) at WARNING."""
         for probe, response in zip(probes, responses):
             trace = obs_trace.probe_trace(probe)
             if trace is None or trace.finished:
                 continue
-            if wal_bounds is not None:
-                trace.root.child("wal:commit", start=wal_bounds[0]).finish(
-                    wal_bounds[1]
-                )
             trace.finish()
             response.trace = trace
             for span in trace.spans():
@@ -592,16 +554,6 @@ class AgentFirstDataSystem:
                         trace=trace,
                     )
                 )
-
-    def _wal_serve_delta(self) -> dict:
-        """The serve-state delta one window's commit record carries."""
-        history, lenient = self.optimizer.drain_wal_journal()
-        return {
-            "turn": self.turn,
-            "history": history,
-            "lenient": lenient,
-            "advisor": self.optimizer.advisor.drain_wal_delta(),
-        }
 
     def _next_replica_turn(self) -> int:
         """Draw one turn number for a replica-served response."""
@@ -807,15 +759,6 @@ class AgentFirstDataSystem:
 
     def _on_change(self, event: ChangeEvent) -> None:
         if event.kind in ("insert", "update", "delete", "create", "drop"):
-            # Journal the history wipe: recovery must clear its shadow
-            # history at exactly this point in the replay. (Raw catalog
-            # records cannot stand in: index builds, the maintenance
-            # auto-indexer's included, log records without publishing a
-            # change, and a branch merge publishes one event per table
-            # after logging its replayed updates and deletes row by row.)
-            wal = self.db.catalog.wal
-            if wal is not None:
-                wal.log_invalidation()
             self.optimizer.invalidate()
             # Windows stop closing on their cohort for the rest of the
             # admission loop's life: see ProbeGateway.note_data_change.
@@ -838,12 +781,12 @@ class AgentFirstDataSystem:
         """Rebuild a serving system from a WAL directory after a crash.
 
         Restores the database to its exact pre-crash version (rows, row
-        ids, every counter) *and* the serving state: the turn counter,
-        the answered-before history (so a repeated query still comes back
-        ``from_history`` with its original "answered at turn N (agent
-        X)" attribution), and the materialization advisor's demand
-        counts. The log stays attached; serving continues appending to
-        it.
+        ids, every counter). The log holds data only, so the serving
+        state starts cold: turn 0, an empty answered-before history and
+        an empty materialization advisor. A recovered system answers the
+        same rows as the crashed one; it re-executes what the crashed
+        one would have answered from history. The log stays attached;
+        writes continue appending to it.
         """
         db = Database.recover(directory, name=name)
         return cls(db, memory=memory, config=config, workers=workers)

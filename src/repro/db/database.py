@@ -84,9 +84,6 @@ class Database:
             statement_cache if statement_cache is not None else StatementCache()
         )
         self._observers: list[Callable[[ChangeEvent], None]] = []
-        #: Serve-state recovered alongside the catalog (set by
-        #: :meth:`recover`; the serving system consumes it at rebuild).
-        self.recovered_serve = None
         self._wal_tmp: str | None = None
         if wal_dir is None:
             # REPRO_WAL=1 turns durability on globally: every facade gets
@@ -132,8 +129,8 @@ class Database:
         weakref.finalize(self, _release_wal, wal, self._wal_tmp)
 
     def checkpoint(self) -> str | None:
-        """Write a durable checkpoint now (no-op without a log attached, or
-        while an admission window is open). Returns the checkpoint path."""
+        """Write a durable checkpoint of the catalog now (no-op without a
+        log attached). Returns the checkpoint path."""
         wal = self.catalog.wal
         if wal is None:
             return None
@@ -146,16 +143,15 @@ class Database:
         The recovered catalog sits at the exact pre-crash
         ``data_version_tuple()`` — row ids and version counters all match,
         and the information schema derives from the replayed tables — so a
-        recovered run is byte-identical to one that never crashed. The log
-        stays attached and appendable. ``recovered_serve`` carries the serving
-        system's state for :meth:`AgentFirstDataSystem.recover`.
+        recovered run answers exactly as one that never crashed. The log
+        holds data only: nothing a serving system derived from reads
+        survives. The log stays attached and appendable.
         """
         from repro.txn.wal import recover as wal_recover
 
         state = wal_recover(directory, **wal_kwargs)
         db = cls(name, wal_dir=False)
         db.catalog = state.catalog
-        db.recovered_serve = state.serve
         weakref.finalize(db, _release_wal, state.wal, None)
         return db
 
@@ -168,8 +164,7 @@ class Database:
     def _publish(self, event: ChangeEvent) -> None:
         for callback in self._observers:
             callback(event)
-        # Checkpoint opportunistically at change boundaries (never
-        # mid-admission-window; write_checkpoint refuses those).
+        # Checkpoint opportunistically at change boundaries.
         wal = self.catalog.wal
         if wal is not None and wal.checkpoint_due():
             self.checkpoint()

@@ -3,7 +3,7 @@
 A trace follows one probe end-to-end through the serving stack —
 session submit → gateway admission window → QoS verdict → scheduler
 work group + speculation unit → engine execution (per-plan-node spans)
-→ WAL commit / replica offload / shard scatter-gather — and is attached
+→ replica offload / shard scatter-gather — and is attached
 to the finished :class:`~repro.core.probe.ProbeResponse` as
 ``response.trace``. Export with :meth:`Trace.to_chrome` (Chrome
 ``trace_event`` JSON, loadable in ``about:tracing`` / Perfetto).

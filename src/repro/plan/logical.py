@@ -50,9 +50,9 @@ class PlanNode:
 
     # -- serialization -----------------------------------------------------
     #
-    # Plans are picklable values (the WAL's serve-state records carry the
-    # materialization advisor's representative plans). The fingerprint
-    # memo that :func:`repro.plan.fingerprint.fingerprints` caches on each
+    # Plans are picklable values (tests/test_serialization.py pins the
+    # round trip). The fingerprint memo that
+    # :func:`repro.plan.fingerprint.fingerprints` caches on each
     # node is content-derived and cheap to rebuild, so it is stripped from
     # the pickled state: pickles stay small and receivers re-memoize lazily.
     # The cost-estimate memo of :func:`repro.plan.compiled.compiled_estimate`

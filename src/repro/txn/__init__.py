@@ -14,7 +14,7 @@ recovery, and log-fed read replicas with bounded-staleness serving.
 from repro.txn.branches import Branch, BranchManager
 from repro.txn.merge import MergeResult
 from repro.txn.replica import ReadReplica, ReplicaPool
-from repro.txn.wal import Checkpoint, ServeState, WalRecord, WriteAheadLog, recover
+from repro.txn.wal import Checkpoint, WalRecord, WriteAheadLog, recover
 from repro.txn.write_log import WriteOp
 
 __all__ = [
@@ -24,7 +24,6 @@ __all__ = [
     "MergeResult",
     "ReadReplica",
     "ReplicaPool",
-    "ServeState",
     "WalRecord",
     "WriteAheadLog",
     "WriteOp",

@@ -3,9 +3,9 @@
 A :class:`ReadReplica` is a follower catalog: it seeds from the log's
 latest checkpoint and applies committed catalog records in LSN order, so
 at every point it holds a state the primary actually passed through. Its
-**staleness** is the number of catalog write records the primary has
-logged that the replica has not yet applied — the same unit
-``Catalog.data_epoch`` counts in, surfaced to agents in the steering
+**staleness** is the number of records (every record is a catalog write)
+the primary has logged that the replica has not yet applied — the same
+unit ``Catalog.data_epoch`` counts in, surfaced to agents in the steering
 hint.
 
 Replicas serve only the easy-but-common case: read-only *exact* probes
@@ -41,7 +41,7 @@ from repro.obs import trace as obs_trace
 from repro.obs.metrics import MetricAttr, MetricsRegistry
 from repro.plan.compiled import StatementCache, compile_select
 from repro.storage.catalog import Catalog
-from repro.txn.wal import CATALOG_KINDS, WriteAheadLog, apply_record
+from repro.txn.wal import WriteAheadLog, apply_record
 
 _LOG = logging.getLogger(__name__)
 
@@ -79,34 +79,28 @@ class ReadReplica:
         if checkpoint is not None:
             self.catalog = Catalog.restore_exact(checkpoint.snapshot)
             self.applied_lsn = checkpoint.last_lsn
-            self.data_seq = checkpoint.data_seq
         else:
             self.catalog = Catalog()
             self.applied_lsn = 0
-            self.data_seq = 0
 
     def catch_up(self) -> int:
-        """Apply every committed record the primary has logged; returns the
-        number of catalog records applied. Reseeds from the latest
-        checkpoint when the replica's horizon has been pruned."""
+        """Apply every record the primary has logged; returns the number
+        applied. Reseeds from the latest checkpoint when the replica's
+        horizon has been pruned."""
         with self._lock:
             records = self.wal.records_since(self.applied_lsn)
             if records is None:
                 self._seed()
                 records = self.wal.records_since(self.applied_lsn) or []
-            applied = 0
             for record in records:
-                if record.kind in CATALOG_KINDS:
-                    apply_record(self.catalog, record)
-                    self.data_seq += 1
-                    applied += 1
+                apply_record(self.catalog, record)
                 self.applied_lsn = record.lsn
-            self.records_applied += applied
-            return applied
+            self.records_applied += len(records)
+            return len(records)
 
     def staleness(self) -> int:
-        """Catalog write records logged by the primary but not yet applied."""
-        return max(0, self.wal.data_seq - self.data_seq)
+        """Records logged by the primary but not yet applied."""
+        return max(0, self.wal.last_lsn - self.applied_lsn)
 
     def serve(
         self,

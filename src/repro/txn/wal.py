@@ -9,46 +9,31 @@ Every catalog write path appends a :class:`WalRecord` **before** mutating
 state (see ``Catalog._wal_log``), so the log is always at least as new as
 the catalog. Records are framed as ``[u32 length][u32 crc32][pickled
 body]`` inside numbered segment files; a torn final frame (crash mid
-``write``) fails the CRC and recovery truncates back to the last
-committed point instead of erroring.
+``write``) fails the CRC and recovery truncates it instead of erroring.
 
-Record taxonomy
----------------
-
-* **catalog records** (:data:`CATALOG_KINDS`) — one per catalog write
-  call, carrying the call's arguments verbatim. Replaying them in order
-  through :func:`apply_record` reproduces the catalog *exactly*: row ids,
-  per-table ``data_version`` counters, ``schema_version``/``data_epoch``,
-  even ``aux_index_version`` — recovery lands on the same
-  ``data_version_tuple()`` the crashed process had. Only writes append
-  them: the ``information_schema`` tables are derived by each catalog
-  from its stored tables, so reading them logs nothing, and a recovered
-  or replica catalog derives the same rows from the same records.
-* **serve-state records** — the serving system brackets each admission
-  window with ``window_begin`` / a ``serve_state`` commit record carrying
-  the window's surviving history additions, advisor deltas, and the turn
-  counter. ``invalidate`` records mark the points where published change
-  events cleared the answered-before history; catalog records cannot
-  stand in for them, because index builds log catalog records without
-  clearing it and a branch merge clears it once after many row records.
-  Replaying these alongside the catalog records lets history
-  *attribution* ("identical query answered at turn 3 (agent a1)")
-  survive recovery byte-identically.
-* **window atomicity** — a trailing ``window_begin`` without its
-  ``serve_state`` commit marks a window that was being served at the
-  crash; recovery truncates it (its responses never reached callers), so
-  the recovered system resumes at the last served-window boundary.
+The log holds data only. Every record is a catalog record
+(:data:`CATALOG_KINDS`): one per catalog write call, carrying the call's
+arguments verbatim. Replaying them in order through :func:`apply_record`
+reproduces the catalog *exactly*: row ids, per-table ``data_version``
+counters, ``schema_version``/``data_epoch``, even ``aux_index_version``
+— recovery lands on the same ``data_version_tuple()`` the crashed
+process had. Reads append nothing: probes are SELECT-only, and the
+``information_schema`` tables are derived by each catalog from its stored
+tables, so a recovered or replica catalog derives the same rows from the
+same records. What a serving system derives from reads (its turn
+counter, answered-before history and materialization advice) is a cache
+and is not logged; a recovered system starts with it cold, answers the
+same rows and only re-executes.
 
 Checkpoints reuse :meth:`Catalog.snapshot` (chunk-shared, picklable):
-``ckpt-<lsn>.pkl`` holds the snapshot, the serve state, and the absolute
-record counters; segments the checkpoint covers are pruned. Recovery =
-latest checkpoint + committed tail replay.
+``ckpt-<lsn>.pkl`` holds the snapshot and the LSN it covers; segments the
+checkpoint covers are pruned. Recovery = latest checkpoint + tail replay.
 
 The same log doubles as the replication stream: in-process
 :class:`~repro.txn.replica.ReadReplica` followers consume
 :meth:`WriteAheadLog.records_since` (served from a bounded in-memory tail
 when possible, the disk otherwise) and measure their staleness as the
-number of catalog records not yet applied.
+number of records not yet applied.
 """
 
 from __future__ import annotations
@@ -60,8 +45,7 @@ import struct
 import threading
 import zlib
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
 from repro.errors import WalError
 from repro.storage.catalog import Catalog
@@ -73,8 +57,7 @@ _LOG = logging.getLogger(__name__)
 #: Frame header: payload length, crc32 of the payload.
 _HEADER = struct.Struct(">II")
 
-#: Record kinds that mutate the catalog (everything else is serve-state
-#: bookkeeping). These are what replicas apply and what staleness counts.
+#: The record kinds: one per catalog write call (see :func:`apply_record`).
 CATALOG_KINDS = frozenset(
     {
         "create_table",
@@ -108,74 +91,13 @@ class WalRecord:
 
 @dataclass(frozen=True)
 class Checkpoint:
-    """A durable base image: catalog snapshot + serve state + counters.
+    """A durable base image: a catalog snapshot and the LSN it covers.
 
-    ``last_lsn``/``data_seq`` position the checkpoint in the log: replay
-    starts after ``last_lsn``, and absolute staleness counters continue
-    from ``data_seq``. ``serve`` is the serving system's state payload
-    (turn, history, advisor) or ``None`` for a bare database.
+    Replay starts after ``last_lsn``.
     """
 
     last_lsn: int
-    data_seq: int
     snapshot: object  # CatalogSnapshot; typed loosely to keep pickling simple
-    serve: dict | None = None
-
-
-@dataclass
-class ServeState:
-    """The serving system's recoverable state, folded from the log.
-
-    Recovery replays ``serve_state`` commits (merge the window's
-    surviving history additions, advance the turn) and ``invalidate``
-    records (writes cleared the answered-before history) in LSN order, so
-    the recovered history is exactly what an uninterrupted run would hold
-    at the same point — including the turn/agent attribution inside each
-    :class:`~repro.core.optimizer.HistoryEntry`.
-    """
-
-    turn: int = 0
-    history: dict = field(default_factory=dict)
-    lenient_history: dict = field(default_factory=dict)
-    #: Accumulated advisor state: {"counts": {fp: n}, "reps": {fp: (plan,
-    #: strict, size, description)}}. Never cleared — materialization
-    #: advice tracks logical demand, which writes do not erase.
-    advisor: dict = field(
-        default_factory=lambda: {"counts": {}, "reps": {}}
-    )
-
-    @classmethod
-    def from_payload(cls, payload: dict | None) -> "ServeState":
-        state = cls()
-        if payload:
-            state.merge(payload)
-        return state
-
-    def clear_history(self) -> None:
-        self.history.clear()
-        self.lenient_history.clear()
-
-    def merge(self, delta: dict) -> None:
-        self.turn = max(self.turn, int(delta.get("turn", 0)))
-        self.history.update(delta.get("history") or {})
-        self.lenient_history.update(delta.get("lenient") or {})
-        advisor = delta.get("advisor")
-        if advisor:
-            counts = self.advisor["counts"]
-            for fingerprint, count in (advisor.get("counts") or {}).items():
-                counts[fingerprint] = counts.get(fingerprint, 0) + count
-            reps = self.advisor["reps"]
-            for fingerprint, rep in (advisor.get("reps") or {}).items():
-                reps.setdefault(fingerprint, rep)
-
-    @property
-    def empty(self) -> bool:
-        return (
-            self.turn == 0
-            and not self.history
-            and not self.lenient_history
-            and not self.advisor["counts"]
-        )
 
 
 @dataclass(frozen=True)
@@ -195,7 +117,7 @@ def _encode(record: WalRecord) -> bytes:
 
 
 def _decode_frames(data: bytes):
-    """Yield ``(start_offset, end_offset, record)`` for each intact frame.
+    """Yield ``(end_offset, record)`` for each intact frame.
 
     Stops silently at the first torn or corrupt frame — that is the
     crash point; everything before it is trustworthy (CRC-checked).
@@ -215,7 +137,7 @@ def _decode_frames(data: bytes):
             lsn, kind, payload = pickle.loads(body)
         except Exception:
             return
-        yield offset, body_end, WalRecord(lsn, kind, payload)
+        yield body_end, WalRecord(lsn, kind, payload)
         offset = body_end
 
 
@@ -249,18 +171,17 @@ def apply_record(catalog: Catalog, record: WalRecord) -> None:
         catalog.create_auxiliary_hash_index(p[0], p[1])
     elif kind == "aux_sorted_index":
         catalog.create_auxiliary_sorted_index(p[0], p[1])
-    else:  # pragma: no cover - caller filters on CATALOG_KINDS
+    else:
         raise WalError(f"cannot apply record kind {kind!r}")
 
 
 class WriteAheadLog:
     """A segmented on-disk write-ahead log with checkpoints.
 
-    Opening a directory repairs it first: a torn final frame and any
-    trailing uncommitted admission window are truncated, then appending
-    resumes after the last committed record. One instance serializes all
-    appends behind a lock; readers (replicas) share the same lock for
-    consistent tails.
+    Opening a directory repairs it first: a torn or corrupt final frame
+    is truncated, then appending resumes after the last intact record.
+    One instance serializes all appends behind a lock; readers (replicas)
+    share the same lock for consistent tails.
     """
 
     def __init__(
@@ -278,13 +199,9 @@ class WriteAheadLog:
         if fsync is None:
             fsync = env_flag("REPRO_WAL_FSYNC")
         self.fsync = fsync
-        #: Serving-system hook: returns the serve-state payload embedded
-        #: in checkpoints (``None`` for a bare database).
-        self.state_provider: Callable[[], dict | None] | None = None
         self.lock = threading.RLock()
         self._tail: deque[WalRecord] = deque(maxlen=max(16, int(tail_records)))
         self._closed = False
-        self._window_open = False
         self._records_since_checkpoint = 0
         os.makedirs(directory, exist_ok=True)
         self.base_checkpoint = self._load_latest_checkpoint()
@@ -325,62 +242,40 @@ class WriteAheadLog:
 
     def _open_and_repair(self) -> None:
         base_lsn = self.base_checkpoint.last_lsn if self.base_checkpoint else 0
-        base_seq = self.base_checkpoint.data_seq if self.base_checkpoint else 0
-        scanned: list[tuple[int, int, int, WalRecord]] = []  # (seg_idx, start, end, rec)
+        scanned: list[tuple[int, int, WalRecord]] = []  # (seg_idx, end, rec)
         segments = self._segment_paths()
-        torn = False
+        truncate = False
         for seg_index, path in enumerate(segments):
             with open(path, "rb") as handle:
                 data = handle.read()
             consumed = 0
-            for start, end, record in _decode_frames(data):
-                scanned.append((seg_index, start, end, record))
+            for end, record in _decode_frames(data):
+                scanned.append((seg_index, end, record))
                 consumed = end
             if consumed < len(data):
-                torn = True
+                truncate = True  # a torn or corrupt final frame
                 break  # later segments postdate the crash point
-        # Commit horizon: records inside an admission window commit only
-        # when the window's serve_state lands.
-        last_commit = -1
-        in_window = False
-        for i, (_, _, _, record) in enumerate(scanned):
-            if record.kind == "window_begin":
-                in_window = True
-            elif record.kind == "serve_state":
-                in_window = False
-                last_commit = i
-            elif not in_window:
-                last_commit = i
-        committed = scanned[: last_commit + 1]
-        discarded = torn or last_commit + 1 < len(scanned)
 
-        last_lsn = committed[-1][3].lsn if committed else base_lsn
+        last_lsn = scanned[-1][2].lsn if scanned else base_lsn
         if last_lsn < base_lsn:
             # The checkpoint postdates every surviving record (its
             # segments were pruned): start a fresh tail after it.
-            committed = []
-            discarded = True
+            scanned = []
+            truncate = True
             last_lsn = base_lsn
         self.next_lsn = last_lsn + 1
-        self.data_seq = base_seq + sum(
-            1
-            for (_, _, _, record) in committed
-            if record.lsn > base_lsn and record.kind in CATALOG_KINDS
-        )
         self._replay_records = [
-            record for (_, _, _, record) in committed if record.lsn > base_lsn
+            record for (_, _, record) in scanned if record.lsn > base_lsn
         ]
         for record in self._replay_records:
             self._tail.append(record)
 
-        if discarded:
-            _LOG.warning(
-                "wal: truncating uncommitted tail past the commit horizon"
-            )
-            # Physically roll the log back to the commit horizon so no
+        if truncate:
+            _LOG.warning("wal: truncating the log after its last intact record")
+            # Physically roll the log back to the last intact frame so no
             # future open resurrects the orphaned tail.
-            if committed:
-                keep_index, _, keep_end, _ = committed[-1]
+            if scanned:
+                keep_index, keep_end, _ = scanned[-1]
                 for path in segments[keep_index + 1 :]:
                     os.remove(path)
                 with open(segments[keep_index], "r+b") as handle:
@@ -406,7 +301,7 @@ class WriteAheadLog:
         self._segment_size = 0
 
     def replay_records(self) -> list[WalRecord]:
-        """The committed records after the base checkpoint, for recovery."""
+        """The records after the base checkpoint, for recovery."""
         return list(self._replay_records)
 
     # -- properties ------------------------------------------------------------
@@ -415,11 +310,6 @@ class WriteAheadLog:
     def last_lsn(self) -> int:
         with self.lock:
             return self.next_lsn - 1
-
-    @property
-    def window_open(self) -> bool:
-        with self.lock:
-            return self._window_open
 
     # -- appending -------------------------------------------------------------
 
@@ -450,12 +340,6 @@ class WriteAheadLog:
             self.next_lsn += 1
             self._tail.append(record)
             self._records_since_checkpoint += 1
-            if kind in CATALOG_KINDS:
-                self.data_seq += 1
-            elif kind == "window_begin":
-                self._window_open = True
-            elif kind == "serve_state":
-                self._window_open = False
             return _AppendToken(record, offset, len(data))
 
     def abort(self, token: _AppendToken) -> None:
@@ -477,53 +361,26 @@ class WriteAheadLog:
             self._records_since_checkpoint = max(
                 0, self._records_since_checkpoint - 1
             )
-            if token.record.kind in CATALOG_KINDS:
-                self.data_seq -= 1
-
-    # -- admission-window bracketing -------------------------------------------
-
-    def begin_window(self) -> None:
-        """Mark the start of an admission window; writes logged until the
-        matching :meth:`commit_window` are discarded by recovery if the
-        process dies mid-window (their responses never reached callers)."""
-        self.append("window_begin")
-
-    def commit_window(self, serve_payload: dict) -> None:
-        """Commit the window: its writes plus the serve-state delta."""
-        self.append("serve_state", (serve_payload,))
-
-    def log_invalidation(self) -> None:
-        """Record that the serving system cleared its answered-before
-        history (the recovery replay must clear its shadow at the same
-        point)."""
-        self.append("invalidate")
 
     # -- checkpoints -----------------------------------------------------------
 
     def checkpoint_due(self) -> bool:
         with self.lock:
             return (
-                not self._window_open
-                and not self._closed
+                not self._closed
                 and self._records_since_checkpoint >= self.checkpoint_every
             )
 
     def write_checkpoint(self, catalog: Catalog) -> str | None:
         """Write a durable base image and prune the segments it covers.
 
-        Returns the checkpoint path, or ``None`` when a window is open
-        (checkpointing mid-window would resurrect a half-served window at
-        recovery; the serving system checkpoints at window boundaries).
+        Returns the checkpoint path, or ``None`` once the log is closed.
         """
         with self.lock:
-            if self._closed or self._window_open:
+            if self._closed:
                 return None
-            serve = self.state_provider() if self.state_provider is not None else None
             checkpoint = Checkpoint(
-                last_lsn=self.next_lsn - 1,
-                data_seq=self.data_seq,
-                snapshot=catalog.snapshot(),
-                serve=serve,
+                last_lsn=self.next_lsn - 1, snapshot=catalog.snapshot()
             )
             path = os.path.join(
                 self.directory,
@@ -570,7 +427,7 @@ class WriteAheadLog:
                         data = handle.read()
                 except OSError:
                     continue
-                for _, _, record in _decode_frames(data):
+                for _, record in _decode_frames(data):
                     if earliest is None:
                         earliest = record.lsn
                     if record.lsn > lsn:
@@ -598,38 +455,29 @@ class WriteAheadLog:
 
 @dataclass
 class RecoveredState:
-    """What :func:`recover` hands back: the rebuilt catalog, the serving
-    system's state, and the reopened (appendable) log."""
+    """What :func:`recover` hands back: the rebuilt catalog and the
+    reopened (appendable) log."""
 
     catalog: Catalog
-    serve: ServeState
     wal: WriteAheadLog
 
 
 def recover(directory: str, **wal_kwargs) -> RecoveredState:
     """Rebuild exact state from a WAL directory: checkpoint + tail replay.
 
-    Opening the log repairs torn/uncommitted tails first; replay then
-    re-invokes every committed catalog write in LSN order and folds the
-    serve-state records into a :class:`ServeState`. The returned catalog
-    sits at the exact ``data_version_tuple()`` (and full ``version()``)
-    the crashed process had at its last committed point, with the WAL
-    attached and ready for further appends.
+    Opening the log truncates a torn tail first; replay then re-invokes
+    every logged catalog write in LSN order. The returned catalog sits at
+    the exact ``data_version_tuple()`` (and full ``version()``) the
+    crashed process had at its last logged write, with the WAL attached
+    and ready for further appends.
     """
     wal = WriteAheadLog(directory, **wal_kwargs)
     checkpoint = wal.base_checkpoint
     if checkpoint is not None:
         catalog = Catalog.restore_exact(checkpoint.snapshot)
-        serve = ServeState.from_payload(checkpoint.serve)
     else:
         catalog = Catalog()
-        serve = ServeState()
     for record in wal.replay_records():
-        if record.kind in CATALOG_KINDS:
-            apply_record(catalog, record)
-        elif record.kind == "invalidate":
-            serve.clear_history()
-        elif record.kind == "serve_state":
-            serve.merge(record.payload[0])
+        apply_record(catalog, record)
     catalog.wal = wal
-    return RecoveredState(catalog=catalog, serve=serve, wal=wal)
+    return RecoveredState(catalog=catalog, wal=wal)

@@ -14,7 +14,7 @@ from repro.core.brief import Phase
 from repro.core.probe import ProbeResponse, QueryOutcome
 from repro.core.steering import JoinDiscovery, WhyNotDiagnoser
 from repro.db import Database
-from repro.memstore import ArtifactKind, StalenessPolicy
+from repro.memstore import AgenticMemoryStore, ArtifactKind, StalenessPolicy
 from repro.util.hashing import stable_hash_int
 
 
@@ -318,6 +318,16 @@ class TestMemoryIntegration:
         )
         system.submit(Probe.sql("SELECT COUNT(*) FROM sales", goal="exact answer"))
         assert len(system.memory) == 0
+
+    def test_empty_store_passed_in_is_kept(self, system_db):
+        # An empty store is falsy (it defines __len__); the caller's
+        # policy and sharing choice must survive construction anyway.
+        store = AgenticMemoryStore(
+            policy=StalenessPolicy.EAGER, share_across_principals=False
+        )
+        system = AgentFirstDataSystem(system_db, memory=store)
+        assert system.memory is store
+        assert system.memory.policy is StalenessPolicy.EAGER
 
     def test_explicit_memory_queries(self, system):
         system.memory.remember(

@@ -484,15 +484,6 @@ class TestEndToEndTrace:
         series = system.metrics().get("repro_engine_node_latency_ms", node="Scan")
         assert series is not None and series["count"] >= 1
 
-    def test_wal_commit_span_present_with_wal(self, tmp_path):
-        db = build_db()
-        if db.catalog.wal is None:  # REPRO_WAL=1 already attached one
-            db.attach_wal(str(tmp_path))
-        system = AgentFirstDataSystem(db)
-        response = system.submit(traced_probes(1)[0])
-        (commit,) = response.trace.find("wal:commit")
-        assert commit.end is not None
-
 
 class TestQosTraceSpans:
     def test_degraded_probe_trace_carries_shed_verdict(self):

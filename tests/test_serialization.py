@@ -1,7 +1,7 @@
 """Serialization regression tests: the pickle contracts of plans,
 catalog snapshots and column batches.
 
-WAL checkpoints, serve-state records and shard seeding rely on them:
+WAL checkpoints and shard seeding rely on them:
 
 * **plans** — every :class:`PlanNode` type must pickle round-trip to an
   equal tree with identical fingerprints, with the fingerprint memo
