@@ -2,12 +2,12 @@
 
 The scenario the runtime exists for: a swarm of agents re-asks the same
 hot shared subplan turn after turn, with a write burst between turns
-(so neither answer history nor the subplan cache can carry results
-across turns — exactly when maintenance-off recomputes everything).
-Between turns the maintenance runtime gets an idle window
+(so answer history cannot carry results across turns, and a window's
+subplan memo never does — exactly when maintenance-off recomputes
+everything). Between turns the maintenance runtime gets an idle window
 (``run_pending()``): it rebuilds the invalidated materialized view,
-keeps its auto-built indexes, refreshes statistics, and pre-warms the
-cache — all off the serving path. Only the serving calls are timed.
+keeps its auto-built indexes and refreshes statistics — all off the
+serving path. Only the serving calls are timed.
 
 Workload: 64 agents x (shared join + per-agent equality filter),
 1 warm-up turn + ``REPEAT_TURNS`` >= 3 steady-state repeat turns.

@@ -417,7 +417,7 @@ def run_sharing_bench(result: SchedulerBenchResult) -> None:
         )
         # Registry-backed efficiency gauges for the trajectory (last —
         # largest — swarm size wins): how much of the batch's engine work
-        # the subplan cache absorbed.
+        # the window's subplan memo absorbed.
         snap = batch_system.metrics()
         result.cache_metrics = {
             "swarm_size": n_agents,
@@ -426,7 +426,6 @@ def run_sharing_bench(result: SchedulerBenchResult) -> None:
             ),
             "subplan_cache_hits": snap.get("repro_engine_subplan_cache_hits"),
             "subplan_cache_misses": snap.get("repro_engine_subplan_cache_misses"),
-            "subplan_cache_entries": snap.get("repro_engine_subplan_cache_entries"),
         }
 
 

@@ -36,7 +36,7 @@ Equivalence contract
 Window boundaries are invisible in rows and statuses. Serving one window
 equals serial ``submit`` of its probes (the scheduler's differential
 contract), and *cross-window* reuse flows through session-lived state —
-history, lenient history, the shared subplan cache — exactly as serial
+history and lenient history — exactly as serial
 submission would populate it. A streamed probe's per-query rows and
 statuses are therefore byte-identical to serial submission in admission
 order no matter how arrivals split into windows, which is what lets CI
@@ -344,9 +344,9 @@ class ProbeGateway:
     window serving and is always taken *without* ``_cond`` held (the
     ``_serve_waiters`` handshake brackets it from outside), so the lock
     order is strictly one-at-a-time and deadlock-free. ``stats()`` is
-    therefore a consistent point-in-time snapshot, exactly the
-    discipline :class:`~repro.engine.executor.SubplanCache` documents
-    for its counters. The counters themselves live in the shared metrics
+    therefore a consistent point-in-time snapshot, the same discipline
+    :class:`~repro.util.cache.StatementCache` keeps for its counters.
+    The counters themselves live in the shared metrics
     registry via :class:`~repro.obs.metrics.MetricAttr` shims —
     attribute reads/writes and ``stats()`` keys are unchanged.
 

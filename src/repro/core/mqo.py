@@ -2,7 +2,7 @@
 
 Figure 2 shows 80-90% of sub-plans across parallel attempts are duplicates.
 The shared-work machinery here exploits that: a batch executor runs many
-plans against one :class:`~repro.engine.executor.SubplanCache`, so every
+plans against one subplan memo, a dict that lives for one batch, so every
 distinct (strict-fingerprint) subtree materialises once. The
 :class:`SharingReport` quantifies the saving — the unit the A1 ablation
 bench reports.
@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 from repro.db import Database
 from repro.engine.columnar import ColumnarExecutor
-from repro.engine.executor import ExecContext, SubplanCache
+from repro.engine.executor import ExecContext
 from repro.engine.result import QueryResult
 from repro.plan.fingerprint import fingerprints, subexpressions
 from repro.plan.logical import PlanNode
@@ -71,11 +71,14 @@ class BatchOutcome:
 
 
 class BatchExecutor:
-    """Executes plan batches with cross-query subplan sharing."""
+    """Executes plan batches with cross-query subplan sharing.
 
-    def __init__(self, db: Database, cache: SubplanCache | None = None) -> None:
+    Each :meth:`execute_plans` call shares work through its own memo, so
+    nothing carries over from one batch to the next.
+    """
+
+    def __init__(self, db: Database) -> None:
         self._db = db
-        self.cache = cache or SubplanCache()
 
     def execute_plans(
         self,
@@ -94,8 +97,9 @@ class BatchExecutor:
         report.agents = census.agents
         report.cross_agent_subplans = census.cross_agent
 
+        memo: dict = {}
         for plan in plans:
-            context = ExecContext(cache=self.cache)
+            context = ExecContext(cache=memo)
             result = ColumnarExecutor(self._db.catalog, context).run(plan)
             outcome.results.append(result)
             report.rows_processed_shared += context.stats.rows_processed
@@ -104,7 +108,7 @@ class BatchExecutor:
 
         if measure_unshared:
             for plan in plans:
-                context = ExecContext(cache=None)
+                context = ExecContext()
                 ColumnarExecutor(self._db.catalog, context).run(plan)
                 report.rows_processed_unshared += context.stats.rows_processed
         return outcome

@@ -6,8 +6,9 @@ Responsibilities (paper Sec. 5.2):
 * resolve the satisficer's decisions at the decided accuracy (dispatch
   *order* belongs to :class:`~repro.core.scheduler.ProbeScheduler`, which
   drives this optimizer for both ``submit`` and ``submit_many``);
-* share work across queries, probes, agents and turns through one
-  :class:`~repro.engine.executor.SubplanCache` (intra- and inter-probe MQO);
+* share work across the queries, probes and agents of one admission
+  window through the window's subplan memo, which the scheduler creates
+  and passes in (intra- and inter-probe MQO);
 * answer repeats from **history**: a query whose strict fingerprint was
   already answered this session returns instantly with no work;
 * evaluate **termination criteria** over partial result lists and stop the
@@ -16,8 +17,8 @@ Responsibilities (paper Sec. 5.2):
   subplans become materialization suggestions.
 
 Concurrency: the scheduler's worker pool runs :meth:`speculative_execute`
-from many threads (engine-only, no shared-state writes beyond the
-internally-locked :class:`~repro.engine.executor.SubplanCache`), and
+from many threads (engine-only: its one shared write is the window's
+memo dict, whose single-key reads and writes are atomic), and
 ``run_decision`` itself may be called concurrently by independent serving
 threads — so the ``history`` / ``lenient_history`` dictionaries are
 guarded by a lock, and the advisor locks internally. The serial replay
@@ -37,7 +38,7 @@ from repro.core.probe import QueryOutcome
 from repro.core.satisfice import ExecutionDecision, Satisficer
 from repro.db import Database
 from repro.engine.columnar import ColumnarExecutor
-from repro.engine.executor import ExecContext, SubplanCache
+from repro.engine.executor import ExecContext
 from repro.engine.result import QueryResult
 from repro.errors import ReproError
 from repro.obs import trace as obs_trace
@@ -73,7 +74,6 @@ class ProbeOptimizer:
 
     db: Database
     satisficer: Satisficer
-    cache: SubplanCache | None = None
     advisor: MaterializationAdvisor = field(default_factory=MaterializationAdvisor)
     #: strict fingerprint -> history entry (the answered-before index).
     history: dict[str, HistoryEntry] = field(default_factory=dict)
@@ -104,11 +104,13 @@ class ProbeOptimizer:
         decision: ExecutionDecision,
         turn: int,
         precomputed: PrecomputedExecution | None = None,
+        memo: dict | None = None,
     ) -> QueryOutcome:
         """Resolve one satisficer decision into an outcome.
 
         Handles the prune/error short-circuits, the answered-before history
-        check, and actual execution against the session's shared cache.
+        check, and actual execution against the window's subplan ``memo``
+        (``None``: no sharing).
         The caller — the probe scheduler, for both ``submit`` and
         ``submit_many`` — owns dispatch order and termination bookkeeping
         (those are probe- and batch-level state). When the scheduler
@@ -131,7 +133,9 @@ class ProbeOptimizer:
                 query_index=query.index,
                 reason=query.parse_error or "unplannable query",
             )
-        return self._execute_one(interpreted, query, decision, turn, precomputed)
+        return self._execute_one(
+            interpreted, query, decision, turn, precomputed, memo
+        )
 
     def check_termination(
         self, interpreted: InterpretedProbe, results_so_far: list[QueryResult]
@@ -158,20 +162,18 @@ class ProbeOptimizer:
         return self.execution_rewriter(plan)
 
     def speculative_execute(
-        self, decision: ExecutionDecision, turn: int
+        self, decision: ExecutionDecision, turn: int, memo: dict | None = None
     ) -> PrecomputedExecution:
         """Engine-only execution of one decision — safe to run concurrently.
 
-        Touches no optimizer state except the internally-locked subplan
-        cache; history/advisor bookkeeping happens later, when the serial
-        replay feeds the result back through :meth:`run_decision`.
+        Touches no optimizer state, only the window's subplan ``memo``;
+        history/advisor bookkeeping happens later, when the serial replay
+        feeds the result back through :meth:`run_decision`.
         """
         query = decision.query
         assert query.plan is not None
         context = ExecContext(
-            sample_rate=decision.sample_rate,
-            sample_seed=turn,
-            cache=self.cache,
+            sample_rate=decision.sample_rate, sample_seed=turn, cache=memo
         )
         executor = ColumnarExecutor(self.db.catalog, context)
         plan = self._plan_for_execution(query.plan, decision.sample_rate)
@@ -186,7 +188,8 @@ class ProbeOptimizer:
         query: PlannedQuery,
         decision: ExecutionDecision,
         turn: int,
-        precomputed: PrecomputedExecution | None = None,
+        precomputed: PrecomputedExecution | None,
+        memo: dict | None,
     ) -> QueryOutcome:
         assert query.plan is not None
         digests = fingerprints(query.plan)
@@ -220,7 +223,7 @@ class ProbeOptimizer:
         if precomputed is None:
             # Serial execution: engine-node spans nest directly under the
             # ambient decision span via the trace contextvar.
-            precomputed = self.speculative_execute(decision, turn)
+            precomputed = self.speculative_execute(decision, turn, memo=memo)
         else:
             # Speculated on a pool thread: the engine-node spans live under
             # the unit span; the decision span gets a provenance marker.
@@ -267,23 +270,8 @@ class ProbeOptimizer:
             similar_to_turn=similar_to_turn,
         )
 
-    # -- inter-probe services -------------------------------------------------------
-
-    def similar_answered(self, query: PlannedQuery) -> HistoryEntry | None:
-        """A past answer to a semantically-equal (modulo output order) query."""
-        if query.plan is None:
-            return None
-        lenient = fingerprints(query.plan).lenient
-        with self._lock:
-            entry = self.lenient_history.get(lenient)
-        if entry is not None and entry.sql != query.sql:
-            return entry
-        return entry if entry is not None else None
-
     def invalidate(self) -> None:
-        """Drop history and cache after writes change the data."""
+        """Drop history after writes change the data."""
         with self._lock:
             self.history.clear()
             self.lenient_history.clear()
-        if self.cache is not None:
-            self.cache.invalidate()

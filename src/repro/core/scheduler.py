@@ -14,10 +14,13 @@ hands over a caller-assembled window directly. Either way,
    if the probes had arrived serially.
 2. **Shared-work census** — every executable sub-plan across all agents is
    fingerprinted (via :func:`repro.plan.fingerprint.subexpressions`), and
-   the batch executes against the session's shared
-   :class:`~repro.engine.executor.SubplanCache`, so each distinct subtree
-   materialises once batch-wide. (With MQO disabled session-wide there is
-   no cache, and the batch honours that: ablation baselines stay honest.)
+   the batch executes against one subplan memo, a plain dict created for
+   this window and dropped when it ends, so each distinct subtree
+   materialises once window-wide. The memo is valid by construction: the
+   window holds the serve lock, so no write lands while it lives. Repeats
+   across windows are the answered-before history's job. (With MQO
+   disabled session-wide there is no memo, and the batch honours that:
+   ablation baselines stay honest.)
 3. **Parallel work-group execution** — the batch's independent engine work
    runs concurrently on a worker pool (below), then a serial replay
    re-imposes admission order on all observable bookkeeping.
@@ -50,17 +53,19 @@ therefore speculatively executes exactly the engine runs serial dispatch
 would perform: the serially-first occurrence per strict fingerprint not
 already answered by session history, plus every sampled occurrence
 (sampling bypasses history and draws seed-per-turn). Engine runs are pure
-— results depend only on (plan, sample rate, seed, catalog); the shared
-subplan cache is internally locked and only redistributes work, never
-changes rows — so concurrent execution cannot change any answer.
+— results depend only on (plan, sample rate, seed, catalog); the window's
+subplan memo only redistributes work, never changes rows — so concurrent
+execution cannot change any answer.
 
 **Where the units run.** The speculative phase runs on a per-batch
 :class:`ThreadPoolExecutor` of ``workers`` threads (named
-``probe-sched-*``) that share this process's catalog and subplan cache.
-Setup costs microseconds; real overlap of pure-Python engine work needs
-a free-threaded build (the GIL serialises it otherwise). Threads that
-race on the same subtree may both compute it; answers are identical,
-only the work accounting grows.
+``probe-sched-*``) that share this process's catalog and the window's
+memo. One lenient group's engine runs go to one thread, in serial order,
+so a subtree shared inside a group is computed once, at every worker
+count. Setup costs microseconds; real overlap of pure-Python engine work
+needs a free-threaded build (the GIL serialises it otherwise). Threads
+of different groups that race on the same subtree may both compute it;
+answers are identical, only the work accounting grows.
 
 **Where serial order is re-imposed.** After the speculative phase, the
 original serial dispatch loop runs unchanged — round-robin with
@@ -77,7 +82,7 @@ results are discarded — wasted work, never wrong answers — and a query
 whose execution shifted to a different occurrence simply executes inline
 during replay.
 
-``workers=1`` (and any batch with fewer than two independent engine runs)
+``workers=1`` (and any batch with fewer than two lenient groups to run)
 skips speculation entirely, preserving today's serial loop exactly.
 """
 
@@ -177,6 +182,9 @@ class _BatchRun:
     #: Per-probe ``scheduler:batch`` spans (probe index -> Span) for the
     #: traced probes in the batch — empty with tracing off.
     spans: dict[int, object] = field(default_factory=dict)
+    #: The window's subplan memo (``subplan_cache_key`` -> ColumnBatch),
+    #: shared by every engine run of this window; ``None`` with MQO off.
+    memo: dict | None = None
 
 
 class ProbeScheduler:
@@ -185,7 +193,12 @@ class ProbeScheduler:
     ``workers`` controls the speculative execution pool: ``None`` resolves
     to the ``REPRO_SCHEDULER_WORKERS`` environment override, else
     ``min(8, os.cpu_count())``; ``1`` disables speculation and preserves
-    the serial dispatch loop exactly.
+    the serial dispatch loop exactly. ``enable_mqo=False`` serves every
+    window without a subplan memo.
+
+    ``memo_hits`` and ``memo_misses`` total the windows' memo lookups
+    (published as ``repro_engine_subplan_cache_{hits,misses}``); windows
+    are served one at a time, so plain integers suffice.
     """
 
     #: Batches served, queries dispatched, and engine runs performed by
@@ -202,10 +215,14 @@ class ProbeScheduler:
         optimizer: ProbeOptimizer,
         workers: int | None = None,
         registry: MetricsRegistry | None = None,
+        enable_mqo: bool = True,
     ) -> None:
         self.interpreter = interpreter
         self.optimizer = optimizer
         self.workers = resolve_workers(workers)
+        self.enable_mqo = enable_mqo
+        self.memo_hits = 0
+        self.memo_misses = 0
         self.metrics_registry = registry if registry is not None else MetricsRegistry()
         self._m_batches_served = self.metrics_registry.counter(
             "repro_scheduler_batches_served_total", "Admission batches served"
@@ -284,9 +301,6 @@ class ProbeScheduler:
                     sample_cap=degradation.sample_cap,
                     staleness=degradation.staleness,
                 ).finish()
-        cache = self.optimizer.cache  # None when MQO is disabled: no sharing
-        counters_before = cache.counters() if cache is not None else (0, 0, 0)
-
         if self.workers > 1:
             self._speculate(run)
 
@@ -304,8 +318,9 @@ class ProbeScheduler:
 
         for span in run.spans.values():
             span.finish()
-        counters_after = cache.counters() if cache is not None else (0, 0, 0)
-        report = self._build_report(run, counters_before, counters_after)
+        report = self._build_report(run)
+        self.memo_hits += report.cache_hits
+        self.memo_misses += report.cache_misses
         self._attach_hints(run)
         for state in states:
             resolved = [outcome for outcome in state.outcomes if outcome is not None]
@@ -343,17 +358,28 @@ class ProbeScheduler:
         for members in groups.values():
             members.sort()
         return _BatchRun(
-            states=states, lenient_fingerprints=lenient_fingerprints, groups=groups
+            states=states,
+            lenient_fingerprints=lenient_fingerprints,
+            groups=groups,
+            memo={} if self.enable_mqo else None,
         )
 
     # -- speculative parallel execution ------------------------------------------
 
     def _speculate(self, run: _BatchRun) -> None:
-        """Run the batch's independent engine work on the worker pool."""
+        """Run the batch's independent engine work on the worker pool.
+
+        One pool task per lenient group, running the group's units in
+        serial order: independent groups overlap, and a subtree shared
+        inside a group is computed once, whatever the worker count.
+        """
         units = self._select_units(run)
-        if len(units) < 2:
+        tasks: dict[str, list[tuple[int, int]]] = {}
+        for unit in units:
+            tasks.setdefault(run.lenient_fingerprints[unit], []).append(unit)
+        if len(tasks) < 2:
             return  # nothing to overlap; let the serial loop execute inline
-        self._speculate_threads(run, units)
+        self._speculate_threads(run, list(tasks.values()))
 
     def _select_units(self, run: _BatchRun) -> list[tuple[int, int]]:
         """Exactly the engine runs serial dispatch would perform.
@@ -387,54 +413,54 @@ class ProbeScheduler:
                 units.append((state.index, position))
         return units
 
-    def _speculate_threads(self, run: _BatchRun, units: list[tuple[int, int]]) -> None:
-        """Shared catalog and cache, per-batch pool.
+    def _speculate_threads(
+        self, run: _BatchRun, tasks: list[list[tuple[int, int]]]
+    ) -> None:
+        """Shared catalog and memo, per-batch pool.
 
         A pool per batch: threads never outlive the work they served
         (schedulers are as numerous as systems; leaked idle workers
         would pile up), and spawn cost is noise next to engine runs.
         """
         optimizer = self.optimizer
+        memo = run.memo
 
         def run_unit(decision, turn, span):
             # Pool threads inherit no trace context: re-anchor the ambient
             # span to the unit span pre-created on the coordinator thread
             # (so only this thread ever appends inside the unit's subtree).
             if span is None:
-                return optimizer.speculative_execute(decision, turn)
+                return optimizer.speculative_execute(decision, turn, memo=memo)
             token = obs_trace.set_current(span)
             try:
-                return optimizer.speculative_execute(decision, turn)
+                return optimizer.speculative_execute(decision, turn, memo=memo)
             finally:
                 obs_trace.reset_current(token)
                 span.finish()
 
+        def run_task(jobs):
+            return [run_unit(*job) for job in jobs]
+
         with ThreadPoolExecutor(
-            max_workers=min(self.workers, len(units)),
+            max_workers=min(self.workers, len(tasks)),
             thread_name_prefix="probe-sched",
         ) as pool:
             futures = []
-            for index, position in units:
-                parent = run.spans.get(index)
-                span = (
-                    parent.child("speculate:unit", position=position)
-                    if parent is not None
-                    else None
-                )
-                futures.append(
-                    (
-                        (index, position),
-                        pool.submit(
-                            run_unit,
-                            run.states[index].decisions[position],
-                            run.states[index].turn,
-                            span,
-                        ),
+            for task in tasks:
+                jobs = []
+                for index, position in task:
+                    parent = run.spans.get(index)
+                    span = (
+                        parent.child("speculate:unit", position=position)
+                        if parent is not None
+                        else None
                     )
-                )
-            for key, future in futures:
-                run.precomputed[key] = future.result()
-        self.speculative_executions += len(units)
+                    state = run.states[index]
+                    jobs.append((state.decisions[position], state.turn, span))
+                futures.append((task, pool.submit(run_task, jobs)))
+            for task, future in futures:
+                run.precomputed.update(zip(task, future.result()))
+        self.speculative_executions += sum(len(task) for task in tasks)
 
     # -- dispatch ----------------------------------------------------------------
 
@@ -462,7 +488,11 @@ class ProbeScheduler:
             precomputed = run.precomputed.pop((state.index, position), None)
             if parent is None:
                 outcome = self.optimizer.run_decision(
-                    state.interpreted, decision, state.turn, precomputed=precomputed
+                    state.interpreted,
+                    decision,
+                    state.turn,
+                    precomputed=precomputed,
+                    memo=run.memo,
                 )
             else:
                 span = parent.child(
@@ -473,7 +503,11 @@ class ProbeScheduler:
                 token = obs_trace.set_current(span)
                 try:
                     outcome = self.optimizer.run_decision(
-                        state.interpreted, decision, state.turn, precomputed=precomputed
+                        state.interpreted,
+                        decision,
+                        state.turn,
+                        precomputed=precomputed,
+                        memo=run.memo,
                     )
                 finally:
                     obs_trace.reset_current(token)
@@ -518,12 +552,7 @@ class ProbeScheduler:
 
     # -- accounting + steering ----------------------------------------------------
 
-    def _build_report(
-        self,
-        run: _BatchRun,
-        counters_before: tuple[int, int, int],
-        counters_after: tuple[int, int, int],
-    ) -> SharingReport:
+    def _build_report(self, run: _BatchRun) -> SharingReport:
         plans = []
         agent_ids = []
         for state in run.states:
@@ -532,12 +561,19 @@ class ProbeScheduler:
                     plans.append(decision.query.plan)
                     agent_ids.append(state.probe.agent_id)
         census = subplan_census(plans, agent_ids)
-        rows_processed = sum(
-            outcome.result.stats.rows_processed
+        executed = [
+            outcome.result
             for state in run.states
             for outcome in state.outcomes
             if outcome is not None and outcome.executed and outcome.result is not None
-        )
+        ]
+        # Every engine run of the window either fed an executed outcome or
+        # was stranded by termination: together they tally the memo.
+        runs = executed + [
+            stranded.result
+            for stranded in run.precomputed.values()
+            if stranded.result is not None
+        ]
         return SharingReport(
             # All submitted queries, matching BatchExecutor's semantics for
             # the same field; the census below covers the plannable ones.
@@ -547,24 +583,44 @@ class ProbeScheduler:
             total_subplans=census.total,
             distinct_subplans=census.distinct,
             cross_agent_subplans=census.cross_agent,
-            rows_processed_shared=rows_processed,
-            cache_hits=counters_after[0] - counters_before[0],
-            cache_misses=counters_after[1] - counters_before[1],
+            rows_processed_shared=sum(r.stats.rows_processed for r in executed),
+            cache_hits=sum(r.stats.cache_hits for r in runs),
+            cache_misses=sum(r.stats.cache_misses for r in runs),
         )
+
+    @staticmethod
+    def _shared_groups(run: _BatchRun) -> set[str]:
+        """Lenient groups that really shared work in this window.
+
+        A group shared when one of its engine runs hit the window's memo,
+        or when a member was answered from history with a result this
+        window computed.
+        """
+        computed = {
+            id(outcome.result)
+            for state in run.states
+            for outcome in state.outcomes
+            if outcome is not None and outcome.executed
+        }
+        shared: set[str] = set()
+        for (index, position), lenient in run.lenient_fingerprints.items():
+            outcome = run.states[index].outcomes[position]
+            if outcome is None or outcome.result is None:
+                continue
+            if outcome.executed:
+                if outcome.result.stats.cache_hits:
+                    shared.add(lenient)
+            elif outcome.status == "from_history" and id(outcome.result) in computed:
+                shared.add(lenient)
+        return shared
 
     def _attach_hints(self, run: _BatchRun) -> None:
         """Cross-agent equivalence + budget hints, per probe."""
         asked_by: dict[str, set[str]] = {}
-        for state in run.states:
-            for position in range(len(state.decisions)):
-                lenient = run.lenient_fingerprints.get((state.index, position))
-                if lenient is not None:
-                    asked_by.setdefault(lenient, set()).add(state.probe.agent_id)
-        shared = (
-            "; the work was computed once and shared batch-wide"
-            if self.optimizer.cache is not None
-            else ""  # MQO off: equivalent asks happened, nothing was shared
-        )
+        for (index, _), lenient in run.lenient_fingerprints.items():
+            asked_by.setdefault(lenient, set()).add(run.states[index].probe.agent_id)
+        # MQO off: equivalent asks happened, but nothing is claimed shared.
+        shared = self._shared_groups(run) if run.memo is not None else set()
         for state in run.states:
             for position, decision in enumerate(state.decisions):
                 lenient = run.lenient_fingerprints.get((state.index, position))
@@ -572,9 +628,14 @@ class ProbeScheduler:
                     continue
                 others = asked_by[lenient] - {state.probe.agent_id}
                 if others:
+                    clause = (
+                        "; the work was computed once and shared batch-wide"
+                        if lenient in shared
+                        else ""
+                    )
                     state.hints.append(
                         f"{len(others)} other agent(s) asked a query equivalent"
-                        f" to {decision.query.sql[:50]!r} this turn{shared}"
+                        f" to {decision.query.sql[:50]!r} this turn{clause}"
                     )
         for state in run.states:
             if state.over_budget():

@@ -28,7 +28,7 @@ degenerate window of one.
                              │                  │  cross-agent dedup
                              ▼                  │
            speculative phase: per-batch thread  │
-             pool over the shared catalog/cache │
+             pool over the catalog, window memo │
                              │                  │
                              ▼                  │
            columnar engine: ColumnBatch kernels │
@@ -40,7 +40,7 @@ degenerate window of one.
     probe interpreter ──> satisficer ──> probe optimizer
                      │                          │
                      ▼                          ▼
-               sleeper agents  <───────  shared-work cache (batch-wide)
+               sleeper agents  <───────  shared-work memo (per window)
                      │                          │
                      ▼                          ▼
               steering feedback         agentic memory store
@@ -55,8 +55,8 @@ degenerate window of one.
     maintenance runtime (idle windows; REPRO_MAINTENANCE / SystemConfig)
         gateway idle ──> serve lock ──┬─> view materializer ──> ViewScan
         (no probes        (preempted  ├─> auto-indexer ──> aux IndexScan
-         in flight)        by any     ├─> statistics refresher   rewrites
-                           arrival)   └─> subplan-cache pre-warmer
+         in flight)        by any     └─> statistics refresher   rewrites
+                           arrival)
 
     durability layer (REPRO_WAL / Database.attach_wal; txn/wal.py)
         catalog writes ──> write-ahead log (append BEFORE mutate);
@@ -122,8 +122,7 @@ Between windows, the sleeper-agent maintenance runtime converts advice
 into artifacts: recurring subplans become version-stamped materialized
 views served through execution-time ViewScan rewrites, mined
 equality/range predicates become auxiliary (planner-invisible) indexes,
-statistics are re-derived after write bursts, and evicted hot subplan
-cache entries are re-installed from views. Every artifact is validated
+and statistics are re-derived after write bursts. Every artifact is validated
 through ``Catalog.version()``/``ChangeEvent`` staleness machinery, so a
 maintenance-on run stays byte-identical to a maintenance-off run — just
 faster on repeated workloads.
@@ -146,7 +145,6 @@ from repro.core.scheduler import ProbeScheduler, ScheduledProbe
 from repro.core.steering import CostAdvisor, JoinDiscovery, WhyNotDiagnoser
 from repro.db import Database
 from repro.db.database import ChangeEvent
-from repro.engine.executor import SubplanCache
 from repro.maintenance import MaintenanceConfig, MaintenanceRuntime
 from repro.memstore import AgenticMemoryStore, ArtifactKind
 from repro.obs import trace as obs_trace
@@ -181,10 +179,9 @@ class SystemConfig:
     gateway_max_batch: int | None = None
     gateway_max_wait: float | None = None
     #: Sleeper-agent maintenance runtime: idle-window view
-    #: materialization, auto-indexing, statistics refresh, and cache
-    #: pre-warming. ``None`` -> the ``REPRO_MAINTENANCE`` env override,
-    #: else off. Answers are byte-identical either way; only the work
-    #: (and wall-clock) changes.
+    #: materialization, auto-indexing and statistics refresh. ``None`` ->
+    #: the ``REPRO_MAINTENANCE`` env override, else off. Answers are
+    #: byte-identical either way; only the work (and wall-clock) changes.
     enable_maintenance: bool | None = None
     #: Detailed maintenance knobs (thresholds, view budget); ``None``
     #: uses :class:`~repro.maintenance.MaintenanceConfig` defaults.
@@ -244,7 +241,6 @@ class AgentFirstDataSystem:
         self.optimizer = ProbeOptimizer(
             db=db,
             satisficer=self.satisficer,
-            cache=SubplanCache() if self.config.enable_mqo else None,
             advisor=MaterializationAdvisor(),
             enable_history=self.config.enable_history,
         )
@@ -256,6 +252,7 @@ class AgentFirstDataSystem:
             optimizer=self.optimizer,
             workers=scheduler_workers,
             registry=self.metrics_registry,
+            enable_mqo=self.config.enable_mqo,
         )
         self.qos = (
             QosController(self.config.qos, registry=self.metrics_registry)
@@ -319,16 +316,13 @@ class AgentFirstDataSystem:
         from repro.engine.executor import EXPR_MEMO_STATS, expr_memo_occupancy
 
         registry = self.metrics_registry
-        cache = self.optimizer.cache
+        scheduler = self.scheduler
         gauges = {
             name: registry.gauge(f"repro_engine_{name}", help)
             for name, help in (
-                ("subplan_cache_entries", "Subplan cache occupancy"),
-                ("subplan_cache_hits", "Subplan cache lifetime hits"),
-                ("subplan_cache_misses", "Subplan cache lifetime misses"),
-                ("subplan_cache_evictions", "Subplan cache lifetime evictions"),
+                ("subplan_cache_hits", "Window subplan-memo hits, lifetime"),
+                ("subplan_cache_misses", "Window subplan-memo misses, lifetime"),
                 ("subplan_cache_hit_ratio", "hits / (hits + misses), 0 when idle"),
-                ("subplan_cache_rows", "Rows retained across subplan cache entries"),
                 ("expr_memo_entries", "Compiled-expression memo occupancy"),
                 ("expr_memo_compilations", "Expression compilations (process-wide)"),
                 ("expr_memo_hits", "Expression memo hits (process-wide)"),
@@ -395,15 +389,11 @@ class AgentFirstDataSystem:
         ]
 
         def collect() -> None:
-            if cache is not None:
-                hits, misses, evictions = cache.counters()
-                gauges["subplan_cache_entries"].set(len(cache))
-                gauges["subplan_cache_hits"].set(hits)
-                gauges["subplan_cache_misses"].set(misses)
-                gauges["subplan_cache_evictions"].set(evictions)
-                total = hits + misses
-                gauges["subplan_cache_hit_ratio"].set(hits / total if total else 0.0)
-                gauges["subplan_cache_rows"].set(cache.retained_rows())
+            hits, misses = scheduler.memo_hits, scheduler.memo_misses
+            gauges["subplan_cache_hits"].set(hits)
+            gauges["subplan_cache_misses"].set(misses)
+            total = hits + misses
+            gauges["subplan_cache_hit_ratio"].set(hits / total if total else 0.0)
             for counter, value in zip(plan_cache_counters, statements.counters()):
                 counter.set(value)
             plan_cache_entries.set(len(statements))
@@ -480,8 +470,8 @@ class AgentFirstDataSystem:
         had streamed in together. All probes are interpreted up front; the
         scheduler runs the window's independent engine work concurrently
         on its worker pool, then replays dispatch round-robin across
-        agents through one batch-shared subplan cache, so every
-        duplicated subtree materialises once. Per-query rows and statuses
+        agents through one subplan memo that lives for the window, so
+        every duplicated subtree materialises once. Per-query rows and statuses
         are byte-identical to submitting the probes serially — at any
         worker count; the engine work is not — duplicated work collapses,
         and independent work overlaps in wall-clock.
@@ -868,8 +858,8 @@ def shared_serving_system(db: Database) -> AgentFirstDataSystem:
     ``AgentFirstDataSystem`` registers a change observer on its database
     that is never detached, so throwaway systems would accumulate — and
     replay invalidations — for the database's whole lifetime. Steering and
-    memory are off (field agents never read them); MQO, history, and the
-    shared cache persist across calls, so repeat sweeps over the same
+    memory are off (field agents never read them); the answered-before
+    history persists across calls, so repeat sweeps over the same
     database keep getting cheaper.
     """
     system = getattr(db, "_serving_system", None)

@@ -7,9 +7,8 @@ full pipeline: parse → build → optimize → execute. It also
 * evaluates DML (INSERT/UPDATE/DELETE) with index maintenance,
 * publishes :class:`ChangeEvent` notifications that the agentic memory
   store's staleness tracker subscribes to (paper Sec. 6.1),
-* accepts per-query sampling rates and a shared
-  :class:`~repro.engine.executor.SubplanCache` — the hooks the probe
-  optimizer drives,
+* accepts per-query sampling rates — the hook the probe optimizer
+  drives,
 * compiles every statement through one catalog-versioned
   :class:`~repro.plan.compiled.StatementCache`, so text a swarm repeats
   is parsed and planned once per catalog version, and
@@ -29,7 +28,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from repro.engine.columnar import ColumnarExecutor
-from repro.engine.executor import ExecContext, SubplanCache
+from repro.engine.executor import ExecContext
 from repro.engine.expressions import compile_expr
 from repro.engine.result import QueryResult
 from repro.errors import CatalogError, ExecutionError
@@ -193,7 +192,6 @@ class Database:
         sql: str,
         sample_rate: float = 1.0,
         sample_seed: int = 0,
-        cache: SubplanCache | None = None,
     ) -> QueryResult:
         """Parse and execute one statement, returning a result.
 
@@ -202,9 +200,7 @@ class Database:
         """
         compiled = self._compile(sql)
         if compiled.plan is not None:
-            context = ExecContext(
-                sample_rate=sample_rate, sample_seed=sample_seed, cache=cache
-            )
+            context = ExecContext(sample_rate=sample_rate, sample_seed=sample_seed)
             return ColumnarExecutor(self.catalog, context).run(compiled.plan)
         statement = compiled.statement
         if isinstance(statement, nodes.CreateTable):

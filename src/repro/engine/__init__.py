@@ -7,7 +7,7 @@ reference oracle the differential tests compare it against.
 """
 
 from repro.engine.batch import ColumnBatch
-from repro.engine.executor import ExecContext, Executor, SubplanCache
+from repro.engine.executor import ExecContext, Executor
 from repro.engine.result import ExecStats, QueryResult
 
 # columnar imports executor, so it must come after.
@@ -20,5 +20,4 @@ __all__ = [
     "ExecStats",
     "Executor",
     "QueryResult",
-    "SubplanCache",
 ]

@@ -1,10 +1,10 @@
 """The column-major batch both engines share.
 
 :class:`ColumnBatch` is what the columnar engine's operators consume and
-produce, and the one entry format of the shared
-:class:`~repro.engine.executor.SubplanCache`. It lives apart from the
-columnar engine so the row executor (which the columnar engine imports)
-can build and read cache entries too.
+produce, and the one entry format of a window's subplan memo
+(:attr:`~repro.engine.executor.ExecContext.cache`). It lives apart from
+the columnar engine so the row executor (which the columnar engine
+imports) can build and read memo entries too.
 """
 
 from __future__ import annotations
@@ -24,9 +24,10 @@ class ColumnBatch:
     explicit because zero-width batches (``OneRow``) still carry row
     counts. A batch is **immutable by convention**: kernels may return a
     batch's own column list zero-copy (a bare column reference projects
-    for free), and the subplan cache hands the very batch an execution
-    produced to every later execution of the same subplan, so nothing may
-    mutate a column, a mirror or a row view after construction.
+    for free), and a window's subplan memo hands the very batch an
+    execution produced to every later execution of the same subplan in
+    that window, so nothing may mutate a column, a mirror or a row view
+    after construction.
 
     Three caches ride along and are stripped from the pickle state — the
     same contract as ``PlanNode.__getstate__`` dropping its fingerprint
@@ -42,8 +43,8 @@ class ColumnBatch:
       value lists as its columns
       (:class:`~repro.storage.table.Segment`), and filter, project,
       sort and limit carry mirrors through by gathering or slicing them;
-      only batches built from rows (views, joins, fallbacks, cache
-      entries installed as rows) pay the type sweep, once per column, on
+      only batches built from rows (views, joins, fallbacks, memo
+      entries the row engine stored) pay the type sweep, once per column, on
       first use;
     * ``_codes`` — per-column :class:`~repro.storage.table.TextCodes` for
       all-``str`` columns (``None`` marks ineligible columns), the same
@@ -80,9 +81,8 @@ class ColumnBatch:
         """The batch holding ``rows``, which become its row view.
 
         The single way rows turn into a batch — and so into a subplan
-        cache entry: the row engine and the maintenance re-warm both
-        come through here, and row readers get
-        the same list back from ``to_rows``.
+        memo entry: the row engine comes through here, and row readers
+        get the same list back from ``to_rows``.
         """
         if not rows or not width:
             batch = cls([[] for _ in range(width)], len(rows))

@@ -57,11 +57,10 @@ steering, and work accounting. Four mechanisms enforce it:
   evaluate a superset of what short-circuiting row closures evaluate)
   come out byte-identical. Subquery-bearing expressions and ``IndexScan``
   leaves take this path unconditionally.
-* **One cache key** — the shared
-  :class:`~repro.engine.executor.SubplanCache` holds
+* **One memo key** — a window's subplan memo holds
   :class:`~repro.engine.batch.ColumnBatch` entries under the same
   :func:`~repro.engine.executor.subplan_cache_key` in both engines. The
-  columnar engine caches the batch a node produced, with no copy and no
+  columnar engine stores the batch a node produced, with no copy and no
   row view, and serves a hit as that same batch; a row-engine consumer
   reads it through the memoized ``to_rows``, and rows the row engine
   produced enter through ``ColumnBatch.from_rows``.
@@ -1640,10 +1639,7 @@ class ColumnarExecutor(Executor):
         cache_key: tuple | None = None
         if cache is not None:
             cache_key = subplan_cache_key(
-                node,
-                self.context.sample_rate,
-                self.context.sample_seed,
-                self.context.min_cacheable_size,
+                node, self.context.sample_rate, self.context.sample_seed
             )
             if cache_key is not None:
                 cached = cache.get(cache_key)
@@ -1659,7 +1655,7 @@ class ColumnarExecutor(Executor):
         batch = self._execute_batch_uncached(node)
 
         if cache is not None and cache_key is not None:
-            cache.put(cache_key, batch)
+            cache[cache_key] = batch
         return batch
 
     def _execute_batch_uncached(self, node: logical.PlanNode) -> ColumnBatch:

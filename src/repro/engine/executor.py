@@ -7,11 +7,11 @@ agent-first layers above:
 * **Work accounting** — every row an operator touches increments
   ``ExecContext.stats.rows_processed``; the MQO ablation and the probe
   optimizer's cost feedback are denominated in this unit.
-* **Shared-work cache** — when an :class:`ExecContext` carries a
-  :class:`SubplanCache`, every materialised subplan is recorded under its
-  canonical fingerprint, and later executions (by any agent, in any probe)
-  reuse it. This implements the paper's "sharing computation across
-  redundant probes" (Sec. 5.2.1).
+* **Shared-work memo** — when an :class:`ExecContext` carries a memo
+  dict, every materialised subplan is recorded under its canonical
+  fingerprint, and later executions against the same memo (any agent's,
+  any probe's, within one admission window) reuse it. This implements
+  the paper's "sharing computation across redundant probes" (Sec. 5.2.1).
 * **Sampling mode** — ``sample_rate < 1`` makes scans Bernoulli-sample
   their input with a seeded RNG and aggregates scale up, implementing the
   approximate execution that satisficing relies on (Sec. 5.2).
@@ -42,135 +42,42 @@ from repro.storage.catalog import Catalog
 from repro.storage.types import Row, Value, compare_values
 from repro.util.rng import RngStream
 
-#: Subplans smaller than this are cheaper to recompute than to look up —
-#: the default for :attr:`ExecContext.min_cacheable_size`, shared with the
-#: maintenance runtime so both sides key the cache identically.
-DEFAULT_MIN_CACHEABLE_SIZE = 2
+#: Subplans smaller than this (a bare scan) are cheaper to recompute than
+#: to look up, so they never enter a subplan memo.
+MIN_CACHEABLE_SIZE = 2
 
 
 def subplan_cache_key(
-    node: logical.PlanNode,
-    sample_rate: float,
-    sample_seed: int,
-    min_cacheable_size: int = DEFAULT_MIN_CACHEABLE_SIZE,
+    node: logical.PlanNode, sample_rate: float, sample_seed: int
 ) -> tuple | None:
-    """The shared-work cache key for one subplan, or None when uncacheable.
+    """The subplan-memo key for one subplan, or None when uncacheable.
 
-    Single source of truth for cache keying: the executor uses it per
-    materialised node, and the maintenance runtime uses it to probe for
-    (and install) whole-view materialisations. The key includes
-    the sampling rate — and, for sampled runs, the seed — so approximate
-    and exact executions never alias.
+    Both engines key a memo through this one function. The key includes
+    the sampling rate (and, for sampled runs, the seed) so approximate and
+    exact executions never alias.
     """
     digests = fingerprints(node)
-    if digests.size < min_cacheable_size:
+    if digests.size < MIN_CACHEABLE_SIZE:
         return None
     if sample_rate >= 1.0:
         return (digests.strict, sample_rate)
     return (digests.strict, sample_rate, sample_seed)
 
 
-class SubplanCache:
-    """Fingerprint-keyed LRU cache of materialised subplan results.
-
-    Shared across probes and agents — including interleaved use by the
-    probe scheduler, where many agents' executions hammer one cache inside
-    a single admission batch; a lock keeps the counters and the recency
-    list consistent under that interleaving. The cache key includes the
-    sampling rate (and, for sampled runs, the seed) so approximate and
-    exact runs never alias. Entries are
-    :class:`~repro.engine.batch.ColumnBatch` objects, immutable by
-    convention: the columnar engine stores the batch a node produced and
-    serves a hit as that same object, and readers that need rows call its
-    memoized ``to_rows``.
-
-    Eviction is true LRU: a ``get`` refreshes the entry's recency, so a
-    hot subplan survives pressure from a stream of cold inserts.
-
-    Lock discipline: every accessor — including ``__len__`` and the
-    counter snapshot — takes ``_lock`` before touching ``_entries`` or the
-    hit/miss/eviction counters; nothing reads shared state unlocked. New
-    accessors must follow suit, and must not call other locked methods
-    while holding the lock (it is not reentrant).
-    """
-
-    def __init__(self, max_entries: int = 4096) -> None:
-        self._entries: OrderedDict[tuple, ColumnBatch] = OrderedDict()
-        self._max_entries = max_entries
-        self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self._rows = 0
-
-    def get(self, key: tuple) -> ColumnBatch | None:
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                self.misses += 1
-                return None
-            self._entries.move_to_end(key)
-            self.hits += 1
-            return entry
-
-    def put(self, key: tuple, entry: ColumnBatch) -> None:
-        with self._lock:
-            previous = self._entries.get(key)
-            if previous is not None:
-                self._entries.move_to_end(key)
-                self._rows -= len(previous)
-            elif len(self._entries) >= self._max_entries:
-                _, evicted = self._entries.popitem(last=False)
-                self._rows -= len(evicted)
-                self.evictions += 1
-            self._entries[key] = entry
-            self._rows += len(entry)
-
-    def contains(self, key: tuple | None) -> bool:
-        """Presence probe that observes nothing: no counters, no recency.
-
-        The maintenance runtime uses this to skip re-warming views whose
-        materialisation is already cached; the serving path's own ``get``
-        then records the hit exactly once.
-        """
-        if key is None:
-            return False
-        with self._lock:
-            return key in self._entries
-
-    def counters(self) -> tuple[int, int, int]:
-        """A consistent (hits, misses, evictions) snapshot.
-
-        The scheduler differences two snapshots to attribute hit/miss
-        traffic to one admission batch.
-        """
-        with self._lock:
-            return (self.hits, self.misses, self.evictions)
-
-    def invalidate(self) -> None:
-        with self._lock:
-            self._entries.clear()
-            self._rows = 0
-
-    def retained_rows(self) -> int:
-        """Rows held across all entries (what the cache costs in memory)."""
-        with self._lock:
-            return self._rows
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-
 @dataclass
 class ExecContext:
-    """Per-execution knobs and counters."""
+    """Per-execution knobs and counters.
+
+    ``cache`` is a subplan memo: a plain dict from :func:`subplan_cache_key`
+    to the :class:`~repro.engine.batch.ColumnBatch` a node produced. The
+    probe scheduler hands every engine run of one admission window the
+    same dict and drops it when the window ends; the data cannot change
+    while the window holds the serve lock, so an entry is never stale.
+    """
 
     sample_rate: float = 1.0
     sample_seed: int = 0
-    cache: SubplanCache | None = None
-    #: Subplans smaller than this are cheaper to recompute than to look up.
-    min_cacheable_size: int = DEFAULT_MIN_CACHEABLE_SIZE
+    cache: dict | None = None
     stats: ExecStats = field(default_factory=ExecStats)
 
 
@@ -197,7 +104,7 @@ EXPR_MEMO_STATS = ExprMemoStats()
 #: (plan-node strict fingerprint, slot). Equal strict fingerprints imply
 #: structurally identical nodes (modulo alias naming, which compilation
 #: erases into row positions), so a memoized closure is interchangeable
-#: with a fresh compile — the same equivalence the subplan cache already
+#: with a fresh compile — the same equivalence the subplan memo already
 #: relies on for whole materialisations. Guarded by ``_EXPR_MEMO_LOCK``.
 _EXPR_MEMO: OrderedDict[tuple, Compiled] = OrderedDict()
 _EXPR_MEMO_LOCK = threading.Lock()
@@ -339,15 +246,10 @@ class Executor(SubqueryRunner):
         cache_key: tuple | None = None
         if cache is not None:
             cache_key = subplan_cache_key(
-                node,
-                self.context.sample_rate,
-                self.context.sample_seed,
-                self.context.min_cacheable_size,
+                node, self.context.sample_rate, self.context.sample_seed
             )
             # Sub-threshold subplans (cache_key None) were never cacheable:
-            # skip the lookup entirely — taking the lock and counting a
-            # miss for them inflated the miss counter and serialised
-            # concurrent executions for nothing.
+            # skip the lookup entirely, so misses count only real lookups.
             if cache_key is not None:
                 cached = cache.get(cache_key)
                 if cached is not None:
@@ -362,7 +264,7 @@ class Executor(SubqueryRunner):
         rows = self._execute_uncached(node)
 
         if cache is not None and cache_key is not None:
-            cache.put(cache_key, ColumnBatch.from_rows(rows, len(node.output)))
+            cache[cache_key] = ColumnBatch.from_rows(rows, len(node.output))
         return rows
 
     def _execute_uncached(self, node: logical.PlanNode) -> list[Row]:

@@ -15,7 +15,7 @@ class ExecStats:
 
     ``rows_processed`` is the engine's abstract work unit (every row an
     operator touches); the MQO ablation reports savings in this unit.
-    ``cache_hits`` counts subplans answered from the shared-work cache.
+    ``cache_hits`` counts subplans answered from the window's subplan memo.
     """
 
     rows_scanned: int = 0

@@ -142,7 +142,7 @@ def build_sections() -> list[tuple[str, str, str, str]]:
             mqo.render(),
             "Figure 2's redundancy converts into ~an order of magnitude less "
             "work when attempts execute through the fingerprint-keyed "
-            "shared-work cache.",
+            "shared-work memo.",
         )
     )
 

@@ -4,10 +4,10 @@ The runtime (:mod:`repro.maintenance.runtime`) schedules three jobs in
 gateway idle windows — a view materializer consuming
 :class:`~repro.core.mqo.MaterializationAdvisor` suggestions, an
 auto-indexer fed by mined predicate history
-(:mod:`repro.maintenance.indexer`), and a statistics refresher + subplan
-cache pre-warmer — with every artifact validated through the catalog's
-version machinery so maintenance-on answers stay byte-identical to a
-maintenance-off run (:mod:`repro.maintenance.views`).
+(:mod:`repro.maintenance.indexer`), and a statistics refresher — with
+every artifact validated through the catalog's version machinery so
+maintenance-on answers stay byte-identical to a maintenance-off run
+(:mod:`repro.maintenance.views`).
 """
 
 from repro.maintenance.indexer import IndexCandidate, PredicateMiner

@@ -6,13 +6,12 @@ turns they do offline work: materializing hot shared subplans, building
 access-path structures, and keeping the store warm for the next
 speculation burst. This module turns the advisory layers this codebase
 already had (:class:`~repro.core.mqo.MaterializationAdvisor` suggestions,
-lazily-recomputed statistics, a subplan cache that forgets under
-pressure) into *acted-on* maintenance:
+lazily-recomputed statistics) into *acted-on* maintenance:
 
-* **view materializer** — executes the advisor's hot subplans once
-  (inline, through the shared subplan cache), registers the result as a
-  version-stamped :class:`~repro.maintenance.views.MaterializedView`, and
-  rewrites incoming plans to scan the view
+* **view materializer** — executes the advisor's hot subplans once,
+  registers the result as a version-stamped
+  :class:`~repro.maintenance.views.MaterializedView`, and rewrites
+  incoming plans to scan the view
   (:func:`repro.plan.rules.rewrite_with_materialized_views`) when strict
   fingerprints match — falling back to lenient matches closed by a pure
   output-column permutation;
@@ -22,10 +21,8 @@ pressure) into *acted-on* maintenance:
   the :func:`repro.plan.rules.rewrite_with_auxiliary_indexes` rewrite,
   while staying invisible to the planner so plan fingerprints (and
   therefore history attribution) never change;
-* **statistics refresher + cache pre-warmer** — re-derives
-  :mod:`repro.storage.statistics` for tables touched by write bursts and
-  re-installs evicted hot :class:`~repro.engine.executor.SubplanCache`
-  entries from the surviving views.
+* **statistics refresher** — re-derives :mod:`repro.storage.statistics`
+  for tables touched by write bursts.
 
 Scheduling: jobs run in gateway idle windows — the admission loop calls
 :meth:`MaintenanceRuntime.notify_idle` whenever it drains its queue, and
@@ -51,9 +48,8 @@ import threading
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from repro.engine.batch import ColumnBatch
 from repro.engine.columnar import ColumnarExecutor
-from repro.engine.executor import ExecContext, subplan_cache_key
+from repro.engine.executor import ExecContext
 from repro.maintenance.indexer import KIND_EQ, PredicateMiner
 from repro.maintenance.views import MaterializedView, ViewStore, source_tables
 from repro.obs.metrics import MetricAttr, MetricsRegistry
@@ -92,7 +88,6 @@ class MaintenanceConfig:
     materialize_views: bool = True
     auto_index: bool = True
     refresh_statistics: bool = True
-    prewarm_cache: bool = True
 
 
 @dataclass
@@ -102,16 +97,10 @@ class MaintenanceReport:
     views_built: list[str] = field(default_factory=list)
     indexes_built: list[tuple[str, str, str]] = field(default_factory=list)
     stats_refreshed: list[str] = field(default_factory=list)
-    cache_entries_rewarmed: int = 0
     preempted: bool = False
 
     def did_work(self) -> bool:
-        return bool(
-            self.views_built
-            or self.indexes_built
-            or self.stats_refreshed
-            or self.cache_entries_rewarmed
-        )
+        return bool(self.views_built or self.indexes_built or self.stats_refreshed)
 
 
 class MaintenanceRuntime:
@@ -128,7 +117,6 @@ class MaintenanceRuntime:
     views_built = MetricAttr("_m_views_built")
     indexes_built = MetricAttr("_m_indexes_built")
     stats_refreshes = MetricAttr("_m_stats_refreshes")
-    cache_rewarms = MetricAttr("_m_cache_rewarms")
     preemptions = MetricAttr("_m_preemptions")
     idle_notifications = MetricAttr("_m_idle_notifications")
 
@@ -170,7 +158,6 @@ class MaintenanceRuntime:
             ("_m_views_built", "views_built_total", "Views materialized."),
             ("_m_indexes_built", "indexes_built_total", "Auxiliary indexes built."),
             ("_m_stats_refreshes", "stats_refreshes_total", "Statistics refreshes."),
-            ("_m_cache_rewarms", "cache_rewarms_total", "Subplan cache re-warms."),
             ("_m_preemptions", "preemptions_total", "Jobs preempted by serving demand."),
             (
                 "_m_idle_notifications",
@@ -187,7 +174,6 @@ class MaintenanceRuntime:
         self.views_built = 0
         self.indexes_built = 0
         self.stats_refreshes = 0
-        self.cache_rewarms = 0
         self.preemptions = 0
         self.idle_notifications = 0
 
@@ -363,20 +349,8 @@ class MaintenanceRuntime:
         with self._lock:
             if self._dirty_tables and self.config.refresh_statistics:
                 return True
-        catalog = self.system.db.catalog
-        version = catalog.data_version_tuple()
-        installed = self.views.snapshot()
         if any(self._buildable_view_candidates()):
             return True
-        if self.config.prewarm_cache:
-            cache = self.system.optimizer.cache
-            if cache is not None:
-                for view in installed:
-                    if view.built_version != version:
-                        continue
-                    key = subplan_cache_key(view.plan, 1.0, 0)
-                    if key is not None and not cache.contains(key):
-                        return True
         if self.config.auto_index and any(self._buildable_index_candidates()):
             return True
         return False
@@ -401,7 +375,6 @@ class MaintenanceRuntime:
                 self._job_refresh_statistics,
                 self._job_auto_index,
                 self._job_materialize_views,
-                self._job_prewarm_cache,
             )
             for job in jobs:
                 if report.preempted:
@@ -597,45 +570,12 @@ class MaintenanceRuntime:
         )
 
     def _execute_subplan(self, plan: logical.PlanNode) -> list | None:
-        """One engine run of a hot subplan, off the serving path.
-
-        Runs inline through the session's shared subplan cache, which
-        doubles as a pre-warm.
-        """
+        """One engine run of a hot subplan, off the serving path."""
         try:
-            context = ExecContext(cache=self.system.optimizer.cache)
-            executor = ColumnarExecutor(self.system.db.catalog, context)
+            executor = ColumnarExecutor(self.system.db.catalog, ExecContext())
             return list(executor.run(plan).rows)
         except Exception:
             return None  # racing write tore a scan, or the plan went stale
-
-    # -- job: cache pre-warmer ---------------------------------------------------
-
-    def _job_prewarm_cache(self, report: MaintenanceReport, preemptible: bool) -> None:
-        if not self.config.prewarm_cache:
-            return
-        cache = self.system.optimizer.cache
-        if cache is None:
-            return
-        catalog = self.system.db.catalog
-        version = catalog.data_version_tuple()
-        for view in self.views.snapshot():
-            if self._preempt(preemptible):
-                report.preempted = True
-                self.preemptions += 1
-                return
-            if view.built_version != version:
-                continue
-            key = subplan_cache_key(view.plan, 1.0, 0)
-            if key is None or cache.contains(key):
-                continue
-            # Re-install the evicted hot entry under the *original* plan's
-            # strict fingerprint, so even un-rewritten execution paths
-            # (e.g. the subtree nested under a colder parent) hit it.
-            rows = list(view.rows)
-            cache.put(key, ColumnBatch.from_rows(rows, len(view.plan.output)))
-            report.cache_entries_rewarmed += 1
-            self.cache_rewarms += 1
 
     # -- reporting ----------------------------------------------------------------
 
@@ -653,7 +593,6 @@ class MaintenanceRuntime:
             "view_invalidations": self.views.invalidations,
             "indexes_built": self.indexes_built,
             "stats_refreshes": self.stats_refreshes,
-            "cache_rewarms": self.cache_rewarms,
             "preemptions": self.preemptions,
             "idle_notifications": self.idle_notifications,
         }

@@ -50,7 +50,7 @@ class MaterializedView:
     built_version: tuple
     tables: tuple[str, ...]
     #: Unique per build — keeps ViewScan fingerprints (and therefore
-    #: subplan-cache keys) from aliasing rows across rebuilds.
+    #: subplan-memo keys) from aliasing rows across rebuilds.
     build_id: int
     #: Advisor occurrence count when the view was built (steering detail).
     occurrences: int

@@ -3,11 +3,11 @@
 A swarm re-issues the same statements over and over (the paper's
 *redundancy* property), and its "unique" statements are a handful of
 shapes with different constants. The serving tiers below the planner
-already exploit that — scheduler dedup, the subplan cache, answered-before
-history — but every probe used to be lexed, parsed, planned and optimized
-from its SQL text first, even when history then answered it without
-touching the engine. This module puts two cache levels in front of the
-planner, both stamped with ``Catalog.version()``:
+already exploit that — scheduler dedup, the window's subplan memo,
+answered-before history — but every probe used to be lexed, parsed,
+planned and optimized from its SQL text first, even when history then
+answered it without touching the engine. This module puts two cache
+levels in front of the planner, both stamped with ``Catalog.version()``:
 
 1. **Exact text.** :class:`StatementCache` maps SQL text to a
    :class:`CompiledStatement` — the AST, the optimized plan (shared, so

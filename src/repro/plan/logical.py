@@ -431,7 +431,7 @@ class ViewScan(PlanNode):
     so parents compile their expressions against exactly the schema they
     were planned for; ``projection`` maps each output column to its
     position in the stored view rows (the identity for strict matches).
-    ``build_id`` is unique per view build, which keeps subplan-cache keys
+    ``build_id`` is unique per view build, which keeps subplan-memo keys
     from ever aliasing rows across rebuilds.
     """
 

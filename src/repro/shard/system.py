@@ -2,7 +2,7 @@
 
 ``ShardedSystem`` scales the agent-first design *out*: each shard is a
 complete :class:`~repro.core.system.AgentFirstDataSystem` — its own
-scheduler, subplan cache, maintenance runtime, QoS controller, optional
+scheduler, history, maintenance runtime, QoS controller, optional
 WAL/replicas — over its own :class:`~repro.db.Database`. The tier adds
 three things in front:
 

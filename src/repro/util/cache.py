@@ -24,8 +24,10 @@ class StatementCache:
     Values are opaque to the cache. ``max_entries=0`` disables
     caching — the differential tests' always-miss baseline.
 
-    Lock discipline follows :class:`~repro.engine.executor.SubplanCache`:
-    every accessor takes ``_lock``; none calls another while holding it.
+    Lock discipline: every accessor — including ``__len__`` and the
+    counter snapshot — takes ``_lock`` before touching the entries or the
+    counters, and none calls another locked method while holding it (the
+    lock is not reentrant).
     """
 
     def __init__(self, max_entries: int = 4096) -> None:

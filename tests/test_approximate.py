@@ -1,11 +1,12 @@
-"""Tests for approximate execution (sampling) and the shared-work cache."""
+"""Tests for approximate execution (sampling) and the subplan memo's keys."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.db import Database
-from repro.engine.executor import SubplanCache
+from repro.engine.columnar import ColumnarExecutor
+from repro.engine.executor import ExecContext
 
 
 @pytest.fixture
@@ -89,72 +90,70 @@ class TestSampling:
         assert counts.get("a", 0) > counts.get("b", 0)
 
 
-class TestSubplanCache:
-    def test_identical_query_hits_cache(self, big_db):
-        cache = SubplanCache()
-        first = big_db.execute("SELECT COUNT(*) FROM events WHERE kind = 'a'", cache=cache)
-        second = big_db.execute("SELECT COUNT(*) FROM events WHERE kind = 'a'", cache=cache)
+def run_with(db: Database, sql: str, memo: dict, sample_rate: float = 1.0):
+    """Execute ``sql`` against ``memo``, as one engine run of a window."""
+    context = ExecContext(sample_rate=sample_rate, cache=memo)
+    return ColumnarExecutor(db.catalog, context).run(db.plan_select(sql))
+
+
+class TestSubplanMemo:
+    def test_identical_query_hits_memo(self, big_db):
+        memo: dict = {}
+        first = run_with(big_db, "SELECT COUNT(*) FROM events WHERE kind = 'a'", memo)
+        second = run_with(big_db, "SELECT COUNT(*) FROM events WHERE kind = 'a'", memo)
         assert first.rows == second.rows
         assert second.stats.cache_hits > 0
         assert second.stats.rows_scanned == 0  # never touched the table
 
-    def test_alias_variant_hits_cache(self, big_db):
-        cache = SubplanCache()
-        big_db.execute("SELECT COUNT(*) FROM events WHERE kind = 'a'", cache=cache)
-        result = big_db.execute(
-            "SELECT COUNT(*) FROM events e WHERE e.kind = 'a'", cache=cache
+    def test_alias_variant_hits_memo(self, big_db):
+        memo: dict = {}
+        run_with(big_db, "SELECT COUNT(*) FROM events WHERE kind = 'a'", memo)
+        result = run_with(
+            big_db, "SELECT COUNT(*) FROM events e WHERE e.kind = 'a'", memo
         )
         assert result.stats.cache_hits > 0
 
     def test_shared_subplan_across_different_queries(self, big_db):
-        cache = SubplanCache()
-        big_db.execute(
+        memo: dict = {}
+        run_with(
+            big_db,
             "SELECT kind, COUNT(*) FROM events WHERE value > 50 GROUP BY kind",
-            cache=cache,
+            memo,
         )
-        result = big_db.execute(
+        result = run_with(
+            big_db,
             "SELECT kind, SUM(value) FROM events WHERE value > 50 GROUP BY kind",
-            cache=cache,
+            memo,
         )
         # The filtered scan (Filter over Scan) is shared even though the
         # aggregates differ.
         assert result.stats.cache_hits > 0
 
     def test_projection_order_not_conflated(self, big_db):
-        cache = SubplanCache()
-        a = big_db.execute("SELECT id, kind FROM events WHERE id < 5", cache=cache)
-        b = big_db.execute("SELECT kind, id FROM events WHERE id < 5", cache=cache)
+        memo: dict = {}
+        a = run_with(big_db, "SELECT id, kind FROM events WHERE id < 5", memo)
+        b = run_with(big_db, "SELECT kind, id FROM events WHERE id < 5", memo)
         assert a.columns == ["id", "kind"]
         assert b.columns == ["kind", "id"]
         assert [r[::-1] for r in a.rows] == b.rows
 
     def test_different_sample_rates_not_conflated(self, big_db):
-        cache = SubplanCache()
-        exact = big_db.execute("SELECT COUNT(*) FROM events", cache=cache)
-        approx = big_db.execute("SELECT COUNT(*) FROM events", sample_rate=0.1, cache=cache)
+        memo: dict = {}
+        exact = run_with(big_db, "SELECT COUNT(*) FROM events", memo)
+        approx = run_with(big_db, "SELECT COUNT(*) FROM events", memo, sample_rate=0.1)
         assert exact.first_value() == 2000
         assert approx.first_value() != 2000 or approx.is_approximate
 
-    def test_cache_eviction_bounded(self, big_db):
-        cache = SubplanCache(max_entries=4)
-        for i in range(10):
-            big_db.execute(f"SELECT COUNT(*) FROM events WHERE id = {i}", cache=cache)
-        assert len(cache) <= 4
-
-    def test_invalidate_clears(self, big_db):
-        cache = SubplanCache()
-        big_db.execute("SELECT COUNT(*) FROM events", cache=cache)
-        cache.invalidate()
-        assert len(cache) == 0
-
-    def test_cache_work_savings(self, big_db):
-        cache = SubplanCache()
-        first = big_db.execute(
+    def test_memo_work_savings(self, big_db):
+        memo: dict = {}
+        first = run_with(
+            big_db,
             "SELECT kind, COUNT(*) FROM events WHERE value > 10 GROUP BY kind",
-            cache=cache,
+            memo,
         )
-        second = big_db.execute(
+        second = run_with(
+            big_db,
             "SELECT kind, COUNT(*) FROM events WHERE value > 10 GROUP BY kind",
-            cache=cache,
+            memo,
         )
         assert second.stats.rows_processed < first.stats.rows_processed * 0.1

@@ -440,98 +440,56 @@ class TestResultObject:
         assert result.stats.rows_processed >= 10
 
 
-class TestSubplanCacheLru:
-    def test_hot_entry_survives_eviction_pressure(self):
-        from repro.engine.executor import SubplanCache
-
-        cache = SubplanCache(max_entries=4)
-        hot = ("hot-fingerprint", 1.0)
-        cache.put(hot, [(1,)])
-        # Keep the hot entry warm while a stream of cold inserts churns
-        # through the cache. Insertion-order eviction would drop it; true
-        # LRU must keep it because every round refreshes its recency.
-        for i in range(20):
-            assert cache.get(hot) == [(1,)]
-            cache.put((f"cold-{i}", 1.0), [(i,)])
-        assert cache.get(hot) == [(1,)]
-        assert cache.evictions > 0
-        assert len(cache) <= 4
-
-    def test_cold_entries_evicted_oldest_first(self):
-        from repro.engine.executor import SubplanCache
-
-        cache = SubplanCache(max_entries=2)
-        cache.put(("a", 1.0), [(1,)])
-        cache.put(("b", 1.0), [(2,)])
-        cache.get(("a", 1.0))  # refresh a: b is now least-recently used
-        cache.put(("c", 1.0), [(3,)])
-        assert cache.get(("b", 1.0)) is None
-        assert cache.get(("a", 1.0)) == [(1,)]
-
-    def test_put_existing_key_does_not_evict(self):
-        from repro.engine.executor import SubplanCache
-
-        cache = SubplanCache(max_entries=2)
-        cache.put(("a", 1.0), [(1,)])
-        cache.put(("b", 1.0), [(2,)])
-        cache.put(("a", 1.0), [(9,)])  # replace, at capacity
-        assert cache.evictions == 0
-        assert cache.get(("a", 1.0)) == [(9,)]
-        assert cache.get(("b", 1.0)) == [(2,)]
-
-
 class TestSubThresholdCacheLookup:
-    """Sub-threshold subplans (size < min_cacheable_size) were never
-    cacheable, yet ``_execute`` used to call ``cache.get(None)`` for each
-    of them — taking the lock and inflating the miss counter. The lookup
-    must be skipped entirely when the cache key is None."""
+    """Sub-threshold subplans (size < MIN_CACHEABLE_SIZE) are never
+    memoized, so the engine must skip their lookup entirely: no miss is
+    counted and nothing is stored for them."""
 
     def cacheable_count(self, db, sql):
-        from repro.engine.executor import DEFAULT_MIN_CACHEABLE_SIZE
+        from repro.engine.executor import MIN_CACHEABLE_SIZE
         from repro.plan.fingerprint import fingerprints
 
         plan = db.plan_select(sql)
         return sum(
-            1
-            for node in plan.walk()
-            if fingerprints(node).size >= DEFAULT_MIN_CACHEABLE_SIZE
+            1 for node in plan.walk() if fingerprints(node).size >= MIN_CACHEABLE_SIZE
         )
 
-    def test_miss_counter_counts_only_cacheable_subplans(self, sales_db):
-        from repro.engine.executor import SubplanCache
+    @staticmethod
+    def run_with(db, sql, memo):
+        from repro.engine.columnar import ColumnarExecutor
+        from repro.engine.executor import ExecContext
 
+        context = ExecContext(cache=memo)
+        result = ColumnarExecutor(db.catalog, context).run(db.plan_select(sql))
+        return result, (context.stats.cache_hits, context.stats.cache_misses)
+
+    def test_miss_counter_counts_only_cacheable_subplans(self, sales_db):
         sql = "SELECT city FROM stores WHERE state = 'CA'"
         cacheable = self.cacheable_count(sales_db, sql)
         plan_size = sales_db.plan_select(sql).node_count()
         assert cacheable < plan_size  # the corpus includes a bare scan
 
-        cache = SubplanCache()
-        sales_db.execute(sql, cache=cache)
-        hits, misses, _ = cache.counters()
-        assert (hits, misses) == (0, cacheable)
+        _, counters = self.run_with(sales_db, sql, {})
+        assert counters == (0, cacheable)
 
     def test_repeat_execution_hits_only_the_root(self, sales_db):
-        from repro.engine.executor import SubplanCache
-
         sql = "SELECT s.city, SUM(x.amount) FROM stores s JOIN sales x" \
               " ON s.id = x.store_id GROUP BY s.city"
-        cache = SubplanCache()
-        first = sales_db.execute(sql, cache=cache)
-        _, misses_after_first, _ = cache.counters()
-        assert misses_after_first == self.cacheable_count(sales_db, sql)
-        second = sales_db.execute(sql, cache=cache)
-        hits, misses, _ = cache.counters()
+        memo: dict = {}
+        first, (_, misses) = self.run_with(sales_db, sql, memo)
+        assert misses == self.cacheable_count(sales_db, sql)
+        second, counters = self.run_with(sales_db, sql, memo)
         # Root hit short-circuits the whole tree: one hit, no new misses.
-        assert (hits, misses) == (1, misses_after_first)
+        assert counters == (1, 0)
         assert second.rows == first.rows
 
     def test_uncacheable_rows_never_stored(self, sales_db):
-        from repro.engine.executor import SubplanCache
-
-        cache = SubplanCache()
-        sales_db.execute("SELECT city FROM stores WHERE state = 'CA'", cache=cache)
-        assert cache.contains(None) is False
-        assert len(cache) == cache.counters()[1]  # one entry per miss
+        memo: dict = {}
+        _, (_, misses) = self.run_with(
+            sales_db, "SELECT city FROM stores WHERE state = 'CA'", memo
+        )
+        assert None not in memo
+        assert len(memo) == misses  # one entry per miss
 
 
 class TestHoistedCounterEquivalence:

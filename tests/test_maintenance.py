@@ -2,8 +2,8 @@
 
 The headline contract: with the maintenance runtime ON — materialized
 views being built and served, auxiliary indexes rewriting scan paths,
-statistics refreshed, caches pre-warmed — per-query rows, statuses,
-reasons (history attribution), and declared order are **byte-identical**
+statistics refreshed — per-query rows, statuses, reasons (history
+attribution), and declared order are **byte-identical**
 to a maintenance-off run, including across writes that invalidate views
 and indexes mid-workload, at every worker count (CI reruns this module
 under ``REPRO_SCHEDULER_WORKERS``).
@@ -406,7 +406,7 @@ class TestAutoIndexer:
         assert not report.indexes_built
 
 
-class TestStatsAndCachePrewarm:
+class TestStatsRefresh:
     def test_write_burst_queues_stats_refresh(self):
         system = make_system(True, workers=1)
         system.db.execute("INSERT INTO sales VALUES (9005, 1, 'tea', 3.0)")
@@ -419,20 +419,6 @@ class TestStatsAndCachePrewarm:
         stats = catalog.stats("sales")
         assert catalog.storage_counters.stats_recomputes == recomputes
         assert stats.row_count == catalog.table("sales").num_rows
-
-    def test_evicted_hot_entries_reinstalled_from_views(self):
-        system = make_system(True, workers=1)
-        for _ in range(3):
-            system.submit(Probe(queries=(JOIN,), brief=Brief(goal="exact")))
-        system.maintenance.run_pending()
-        cache = system.optimizer.cache
-        cache.invalidate()  # simulate eviction pressure
-        report = system.maintenance.run_pending()
-        assert report.cache_entries_rewarmed > 0
-        from repro.engine.executor import subplan_cache_key
-
-        view = system.maintenance.views.snapshot()[0]
-        assert cache.contains(subplan_cache_key(view.plan, 1.0, 0))
 
 
 class TestSuggestionsApi:

@@ -197,7 +197,7 @@ def system_signature(system) -> dict:
             lenient: (entry.turn, entry.agent_id)
             for lenient, entry in optimizer.lenient_history.items()
         },
-        "subplan_cache": optimizer.cache.counters(),
+        "subplan_memo": (system.scheduler.memo_hits, system.scheduler.memo_misses),
         "scheduler": (
             system.scheduler.batches_served,
             system.scheduler.queries_dispatched,

@@ -8,8 +8,10 @@ The scheduler's contract has two halves:
 * **work** — the batch processes strictly fewer rows than the same probes
   served by independent per-agent systems whenever they overlap.
 
-Plus: the shared :class:`SubplanCache` must keep consistent hit/miss
-counters while many batches (and threads) hammer it.
+Plus: sharing lives for one window. Each window's subplan memo is
+dropped when the window ends, its hit/miss tallies must add up to the
+system's counters, and a window served by many threads must answer the
+same rows as one served by a single thread.
 """
 
 from __future__ import annotations
@@ -22,8 +24,6 @@ import pytest
 from repro.agents.parallel import run_parallel_attempts
 from repro.core import AgentFirstDataSystem, Brief, Probe, SystemConfig
 from repro.db import Database
-from repro.engine.batch import ColumnBatch
-from repro.engine.executor import SubplanCache
 
 
 def build_db() -> Database:
@@ -720,49 +720,147 @@ class TestFederatedCohort:
         assert system.turn > 0
 
 
-class TestInterleavedCacheStress:
+class TestWindowScopedSharing:
+    GROUPED = "SELECT product, {agg} FROM sales WHERE amount > 20.0 GROUP BY product"
+
+    def test_second_window_shares_nothing_with_the_first(self):
+        """A later window re-asks a query whose Filter subtree an earlier
+        window computed: the memo died with that window, so the later one
+        does the same work a fresh system does."""
+        first = Probe.sql(self.GROUPED.format(agg="COUNT(*)"), goal="exact")
+        second = Probe.sql(self.GROUPED.format(agg="SUM(amount)"), goal="exact")
+        system = AgentFirstDataSystem(build_db())
+        system.submit_many([first])
+        (response,) = system.submit_many([second])
+        (fresh,) = AgentFirstDataSystem(build_db()).submit_many([second])
+        assert response.outcomes[0].status == "ok"
+        assert response.sharing.cache_hits == 0
+        assert response.rows_processed == fresh.rows_processed
+
     def test_hit_miss_counters_consistent_across_batches(self):
         system = AgentFirstDataSystem(build_db())
-        cache = system.optimizer.cache
-        assert cache is not None
         batch_hits = batch_misses = 0
         for round_no in range(6):
             responses = system.submit_many(overlapping_probes(4 + round_no))
             report = responses[0].sharing
             batch_hits += report.cache_hits
             batch_misses += report.cache_misses
-        hits, misses, _ = cache.counters()
-        # Per-batch deltas must tile the cache's global counters exactly.
-        assert (hits, misses) == (batch_hits, batch_misses)
+        snap = system.metrics()
+        # Per-window tallies must tile the system's lifetime counters.
+        assert snap.get("repro_engine_subplan_cache_hits") == batch_hits
+        assert snap.get("repro_engine_subplan_cache_misses") == batch_misses
+        assert batch_misses > 0
 
-    def test_threaded_hammer_keeps_counters_consistent(self):
-        cache = SubplanCache(max_entries=64)
-        attempts_per_thread = 500
-        n_threads = 8
+    def test_subtree_sharing_window_under_thread_churn(self):
+        """16 probes whose queries share Filter subtrees across lenient
+        groups, served at workers 8 while the interpreter switches threads
+        every microsecond: the window's memo may move work between
+        threads, never change a row."""
 
-        def hammer(thread_index: int) -> None:
-            for i in range(attempts_per_thread):
-                key = (f"fp-{(thread_index + i) % 100}", 1.0)
-                if cache.get(key) is None:
-                    cache.put(key, ColumnBatch.from_rows([(thread_index, i)], 2))
+        def window():
+            return [
+                Probe(
+                    queries=tuple(
+                        f"SELECT product, {agg} FROM sales"
+                        f" WHERE amount > {agent % 8}.5 GROUP BY product"
+                        for agg in ("COUNT(*)", "SUM(amount)")
+                    ),
+                    brief=Brief(goal="compute the exact answer"),
+                    agent_id=f"agent-{agent}",
+                )
+                for agent in range(16)
+            ]
 
-        threads = [
-            threading.Thread(target=hammer, args=(t,)) for t in range(n_threads)
-        ]
+        serial = AgentFirstDataSystem(build_db(), workers=1).submit_many(window())
+        assert serial[0].sharing.cache_hits > 0
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60)
+            system = AgentFirstDataSystem(build_db(), workers=8)
+            churned = system.submit_many(window())
         finally:
             sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
-        hits, misses, evictions = cache.counters()
-        assert hits + misses == n_threads * attempts_per_thread
-        assert len(cache) <= 64
-        assert evictions > 0
-        # Every entry holds one row: a lost update to the retained-row
-        # count would show as a mismatch with the occupancy.
-        assert cache.retained_rows() == len(cache)
+        assert system.scheduler.speculative_executions == 16
+        assert_same_outcomes(serial, churned)
+
+
+class TestSharingHints:
+    """The "computed once and shared" clause is a claim about this window:
+    it rides on the cross-agent hint only when the equivalent queries
+    really shared work."""
+
+    CLAUSE = "shared batch-wide"
+
+    @staticmethod
+    def serve_pair(workers, first_sql, second_sql):
+        return AgentFirstDataSystem(build_db(), workers=workers).submit_many(
+            [
+                Probe(
+                    queries=(sql,),
+                    brief=Brief(goal="compute the exact answer"),
+                    agent_id=agent,
+                )
+                for agent, sql in (("alice", first_sql), ("bob", second_sql))
+            ]
+        )
+
+    @staticmethod
+    def equivalence_hints(response):
+        hints = [h for h in response.steering if "other agent(s) asked" in h]
+        assert hints, response.steering
+        return hints
+
+    @pytest.mark.parametrize("workers", [1, 8])
+    def test_reordered_projection_claims_no_sharing(self, workers):
+        """Lenient-equal, strict-different, and the only common node is a
+        bare scan (too small to memoize): nothing was shared."""
+        responses = self.serve_pair(
+            workers, "SELECT id, product FROM sales", "SELECT product, id FROM sales"
+        )
+        assert [r.outcomes[0].status for r in responses] == ["ok", "ok"]
+        assert responses[0].sharing.cache_hits == 0
+        assert responses[0].rows_processed == responses[1].rows_processed
+        for response in responses:
+            assert not any(
+                self.CLAUSE in hint for hint in self.equivalence_hints(response)
+            )
+
+    @pytest.mark.parametrize("workers", [1, 8])
+    def test_shared_filter_keeps_the_clause(self, workers):
+        responses = self.serve_pair(
+            workers,
+            "SELECT id, product FROM sales WHERE amount > 20.0",
+            "SELECT product, id FROM sales WHERE amount > 20.0",
+        )
+        assert [r.outcomes[0].status for r in responses] == ["ok", "ok"]
+        assert responses[0].sharing.cache_hits > 0
+        for response in responses:
+            assert any(
+                self.CLAUSE in hint for hint in self.equivalence_hints(response)
+            )
+
+    @pytest.mark.parametrize("workers", [1, 8])
+    def test_answer_from_this_window_keeps_the_clause(self, workers):
+        sql = "SELECT COUNT(*) FROM sales WHERE product = 'tea'"
+        responses = self.serve_pair(workers, sql, sql)
+        assert [r.outcomes[0].status for r in responses] == ["ok", "from_history"]
+        for response in responses:
+            assert any(
+                self.CLAUSE in hint for hint in self.equivalence_hints(response)
+            )
+
+    def test_answer_from_an_earlier_window_claims_no_sharing(self):
+        sql = "SELECT COUNT(*) FROM sales WHERE product = 'tea'"
+        system = AgentFirstDataSystem(build_db(), workers=1)
+        system.submit(Probe.sql(sql, goal="exact"))
+        responses = system.submit_many(
+            [
+                Probe(queries=(sql,), brief=Brief(goal="exact"), agent_id=agent)
+                for agent in ("alice", "bob")
+            ]
+        )
+        assert [r.outcomes[0].status for r in responses] == ["from_history"] * 2
+        for response in responses:
+            assert not any(
+                self.CLAUSE in hint for hint in self.equivalence_hints(response)
+            )
